@@ -4,28 +4,41 @@ Verbs: table (print a weighted tiling sum), enumerate (list combinatorial
 objects), verify (run identity checks over a grid), det (exact versus closed
 form minor determinant), validate-scheme (shift coherence of a scheme).
 
-Exit codes: 0 success / all checks pass, 1 a check found a counterexample,
-2 usage error or a desk-scale guard refused the request.  Output is
-byte-identical across runs for identical flags; --format json switches every
-verb to the canonical JSON forms.
+Exit codes, for every input: 0 success / all checks pass, 1 a check found a
+counterexample, 2 usage error, bad input or a size guard refused the
+request.  Output is byte-identical across runs for identical flags;
+--format json switches every verb to the canonical JSON forms.
 
 Scheme flags accept a built-in statistic pair (inv-lp, inv-rlp, inv-prlp,
 maj-lp, maj-rlp, maj-prlp, rb-lpi) or generic:A,B,C where each component is
-an integer expression in the tile length i (operators + - * / and
-parentheses, division must be exact) or a bracketed value table like
-[0 1 3] with one entry per tile length.  QFIB_SEED overrides --seed, and
+a bracketed value table like [0 1 3] with one integer per tile length, or an
+integer expression in the tile length i of at most LIMITS["expr_len"] (200)
+characters:
+
+    expr := term (("+" | "-") term)*
+    term := unary (("*" | "/") unary)*
+    unary := "-" unary | "(" expr ")" | "i" | digits
+
+Spaces may separate tokens, literals may have leading zeros, and division
+must be exact.  The size guards, all in qfib.errors.LIMITS: --k <= 20 on
+every verb; table and enumerate --n <= 20; verify --max-n <= 20 (10 for the
+convolution grid); det and verify det k <= 6 with n + 2k - 2 <= 20;
+validate-scheme --max-n <= 20.  QFIB_SEED overrides --seed, and
 setting QFIB_CORRUPT_SCHEMES=1 deliberately breaks the shift coherence of
 the --random-schemes schemes (a falsifiability hook for testing the
 verifiers themselves).
 """
 
 import argparse
+import ast
 import json
+import operator
 import os
+import re
 import sys
 
 from . import identities, lattice
-from .errors import QfibError
+from .errors import LIMITS, QfibError, SizeLimitError
 from .layered import (
     SCHEMED_PAIRS,
     StatPair,
@@ -45,104 +58,52 @@ from .tiling import (
     weighted_sum_enumerative,
 )
 
-_MAX_BOARD = 20
-_MAX_DET_K = 6
-
 _BUILTIN_NAMES = tuple(str(p) for p in SCHEMED_PAIRS)
 
 
 # ----------------------------------------------------------------------
-# the tiny arithmetic grammar over the tile length i
+# scheme expressions: integer arithmetic in the tile length i
+
+_EXPR_CHARS = frozenset("0123456789i+-*/() ")
+_EXPR_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.floordiv,
+}
 
 
-def _parse_expr(text: str):
-    """Compile an integer expression in the variable i into a callable."""
+def _eval_expr(node, i: int, text: str) -> int:
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "i":
+        return i
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_eval_expr(node.operand, i, text)
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        lhs, rhs = _eval_expr(node.left, i, text), _eval_expr(node.right, i, text)
+        if isinstance(node.op, ast.Div) and (rhs == 0 or lhs % rhs):
+            raise QfibError(f"scheme expression {text!r} does not divide exactly at i={i}")
+        return _EXPR_OPS[type(node.op)](lhs, rhs)
+    raise QfibError(f"bad scheme expression {text!r}: {type(node).__name__} not allowed")
+
+
+def _compile_expr(text: str):
+    """Check an integer expression in the variable i; return it as a callable."""
     s = text.strip()
-    pos = 0
-
-    def fail(msg):
-        raise QfibError(f"bad scheme expression {text!r}: {msg}")
-
-    def skip():
-        nonlocal pos
-        while pos < len(s) and s[pos] == " ":
-            pos += 1
-
-    def atom():
-        nonlocal pos
-        skip()
-        if pos >= len(s):
-            fail("unexpected end")
-        ch = s[pos]
-        if ch == "(":
-            pos += 1
-            node = expr()
-            skip()
-            if pos >= len(s) or s[pos] != ")":
-                fail("missing ')'")
-            pos += 1
-            return node
-        if ch == "-":
-            pos += 1
-            node = atom()
-            return lambda i, f=node: -f(i)
-        if ch == "i":
-            pos += 1
-            return lambda i: i
-        if ch.isdigit():
-            start = pos
-            while pos < len(s) and s[pos].isdigit():
-                pos += 1
-            value = int(s[start:pos])
-            return lambda i: value
-        fail(f"unexpected {ch!r}")
-
-    def product():
-        nonlocal pos
-        node = atom()
-        while True:
-            skip()
-            if pos < len(s) and s[pos] == "*":
-                pos += 1
-                rhs = atom()
-                node = lambda i, f=node, g=rhs: f(i) * g(i)
-            elif pos < len(s) and s[pos] == "/":
-                pos += 1
-                rhs = atom()
-
-                def divide(i, f=node, g=rhs):
-                    num, den = f(i), g(i)
-                    if den == 0 or num % den:
-                        raise QfibError(
-                            f"scheme expression {text!r} does not divide exactly at i={i}"
-                        )
-                    return num // den
-
-                node = divide
-            else:
-                return node
-
-    def expr():
-        nonlocal pos
-        node = product()
-        while True:
-            skip()
-            if pos < len(s) and s[pos] in "+-":
-                op = s[pos]
-                pos += 1
-                rhs = product()
-                if op == "+":
-                    node = lambda i, f=node, g=rhs: f(i) + g(i)
-                else:
-                    node = lambda i, f=node, g=rhs: f(i) - g(i)
-            else:
-                return node
-
-    node = expr()
-    skip()
-    if pos != len(s):
-        fail(f"trailing input at {pos}")
-    return node
+    if len(s) > LIMITS["expr_len"]:
+        raise SizeLimitError(
+            f"scheme expression longer than {LIMITS['expr_len']} characters"
+        )
+    if not set(s) <= _EXPR_CHARS:
+        raise QfibError(f"bad scheme expression {text!r}: use 0-9, i, + - * / ( )")
+    # The grammar allows leading zeros (007); Python literals do not.
+    s = re.sub(r"\b0+(?=\d)", "", s)
+    try:
+        tree = ast.parse(s, mode="eval").body
+    except (SyntaxError, RecursionError, MemoryError):
+        raise QfibError(f"bad scheme expression {text!r}") from None
+    return lambda i: _eval_expr(tree, i, text)
 
 
 def _split_components(text: str) -> list[str]:
@@ -172,13 +133,16 @@ def _component_fn(component: str, k: int, label: str):
     if body.startswith("["):
         if not body.endswith("]"):
             raise QfibError(f"unclosed value table in {component!r}")
-        values = [int(v) for v in body[1:-1].split()]
+        try:
+            values = [int(v) for v in body[1:-1].split()]
+        except ValueError:
+            raise QfibError(f"value table {component!r} needs integer entries") from None
         if len(values) != k:
             raise QfibError(
                 f"value table {component!r} needs {k} entries, got {len(values)}"
             )
         return lambda i: values[i - 1]
-    return _parse_expr(body)
+    return _compile_expr(body)
 
 
 def _parse_scheme(text: str, k: int) -> WeightScheme:
@@ -207,7 +171,10 @@ def _resolve_schemes(args, k: int) -> list[WeightScheme]:
         schemes.append(_parse_scheme(args.stat, k))
     count = getattr(args, "random_schemes", 0) or 0
     if count:
-        seed = int(os.environ.get("QFIB_SEED", args.seed))
+        try:
+            seed = int(os.environ.get("QFIB_SEED", args.seed))
+        except ValueError:
+            raise QfibError("QFIB_SEED must be an integer") from None
         factory = (
             corrupted_scheme
             if os.environ.get("QFIB_CORRUPT_SCHEMES")
@@ -234,8 +201,8 @@ def _print_poly(p: Poly, fmt: str):
 
 
 def _cmd_table(args) -> int:
-    if args.n < 0 or args.n > _MAX_BOARD:
-        raise QfibError(f"table is desk-scale: need 0 <= n <= {_MAX_BOARD}")
+    if args.n < 0 or args.n > LIMITS["board"]:
+        raise SizeLimitError(f"table is desk-scale: need 0 <= n <= {LIMITS['board']}")
     before, after = args.append
     scheme = _parse_scheme(args.stat, args.k)
     poly = weighted_sum_enumerative(args.n, args.k, scheme, (before, after))
@@ -253,8 +220,8 @@ _OBJECT_STATS = {
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n < 0 or args.n > _MAX_BOARD:
-        raise QfibError(f"enumerate is desk-scale: need 0 <= n <= {_MAX_BOARD}")
+    if args.n < 0 or args.n > LIMITS["board"]:
+        raise SizeLimitError(f"enumerate is desk-scale: need 0 <= n <= {LIMITS['board']}")
     stat = args.with_stat
     if stat and stat not in _OBJECT_STATS[args.object]:
         raise QfibError(f"statistic {stat!r} is not defined for {args.object}")
@@ -332,19 +299,19 @@ def _cmd_verify(args) -> int:
         raise QfibError("need --max-n >= 1")
     if args.identity == "kreduce" and args.k < 2:
         raise QfibError("kreduce needs --k >= 2")
-    if args.identity in ("convolution", "all") and 2 * args.max_n > _MAX_BOARD:
-        raise QfibError(
-            f"convolution grid is desk-scale: need --max-n <= {_MAX_BOARD // 2}"
+    board = LIMITS["board"]
+    if args.identity in ("convolution", "all") and 2 * args.max_n > board:
+        raise SizeLimitError(
+            f"convolution grid is desk-scale: need --max-n <= {board // 2}"
         )
-    if args.max_n > _MAX_BOARD:
-        raise QfibError(f"verify is desk-scale: need --max-n <= {_MAX_BOARD}")
+    if args.max_n > board:
+        raise SizeLimitError(f"verify is desk-scale: need --max-n <= {board}")
     if args.identity in ("det", "all"):
-        if args.k > _MAX_DET_K:
-            raise QfibError(f"determinants are limited to k <= {_MAX_DET_K}")
-        if args.max_n + 2 * args.k - 2 > _MAX_BOARD:
-            raise QfibError(
-                "determinant grid is desk-scale: need max-n + 2k - 2 <= "
-                f"{_MAX_BOARD}"
+        if args.k > LIMITS["det_dim"]:
+            raise SizeLimitError(f"determinants are limited to k <= {LIMITS['det_dim']}")
+        if args.max_n + 2 * args.k - 2 > board:
+            raise SizeLimitError(
+                f"determinant grid is desk-scale: need max-n + 2k - 2 <= {board}"
             )
     schemes = _resolve_schemes(args, args.k)
     reports = _verify_reports(args, schemes)
@@ -366,11 +333,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    if args.k < 1 or args.k > _MAX_DET_K:
-        raise QfibError(f"det is limited to 1 <= k <= {_MAX_DET_K}")
-    if args.n < 1 or args.n + 2 * args.k - 2 > _MAX_BOARD:
-        raise QfibError(
-            f"det is desk-scale: need n >= 1 and n + 2k - 2 <= {_MAX_BOARD}"
+    if args.k < 1 or args.k > LIMITS["det_dim"]:
+        raise SizeLimitError(f"det is limited to 1 <= k <= {LIMITS['det_dim']}")
+    if args.n < 1 or args.n + 2 * args.k - 2 > LIMITS["board"]:
+        raise SizeLimitError(
+            f"det is desk-scale: need n >= 1 and n + 2k - 2 <= {LIMITS['board']}"
         )
     scheme = _parse_scheme(args.stat, args.k)
     spec = lattice.MinorSpec(args.n, args.k)
@@ -400,8 +367,8 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_validate_scheme(args) -> int:
-    if args.max_n < 1:
-        raise QfibError("need --max-n >= 1")
+    if not 1 <= args.max_n <= LIMITS["validate_max_n"]:
+        raise SizeLimitError(f"need 1 <= --max-n <= {LIMITS['validate_max_n']}")
     schemes = _resolve_schemes(args, args.k)
     bad = False
     for w in schemes:
@@ -513,6 +480,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.k > LIMITS["k"]:
+            raise SizeLimitError(f"need --k <= {LIMITS['k']}")
         return args.fn(args)
     except QfibError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,4 +38,23 @@ class UnsupportedSchemeError(QfibError, ValueError):
 
 
 class SizeLimitError(QfibError, ValueError):
-    """A desk-scale guard was exceeded (determinant size, path enumeration)."""
+    """A desk-scale guard in LIMITS was exceeded."""
+
+
+# Every desk-scale guard; exceeding one raises SizeLimitError (CLI exit 2).
+# Costs are single calls on a 2-vCPU host.
+LIMITS = {
+    # table/enumerate --n, verify --max-n, det's n + 2k - 2: enumeration
+    # visits all F_n tilings (table --n 20 --k 20 takes 0.9 s).
+    "board": 20,
+    # --k on every verb.  No accepted board holds a longer tile; table --n 10
+    # gives the same polynomial in 6 ms at k = 20 and 0.47 s at k = 1000.
+    "k": 20,
+    # validate-scheme --max-n: 2k * max_n^3 checks, one string per violation.
+    # A corrupted k = 20 scheme takes 0.7 s, 56 MB at 20; 2.7 s, 150 MB at 30.
+    "validate_max_n": 20,
+    "det_dim": 6,  # det --k, verify det, lattice.determinant: 2^dim memo entries
+    "sign_k": 5,  # lattice.miles_sign_check
+    "path_vertex": 24,  # lattice.enumerate_noncrossing_tuples
+    "expr_len": 200,  # generic: expression characters; bounds its tree depth
+}

@@ -33,7 +33,7 @@ genuinely differ, which the identity checks report as counterexamples.
 
 from dataclasses import dataclass
 
-from .errors import SizeLimitError
+from .errors import LIMITS, SizeLimitError
 from .polyring import Poly
 from .report import IdentityReport
 from .tiling import AppendSpec, WeightScheme, weighted_sum_enumerative
@@ -48,9 +48,6 @@ __all__ = [
     "enumerate_noncrossing_tuples",
     "miles_sign_check",
 ]
-
-_MAX_DET_DIM = 6
-_MAX_PATH_VERTEX = 24
 
 
 @dataclass(frozen=True)
@@ -107,12 +104,12 @@ def determinant(mat: PolyMatrix) -> Poly:
 
     Expansion runs along the last remaining column at every level, so the
     shared subproblems are minors over the leading columns (the entries of
-    smallest degree in the shifted Fibonacci minor).  Guarded to dim <= 6:
-    the memo has 2^dim entries.
+    smallest degree in the shifted Fibonacci minor).  Guarded by
+    LIMITS["det_dim"]: the memo has 2^dim entries.
     """
     d = mat.dim
-    if d > _MAX_DET_DIM:
-        raise SizeLimitError(f"determinant limited to dim <= {_MAX_DET_DIM}, got {d}")
+    if d > LIMITS["det_dim"]:
+        raise SizeLimitError(f"determinant limited to dim <= {LIMITS['det_dim']}, got {d}")
     if d == 0:
         raise SizeLimitError("determinant of an empty matrix")
     k = mat.entries[0][0].k
@@ -190,9 +187,9 @@ def enumerate_noncrossing_tuples(spec: MinorSpec) -> list[PathTuple]:
     """All vertex-disjoint path tuples from u to v, by depth-first search
     with shared-vertex pruning.  For this minor the result is a single tuple
     built from length-k arcs."""
-    if spec.n + 2 * spec.k - 2 > _MAX_PATH_VERTEX:
+    if spec.n + 2 * spec.k - 2 > LIMITS["path_vertex"]:
         raise SizeLimitError(
-            f"path enumeration limited to vertices <= {_MAX_PATH_VERTEX}"
+            f"path enumeration limited to vertices <= {LIMITS['path_vertex']}"
         )
     k = spec.k
     u, v = spec.u, spec.v
@@ -229,8 +226,10 @@ def enumerate_noncrossing_tuples(spec: MinorSpec) -> list[PathTuple]:
 def miles_sign_check(n: int, k: int) -> IdentityReport:
     """The unweighted minor determinant: 1 for odd k, (-1)^(n-1) for even k,
     checked by evaluating the exact cofactor determinant at z = q = 1."""
-    if n < 1 or k < 1 or k > 5:
-        raise SizeLimitError(f"sign check needs n >= 1 and 1 <= k <= 5, got n={n}, k={k}")
+    if n < 1 or k < 1 or k > LIMITS["sign_k"]:
+        raise SizeLimitError(
+            f"sign check needs n >= 1 and 1 <= k <= {LIMITS['sign_k']}, got n={n}, k={k}"
+        )
     counting = WeightScheme(k, lambda i: 0, lambda i: 0, lambda i: 0, name="counting")
     spec = MinorSpec(n, k)
     det_value = determinant(build_minor(spec, counting)).evaluate((1,) * k, 1)

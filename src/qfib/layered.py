@@ -292,13 +292,14 @@ def distribution(pair, n: int, k: int) -> Poly:
     if n < 0:
         return Poly.zero(k)
     stat_fn = _STAT_FNS[pair.stat]
-    total = Poly.zero(k)
-    for obj in enumerate_family(pair.family, n, k):
+
+    def term(obj):
         counts = [0] * k
         for length in layer_lengths(pair.family, obj):
             counts[length - 1] += 1
-        total = total + Poly.monomial(k, 1, counts, stat_fn(obj))
-    return total
+        return 1, counts, stat_fn(obj)
+
+    return Poly.from_monomials(k, map(term, enumerate_family(pair.family, n, k)))
 
 
 def builtin_scheme(pair, k: int) -> WeightScheme:

@@ -121,23 +121,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, k: int, coeff: int, z_exps, q_exp: int = 0) -> "Poly":
-        z_exps = tuple(z_exps)
-        if len(z_exps) != k:
-            raise RingMismatchError(
-                f"expected {k} z exponents, got {len(z_exps)}"
-            )
-        for e in z_exps:
-            if not isinstance(e, int) or e < 0:
-                raise InvalidShiftError(f"z exponents must be nonnegative ints, got {e!r}")
-            if e > Z_MASK:
-                raise CapacityError(f"z exponent {e} exceeds field capacity {Z_MASK}")
-        if not isinstance(q_exp, int) or q_exp < 0:
-            raise InvalidShiftError(f"q exponent must be a nonnegative int, got {q_exp!r}")
-        if q_exp > Q_MASK:
-            raise CapacityError(f"q exponent {q_exp} exceeds field capacity {Q_MASK}")
-        if coeff == 0:
-            return cls.zero(k)
-        return cls._wrap(k, {_pack(k, z_exps, q_exp): coeff}, max(z_exps), q_exp)
+        return cls.from_monomials(k, [(coeff, z_exps, q_exp)])
 
     @classmethod
     def z(cls, k: int, i: int) -> "Poly":
@@ -152,10 +136,25 @@ class Poly:
 
     @classmethod
     def from_monomials(cls, k: int, monomials: Iterable) -> "Poly":
-        total = cls.zero(k)
+        """Sum of (coeff, z_exps, q_exp) terms in one pass; every term is
+        checked before it merges, even one that later cancels."""
+        terms: dict[int, int] = {}
         for coeff, z_exps, q_exp in monomials:
-            total = total + cls.monomial(k, coeff, z_exps, q_exp)
-        return total
+            z_exps = tuple(z_exps)
+            if len(z_exps) != k:
+                raise RingMismatchError(f"expected {k} z exponents, got {len(z_exps)}")
+            for e in z_exps:
+                if not isinstance(e, int) or e < 0:
+                    raise InvalidShiftError(f"z exponents must be nonnegative ints, got {e!r}")
+                if e > Z_MASK:
+                    raise CapacityError(f"z exponent {e} exceeds field capacity {Z_MASK}")
+            if not isinstance(q_exp, int) or q_exp < 0:
+                raise InvalidShiftError(f"q exponent must be a nonnegative int, got {q_exp!r}")
+            if q_exp > Q_MASK:
+                raise CapacityError(f"q exponent {q_exp} exceeds field capacity {Q_MASK}")
+            key = _pack(k, z_exps, q_exp)
+            terms[key] = terms.get(key, 0) + coeff
+        return cls(k, {key: c for key, c in terms.items() if c})
 
     # ------------------------------------------------------------------
     # ring operations
@@ -344,23 +343,21 @@ class Poly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Poly":
-        k = data["k"]
-        total = cls.zero(k)
-        for term in data["terms"]:
-            total = total + cls.monomial(
-                k, int(term["coeff"]), tuple(term["z"]), int(term["q"])
-            )
-        return total
+        return cls.from_monomials(
+            data["k"],
+            ((int(t["coeff"]), tuple(t["z"]), int(t["q"])) for t in data["terms"]),
+        )
 
     # ------------------------------------------------------------------
     # parsing
 
     @classmethod
     def parse(cls, text: str, k: int) -> "Poly":
-        return _parse_poly(text, k)
+        return cls.from_monomials(k, _parse_terms(text, k))
 
 
-def _parse_poly(text: str, k: int) -> Poly:
+def _parse_terms(text: str, k: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """Yield (coeff, z_exps, q_exp) per term of the text grammar."""
     s = text
     n = len(s)
     pos = 0
@@ -428,7 +425,6 @@ def _parse_poly(text: str, k: int) -> Poly:
             else:
                 return coeff, zs, q_exp
 
-    total = Poly.zero(k)
     skip_ws()
     if pos >= n:
         raise PolyParseError("empty input", pos)
@@ -438,10 +434,10 @@ def _parse_poly(text: str, k: int) -> Poly:
         pos += 1
     while True:
         coeff, zs, q_exp = parse_term()
-        total = total + Poly.monomial(k, sign * coeff, zs, q_exp)
+        yield sign * coeff, zs, q_exp
         skip_ws()
         if pos >= n:
-            return total
+            return
         if s[pos] == "+":
             sign = 1
         elif s[pos] == "-":

@@ -23,8 +23,8 @@ import random
 from typing import Callable, Iterator, NamedTuple
 
 from ._backend import kernels as _k
-from ._kernels_py import Q_BITS, Z_BITS
-from .errors import DomainError
+from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
+from .errors import CapacityError, DomainError
 from .polyring import Poly
 
 __all__ = [
@@ -229,20 +229,27 @@ def tiling_weight(t: Tiling, w: WeightScheme, app=AppendSpec()) -> Poly:
 
 def _tile_deltas(n: int, maxpart: int, w: WeightScheme, app: AppendSpec):
     """Packed key contribution of each (tile length, start) pair; see the
-    sum_tilings_terms kernel."""
-    deltas = []
-    for i in range(1, maxpart + 1):
-        off = Q_BITS + (w.k - i) * Z_BITS
-        base = 1 << off
-        row = [
-            base
-            + w.qexp(i, sigma, n - sigma - i + 1)
+    sum_tilings_terms kernel.  The kernel adds keys unchecked, so this first
+    bounds every tiling's exponents by their packed-field capacity."""
+    qs = [
+        [
+            w.qexp(i, sigma, n - sigma - i + 1)
             + w.b(i) * app.before
             + w.c(i) * app.after
             for sigma in range(1, n - i + 2)
         ]
-        deltas.append(row)
-    return deltas
+        for i in range(1, maxpart + 1)
+    ]
+    # top[s]: the largest q exponent over tilings of cells s..n
+    top = [0] * (n + 2)
+    for s in range(n, 0, -1):
+        top[s] = max(row[s - 1] + top[s + i] for i, row in enumerate(qs, 1) if i <= n - s + 1)
+    if n > Z_MASK or top[1] > Q_MASK:
+        raise CapacityError(f"{n}-board tilings reach z^{n}, q^{top[1]}: beyond key capacity")
+    return [
+        [(1 << (Q_BITS + (w.k - i) * Z_BITS)) + q for q in row]
+        for i, row in enumerate(qs, 1)
+    ]
 
 
 def _check_cap(n, k, w):
@@ -282,13 +289,10 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     app = _normalize_append(app)
     if n < 0:
         return Poly.zero(w.k)
-    one = Poly.one(w.k)
-    memo: dict[int, Poly] = {n + 1: one}
-
-    def suffix(pos: int) -> Poly:
-        cached = memo.get(pos)
-        if cached is not None:
-            return cached
+    # Bottom-up: no recursion depth to exhaust, and no self-referencing
+    # closure, which would keep every suffix sum alive until a cyclic GC pass.
+    memo: dict[int, Poly] = {n + 1: Poly.one(w.k)}
+    for pos in range(n, 0, -1):
         total = Poly.zero(w.k)
         for i in range(1, min(k, n - pos + 1) + 1):
             q_exp = (
@@ -298,13 +302,8 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
             )
             counts = tuple(1 if j == i else 0 for j in range(1, w.k + 1))
             tile = Poly.monomial(w.k, 1, counts, q_exp)
-            total = total + tile * suffix(pos + i)
+            total = total + tile * memo[pos + i]
         memo[pos] = total
-        return total
-
-    # Fill bottom-up to keep recursion depth flat for large boards.
-    for pos in range(n, 0, -1):
-        suffix(pos)
     return memo[1]
 
 

@@ -2,12 +2,14 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
-from qfib.cli import main
+from qfib.cli import _parse_scheme, main
 from qfib.polyring import Poly
 
 
@@ -63,6 +65,37 @@ def test_table_generic_scheme(capsys):
 def test_table_generic_table_form(capsys):
     assert main(["table", "--n", "3", "--k", "2", "--stat", "generic:[0 1],B=0,C=0"]) == 0
     assert capsys.readouterr().out.strip() == "z1^3 + 2*z1*z2*q"
+
+
+@pytest.mark.parametrize(
+    "expr, table",
+    [
+        ("i*(i-1)/2", (0, 1, 3)),
+        ("--i+1", (2, 3, 4)),
+        ("007", (7, 7, 7)),
+        ("(0+i)*3", (3, 6, 9)),
+        ("1 - -1", (2, 2, 2)),
+        ("i**2", None),
+        ("(1)(2)", None),
+        ("True", None),
+        ("0x10", None),
+        ("1_0", None),
+        ("i/2", None),
+        pytest.param("(" * 5000 + "0" + ")" * 5000, None, id="nested-5000"),
+        pytest.param("+".join(["1"] * 3000), None, id="sum-3000"),
+        pytest.param("-" * 3000 + "1", None, id="negate-3000"),
+    ],
+)
+def test_scheme_expression_boundary(expr, table, capsys):
+    stat = f"generic:{expr},0,0"
+    code = main(["table", "--n", "3", "--k", "3", "--stat", stat])
+    if table is None:
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    else:
+        assert code == 0
+        w = _parse_scheme(stat, 3)
+        assert tuple(w.a(i) for i in (1, 2, 3)) == table
 
 
 def test_enumerate_lp_listing(capsys):
@@ -306,6 +339,16 @@ def test_bad_flags_exit_2():
     assert run_cli("table", "--n", "3", "--k", "2", "--stat", "nope").returncode == 2
     assert run_cli("verify", "--identity", "bogus", "--k", "2", "--max-n", "3").returncode == 2
     assert run_cli("table", "--n", "99", "--k", "2", "--stat", "maj-lp").returncode == 2
+    bad_table = run_cli("table", "--n", "3", "--k", "3", "--stat", "generic:[1 x 3],0,0")
+    assert bad_table.returncode == 2 and "Traceback" not in bad_table.stderr
+    bad_seed = run_cli(
+        "verify", "--identity", "recursion", "--k", "2", "--max-n", "3",
+        "--random-schemes", "1", env={"QFIB_SEED": "abc"},
+    )
+    assert bad_seed.returncode == 2 and "Traceback" not in bad_seed.stderr
+    # the q exponent 2^32 would carry into the z field of the packed key
+    overflow = run_cli("table", "--n", "1", "--k", "1", "--stat", "generic:4294967296,0,0")
+    assert overflow.returncode == 2 and overflow.stdout == ""
 
 
 def test_verify_desk_scale_guard():
@@ -317,6 +360,22 @@ def test_verify_desk_scale_guard():
     )
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["table", "--n", "3", "--k", "20", "--stat", "maj-lp"], 0),
+        (["table", "--n", "10", "--k", "20001", "--stat", "maj-lp"], 2),
+        (["enumerate", "--n", "3", "--k", "21", "--object", "tilings"], 2),
+        (["validate-scheme", "--k", "3", "--stat", "maj-lp", "--max-n", "20"], 0),
+        (["validate-scheme", "--k", "3", "--stat", "maj-lp", "--max-n", "100000"], 2),
+    ],
+)
+def test_size_limits(argv, code):
+    start = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - start < 5.0
+
+
 def test_byte_identical_runs():
     args = ("verify", "--identity", "all", "--k", "2", "--max-n", "4", "--stat", "maj-rlp")
     first = run_cli(*args)
@@ -326,11 +385,11 @@ def test_byte_identical_runs():
 
 
 def test_console_script_installed():
+    if shutil.which("qfib") is None:
+        pytest.skip("console script not on PATH")
     result = subprocess.run(
         ["qfib", "table", "--n", "3", "--k", "2", "--stat", "maj-lp"],
         capture_output=True,
         text=True,
     )
-    if result.returncode != 0:
-        pytest.skip("console script not on PATH")
     assert result.stdout.strip() == "z1^3*q^3 + z1*z2*q^2 + z1*z2*q"

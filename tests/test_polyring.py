@@ -158,6 +158,54 @@ def test_json_roundtrip():
     assert data["terms"][1]["coeff"] == "-2"
 
 
+def _json_form(monos):
+    return {"k": 2, "terms": [{"coeff": str(c), "z": list(z), "q": q} for c, z, q in monos]}
+
+
+@pytest.mark.parametrize(
+    "text, monos, canonical",
+    [
+        ("z1 + z1 - 2*z1", [(1, (1, 0), 0), (1, (1, 0), 0), (-2, (1, 0), 0)], "0"),
+        ("z1*q + z2 + z1*q", [(1, (1, 0), 1), (1, (0, 1), 0), (1, (1, 0), 1)], "2*z1*q + z2"),
+        (
+            "q^2 - 3 - q^2 + 5",
+            [(1, (0, 0), 2), (-3, (0, 0), 0), (-1, (0, 0), 2), (5, (0, 0), 0)],
+            "2",
+        ),
+    ],
+)
+def test_readers_merge_repeated_terms(text, monos, canonical):
+    for p in (
+        Poly.parse(text, 2),
+        Poly.from_json_dict(_json_form(monos)),
+        Poly.from_monomials(2, monos),
+    ):
+        assert p.format() == canonical
+        assert Poly.parse(p.format(), 2) == p
+        assert Poly.from_json_dict(p.to_json_dict()) == p
+
+
+@pytest.mark.parametrize(
+    "text, monos, error",
+    [
+        ("z1^65536 - z1^65536", [(1, (1 << 16, 0), 0), (-1, (1 << 16, 0), 0)], CapacityError),
+        ("q^4294967296", [(0, (0, 0), 1 << 32)], CapacityError),
+        (None, [(1, (-1, 0), 0), (-1, (-1, 0), 0)], InvalidShiftError),
+        (None, [(1, (0, 0), -1)], InvalidShiftError),
+        (None, [(1, (1,), 0)], RingMismatchError),
+    ],
+)
+def test_readers_check_every_term(text, monos, error):
+    # each term is checked as Poly.monomial checks it, even when it cancels
+    with pytest.raises(error):
+        Poly.from_json_dict(_json_form(monos))
+    with pytest.raises(error):
+        Poly.from_monomials(2, monos)
+    if text is not None:
+        with pytest.raises(error):
+            Poly.parse(text, 2)
+
+
 def test_diff_witness():
     assert diff_witness(P("z1 + q"), P("z1 + q")) is None
     w = diff_witness(P("z1 + 3*q"), P("z1 + 5*q"))

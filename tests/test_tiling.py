@@ -2,7 +2,7 @@
 
 import pytest
 
-from qfib.errors import DomainError
+from qfib.errors import CapacityError, DomainError
 from qfib.layered import builtin_scheme
 from qfib.polyring import Poly
 from qfib.tiling import (
@@ -127,6 +127,25 @@ def test_append_shift_law():
                 assert weighted_sum_enumerative(n, 3, w, (0, m)) == plain.substitute_z_scale(
                     w.back_shift_exps(m)
                 )
+
+
+def test_enumerative_sum_refuses_packed_key_overflow():
+    q_cap, z_cap = (1 << 32) - 1, (1 << 16) - 1
+    for a, n in (((q_cap + 1,), 1), (((q_cap + 1) // 2,), 2)):
+        with pytest.raises(CapacityError):
+            weighted_sum_enumerative(n, 1, WeightScheme.from_tables(1, a, (0,), (0,)))
+    with pytest.raises(CapacityError):
+        weighted_sum_enumerative(z_cap + 1, 1, builtin_scheme("maj-lp", 1))
+    with pytest.raises(CapacityError):
+        weighted_sum_enumerative(1, 1, WeightScheme.from_tables(1, (q_cap,), (0,), (1,)), (0, 1))
+    edge = WeightScheme.from_tables(1, (q_cap,), (0,), (0,))
+    assert weighted_sum_enumerative(1, 1, edge) == Poly.monomial(1, 1, (1,), q_cap)
+    # The bound is the largest exponent of an actual tiling, not n times the
+    # largest tile exponent: 3e9 on 2-tiles reaches 3e9 on a 3-board.
+    long_tiles = WeightScheme.from_tables(2, (0, 3 * 10**9), (0, 0), (0, 0))
+    assert weighted_sum_enumerative(3, 2, long_tiles) == weighted_sum_recursive(
+        3, 2, long_tiles
+    )
 
 
 def test_tile_cap_must_fit_scheme():
