@@ -23,10 +23,10 @@ Spaces may separate tokens, literals may have leading zeros, and division
 must be exact.  The size guards, all in qfib.errors.LIMITS: --k <= 20 on
 every verb; table and enumerate --n <= 20; verify --max-n <= 20 (10 for the
 convolution grid); det and verify det k <= 6 with n + 2k - 2 <= 20;
-validate-scheme --max-n <= 20.  QFIB_SEED overrides --seed, and
-setting QFIB_CORRUPT_SCHEMES=1 deliberately breaks the shift coherence of
-the --random-schemes schemes (a falsifiability hook for testing the
-verifiers themselves).
+validate-scheme --max-n <= 20; --random-schemes <= 1000.  QFIB_SEED
+overrides --seed, and setting QFIB_CORRUPT_SCHEMES=1 deliberately breaks
+the shift coherence of the --random-schemes schemes (a falsifiability hook
+for testing the verifiers themselves).
 """
 
 import argparse
@@ -170,6 +170,10 @@ def _resolve_schemes(args, k: int) -> list[WeightScheme]:
     if getattr(args, "stat", None):
         schemes.append(_parse_scheme(args.stat, k))
     count = getattr(args, "random_schemes", 0) or 0
+    if not 0 <= count <= LIMITS["random_schemes"]:
+        raise SizeLimitError(
+            f"need 0 <= --random-schemes <= {LIMITS['random_schemes']}"
+        )
     if count:
         try:
             seed = int(os.environ.get("QFIB_SEED", args.seed))

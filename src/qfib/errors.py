@@ -53,7 +53,14 @@ LIMITS = {
     # validate-scheme --max-n: 2k * max_n^3 checks, one string per violation.
     # A corrupted k = 20 scheme takes 0.7 s, 56 MB at 20; 2.7 s, 150 MB at 30.
     "validate_max_n": 20,
-    "det_dim": 6,  # det --k, verify det, lattice.determinant: 2^dim memo entries
+    # det --k, verify det, lattice.determinant: 2^dim memo entries.  With
+    # q-packed arithmetic det --n 6 --k 6 takes 7-11 s for maj-rlp and
+    # 24-34 s for inv-prlp, whose 1.0M-term result takes about 10 s to print.
+    "det_dim": 6,
+    # verify and validate-scheme --random-schemes: every scheme is built up
+    # front (about 2 KB each) and verified in turn.  The cheapest verify
+    # (--identity det --k 2 --max-n 1) takes 0.27 s at 1000, 2.6 s at 10000.
+    "random_schemes": 1000,
     "sign_k": 5,  # lattice.miles_sign_check
     "path_vertex": 24,  # lattice.enumerate_noncrossing_tuples
     "expr_len": 200,  # generic: expression characters; bounds its tree depth

@@ -211,10 +211,7 @@ class Poly:
         self._check_ring(other)
         zb = self._zb + other._zb
         qb = self._qb + other._qb
-        if zb > Z_MASK or qb > Q_MASK:
-            raise CapacityError(
-                f"product degree bounds (z<= {zb}, q<= {qb}) exceed packed-key capacity"
-            )
+        check_capacity(zb, qb)
         return Poly._wrap(self.k, _k.mul_terms(self._terms, other._terms), zb, qb)
 
     __rmul__ = __mul__
@@ -288,6 +285,16 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self._terms
+
+    @property
+    def degree_bounds(self) -> tuple[int, int]:
+        """Upper bounds on any single z exponent and on the q exponent."""
+        return self._zb, self._qb
+
+    @property
+    def l1_norm(self) -> int:
+        """Sum of the absolute values of the coefficients."""
+        return sum(abs(c) for c in self._terms.values())
 
     def _canonical_keys(self) -> list:
         offs = _zoffsets(self.k)
@@ -445,6 +452,91 @@ def _parse_terms(text: str, k: int) -> Iterator[tuple[int, tuple[int, ...], int]
         else:
             raise PolyParseError(f"expected '+' or '-', found {s[pos]!r}", pos)
         pos += 1
+
+
+def check_capacity(zb: int, qb: int):
+    """Raise CapacityError unless z exponents up to zb and q exponents up to
+    qb fit their fields of the packed key."""
+    if zb > Z_MASK or qb > Q_MASK:
+        raise CapacityError(
+            f"product degree bounds (z<= {zb}, q<= {qb}) exceed packed-key capacity"
+        )
+
+
+# ----------------------------------------------------------------------
+# q-packed form: Kronecker substitution q -> 2^width in q alone
+#
+# A q-packed polynomial is a dict from z-key (packed key >> Q_BITS) to a pair
+# (lo, x) standing for q^lo * P(q) with x = P(2^width), where lo starts as
+# that z-monomial's least q exponent.  Each z-monomial has its own offset, so
+# z-monomials whose q exponents sit far apart cost nothing extra.  q -> 2^width
+# is a ring homomorphism, so sums and products may be taken on the x's, and
+# only the coefficients of the final result need to fit in width bits for
+# q_unpack to undo the map; intermediate x's may have any size.
+
+
+def q_pack(p: Poly, width: int) -> dict[int, tuple[int, int]]:
+    """p in q-packed form with digits of `width` bits."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for key, c in p._terms.items():
+        groups.setdefault(key >> Q_BITS, []).append((key & Q_MASK, c))
+    out = {}
+    for z, terms in groups.items():
+        lo = min(q for q, _ in terms)
+        out[z] = (lo, sum(c << width * (q - lo) for q, c in terms))
+    return out
+
+
+def q_mul_add(acc: dict, a: dict, b: dict, sign: int, width: int) -> dict:
+    """acc + sign * a * b on q-packed forms, updating acc in place.
+
+    One integer product per pair of z-monomials: z-keys add, offsets add and
+    the x's multiply.  When offsets differ, the x with the larger offset is
+    shifted; a z-monomial whose x becomes 0 is dropped.
+    """
+    get = acc.get
+    for za, (la, xa) in a.items():
+        if sign < 0:
+            xa = -xa
+        for zb, (lb, xb) in b.items():
+            z = za + zb
+            lo = la + lb
+            x = xa * xb
+            cur = get(z)
+            if cur is not None:
+                l0, x0 = cur
+                if l0 == lo:
+                    x += x0
+                elif l0 < lo:
+                    x = x0 + (x << width * (lo - l0))
+                    lo = l0
+                else:
+                    x += x0 << width * (l0 - lo)
+                if not x:
+                    del acc[z]
+                    continue
+            acc[z] = (lo, x)
+    return acc
+
+
+def q_unpack(k: int, packed: dict, width: int) -> Poly:
+    """The polynomial whose q-packed form is `packed`, read as balanced
+    digits: exact when every coefficient c has |c| < 2^(width - 1)."""
+    base = 1 << width
+    half = base >> 1
+    mask = base - 1
+    terms = {}
+    for z, (lo, x) in packed.items():
+        key = (z << Q_BITS) + lo
+        while x:
+            d = x & mask
+            if d >= half:
+                d -= base
+            if d:
+                terms[key] = d
+            x = (x - d) >> width
+            key += 1
+    return Poly(k, terms)
 
 
 def diff_witness(a: Poly, b: Poly) -> str | None:

@@ -188,22 +188,23 @@ def enumerate_tilings(n: int, k: int) -> Iterator[Tiling]:
     """All tilings of an n-board with parts <= k, lexicographic by parts.
 
     Yields nothing for n < 0 and exactly the empty tiling for n = 0.
+    Iterative, by the successor rule: grow the last part below k that has
+    parts after it, and refill what follows it with ones.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive int, got {k!r}")
-
-    def rec(rem):
-        if rem == 0:
-            yield ()
-            return
-        for first in range(1, min(k, rem) + 1):
-            for rest in rec(rem - first):
-                yield (first,) + rest
-
     if n < 0:
         return
-    for parts in rec(n):
+    parts = [1] * n
+    while True:
         yield Tiling(parts)
+        tail = 0
+        while parts and (tail == 0 or parts[-1] == k):
+            tail += parts.pop()
+        if not parts:
+            return
+        parts[-1] += 1
+        parts.extend([1] * (tail - 1))
 
 
 def _normalize_append(app) -> AppendSpec:

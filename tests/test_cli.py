@@ -368,6 +368,8 @@ def test_verify_desk_scale_guard():
         (["enumerate", "--n", "3", "--k", "21", "--object", "tilings"], 2),
         (["validate-scheme", "--k", "3", "--stat", "maj-lp", "--max-n", "20"], 0),
         (["validate-scheme", "--k", "3", "--stat", "maj-lp", "--max-n", "100000"], 2),
+        (["verify", "--identity", "det", "--k", "2", "--max-n", "2",
+          "--random-schemes", "100000000"], 2),
     ],
 )
 def test_size_limits(argv, code):

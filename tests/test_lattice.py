@@ -15,7 +15,13 @@ import itertools
 
 import pytest
 
-from qfib.errors import SizeLimitError
+from qfib import lattice
+from qfib.errors import (
+    CapacityError,
+    DomainError,
+    RingMismatchError,
+    SizeLimitError,
+)
 from qfib.lattice import (
     MinorSpec,
     PolyMatrix,
@@ -26,8 +32,8 @@ from qfib.lattice import (
     miles_sign_check,
 )
 from qfib.layered import SCHEMED_PAIRS, builtin_scheme
-from qfib.polyring import Poly
-from qfib.tiling import WeightScheme, fibonacci_k, random_scheme
+from qfib.polyring import Q_MASK, Poly
+from qfib.tiling import WeightScheme, corrupted_scheme, fibonacci_k, random_scheme
 
 # determinant = closed form holds exactly when the weight ignores the
 # trailing length (C = 0); see the module docstring
@@ -82,20 +88,109 @@ def test_determinant_examples():
     assert determinant(PolyMatrix(2, (row, row))) == zero
 
 
-def test_determinant_against_permutation_expansion():
-    # independent oracle: signed sum over permutations
-    w = random_scheme(3, 77)
-    m = build_minor(MinorSpec(3, 3), w)
-    expected = Poly.zero(3)
-    for alpha in itertools.permutations(range(3)):
+def _permutation_det(m):
+    # independent oracle: signed sum over permutations, on Poly arithmetic
+    d = m.dim
+    k = m.entries[0][0].k
+    expected = Poly.zero(k)
+    for alpha in itertools.permutations(range(d)):
         invs = sum(
-            1 for i in range(3) for j in range(i + 1, 3) if alpha[i] > alpha[j]
+            1 for i in range(d) for j in range(i + 1, d) if alpha[i] > alpha[j]
         )
-        prod = Poly.one(3)
-        for i in range(3):
+        prod = Poly.one(k)
+        for i in range(d):
             prod = prod * m.entries[i][alpha[i]]
         expected = expected + (-1 if invs % 2 else 1) * prod
+    return expected
+
+
+def _hand_built_matrix():
+    # negative coefficients, zero entries, coefficients above 2^64, and
+    # z-monomials whose q exponents sit hundreds apart
+    p = lambda text: Poly.parse(text, 2)
+    big = str(2**70 + 3)
+    zero = Poly.zero(2)
+    rows = (
+        (p(f"-{big}*z1*q^3 + 5*z2*q^300 - z1*q^150"), zero, p("z1^2 - 3*q^2")),
+        (p(f"7 + {2**65 + 1}*z1*z2*q^200 - 2*z1*z2"), p("-z2*q"), zero),
+        (zero, p(f"2*z1 - {2**80}*z1*q^5 + z1*q^40"), p(f"-1 + {big}*z2^3*q^120")),
+    )
+    return PolyMatrix(3, rows)
+
+
+def _minor(n, k, w):
+    return lambda: build_minor(MinorSpec(n, k), w)
+
+
+_PERMUTATION_CASES = [
+    pytest.param(_minor(n, 4, builtin_scheme(pair, 4)), id=f"{pair}-k4-n{n}")
+    for pair in SCHEMED_PAIRS
+    for n in (1, 2, 3)
+] + [
+    pytest.param(_minor(3, 3, random_scheme(3, 77)), id="random-77"),
+    pytest.param(_minor(3, 3, corrupted_scheme(3, 5)), id="corrupted-5"),
+    pytest.param(_hand_built_matrix, id="hand-built"),
+]
+
+
+@pytest.mark.parametrize("make", _PERMUTATION_CASES)
+def test_determinant_against_permutation_expansion(make):
+    m = make()
+    expected = _permutation_det(m)
     assert determinant(m) == expected
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this matrix must take the other arithmetic")
+
+
+def test_hand_built_determinant_on_packed_form(monkeypatch):
+    # the coefficients reach far above 2^64, so the packed digits must be
+    # balanced and as wide as the bound says for the decode to be right
+    m = _hand_built_matrix()
+    expected = _permutation_det(m)
+    monkeypatch.setattr(lattice, "_poly_mul_add", _refuse)
+    det = determinant(m)
+    assert det == expected
+    assert max(abs(t.coeff) for t in det.monomials()) > 2**140
+    assert min(t.coeff for t in det.monomials()) < 0
+
+
+def test_determinant_of_q_sparse_entries(monkeypatch):
+    # q exponents a million apart would need huge packed integers, so the
+    # expansion runs on Poly terms
+    p = lambda text: Poly.parse(text, 2)
+    m = PolyMatrix(
+        2,
+        (
+            (p("z1 + q^1000000"), p("z2*q^2000000 - 3")),
+            (p("z1*z2 - q"), p("z1^2*q^999999 + z2")),
+        ),
+    )
+    expected = _permutation_det(m)
+    monkeypatch.setattr(lattice, "q_pack", _refuse)
+    assert determinant(m) == expected
+
+
+def test_determinant_needs_square_entries():
+    # dim is what the size guard reads, so it must match the entries
+    one = Poly.one(1)
+    with pytest.raises(DomainError):
+        determinant(PolyMatrix(2, ((one,) * 7,) * 7))
+
+
+def test_determinant_capacity_guard():
+    # the column q bounds sum past Q_MASK although no entry comes near it
+    half = Poly.monomial(1, 1, (0,), Q_MASK // 2 + 1)
+    one = Poly.one(1)
+    with pytest.raises(CapacityError):
+        determinant(PolyMatrix(2, ((half, one), (one, half))))
+
+
+def test_determinant_ring_mismatch():
+    a, b = Poly.one(2), Poly.one(3)
+    with pytest.raises(RingMismatchError):
+        determinant(PolyMatrix(2, ((a, a), (a, b))))
 
 
 def test_determinant_size_guard():

@@ -12,7 +12,7 @@ from qfib.errors import (
     PolyParseError,
     RingMismatchError,
 )
-from qfib.polyring import Monomial, Poly, diff_witness
+from qfib.polyring import Monomial, Poly, diff_witness, q_mul_add, q_pack, q_unpack
 
 
 def P(text, k=2):
@@ -257,3 +257,13 @@ def test_shift_composition(p, e, f):
 @given(_polys)
 def test_parse_format_roundtrip(p):
     assert Poly.parse(p.format(), 2) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys, _polys, st.sampled_from((1, -1)))
+def test_q_packed_product(a, b, sign):
+    # balanced digits wide enough for every coefficient of a, b and a * b
+    width = (max(a.l1_norm, 1) * max(b.l1_norm, 1)).bit_length() + 2
+    assert q_unpack(2, q_pack(a, width), width) == a
+    acc = q_mul_add({}, q_pack(a, width), q_pack(b, width), sign, width)
+    assert q_unpack(2, acc, width) == a * b * sign

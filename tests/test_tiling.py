@@ -41,6 +41,12 @@ def test_enumerate_tilings_listing():
     assert sum(1 for _ in enumerate_tilings(4, 3)) == 7
 
 
+def test_enumerate_tilings_long_board():
+    # iterative: no recursion-depth cliff on a 1200-cell board
+    (only,) = enumerate_tilings(1200, 1)
+    assert only.parts == (1,) * 1200
+
+
 def test_counts_match_fibonacci():
     for n in range(-3, 19):
         for k in range(1, 6):
