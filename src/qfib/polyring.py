@@ -297,41 +297,55 @@ class Poly:
         return sum(abs(c) for c in self._terms.values())
 
     def _canonical_keys(self) -> list:
+        # Graded lex, highest first, with each z-monomial's degree summed once.
         offs = _zoffsets(self.k)
-
-        def total(key):
-            t = key & Q_MASK
-            for off in offs:
-                t += (key >> off) & Z_MASK
-            return t
-
-        return sorted(self._terms, key=lambda key: (total(key), key), reverse=True)
+        zdeg: dict[int, int] = {}
+        for key in self._terms:
+            z = key >> Q_BITS
+            if z not in zdeg:
+                zdeg[z] = sum((key >> off) & Z_MASK for off in offs)
+        return sorted(
+            self._terms,
+            key=lambda key: (zdeg[key >> Q_BITS] + (key & Q_MASK), key),
+            reverse=True,
+        )
 
     def monomials(self) -> Iterator[Monomial]:
         """Terms in canonical order (graded lex, highest first)."""
+        z_exps: dict[int, tuple[int, ...]] = {}
         for key in self._canonical_keys():
-            zs, q = _unpack(self.k, key)
-            yield Monomial(self._terms[key], zs, q)
+            zs = z_exps.get(key >> Q_BITS)
+            if zs is None:
+                zs = z_exps[key >> Q_BITS] = _unpack(self.k, key)[0]
+            yield Monomial(self._terms[key], zs, key & Q_MASK)
 
     def format(self) -> str:
         if not self._terms:
             return "0"
+        # The z factors are rendered once per z-monomial; per term only the
+        # q factor and the coefficient are.
+        z_text: dict[int, str] = {}
         out = []
-        for mono in self.monomials():
-            mag = abs(mono.coeff)
-            factors = []
-            for i, e in enumerate(mono.z_exps, start=1):
-                if e:
-                    factors.append(f"z{i}" if e == 1 else f"z{i}^{e}")
-            if mono.q_exp:
-                factors.append("q" if mono.q_exp == 1 else f"q^{mono.q_exp}")
-            if not factors or mag != 1:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not out:
-                out.append(f"-{body}" if mono.coeff < 0 else body)
-            else:
-                out.append(f" - {body}" if mono.coeff < 0 else f" + {body}")
+        for key in self._canonical_keys():
+            body = z_text.get(key >> Q_BITS)
+            if body is None:
+                body = z_text[key >> Q_BITS] = "*".join(
+                    f"z{i}" if e == 1 else f"z{i}^{e}"
+                    for i, e in enumerate(_unpack(self.k, key)[0], start=1)
+                    if e
+                )
+            q = key & Q_MASK
+            if q:
+                q_part = "q" if q == 1 else f"q^{q}"
+                body = f"{body}*{q_part}" if body else q_part
+            coeff = self._terms[key]
+            mag = abs(coeff)
+            if not body:
+                body = str(mag)
+            elif mag != 1:
+                body = f"{mag}*{body}"
+            out.append(f" - {body}" if coeff < 0 else f" + {body}")
+        out[0] = f"-{out[0][3:]}" if out[0][1] == "-" else out[0][3:]
         return "".join(out)
 
     __str__ = format
@@ -472,7 +486,18 @@ def check_capacity(zb: int, qb: int):
 # z-monomials whose q exponents sit far apart cost nothing extra.  q -> 2^width
 # is a ring homomorphism, so sums and products may be taken on the x's, and
 # only the coefficients of the final result need to fit in width bits for
-# q_unpack to undo the map; intermediate x's may have any size.
+# q_unpack to undo the map; intermediate x's may have any size.  Decoding is
+# linear in the size of the x's: a long x is biased and converted to bytes
+# once, then read eight digits at a time.
+
+# Largest packed integer, in bits, that a q-packed computation may reach:
+# width times the q exponent span (plus one).  Above it (q-sparse operands,
+# as from weights with large B or C values) callers run the same algorithm
+# on Poly terms.  For determinants of random generic schemes at k = 2..4 the
+# packed path was up to 10x faster below 2^17 bits and up to 7x slower
+# between 2^17 and 2^19; the built-in schemes need at most 45k bits for the
+# k = 6 determinant and 98k bits for the long boards of the benchmark.
+PACKED_BITS = 1 << 17
 
 
 def q_pack(p: Poly, width: int) -> dict[int, tuple[int, int]]:
@@ -521,21 +546,42 @@ def q_mul_add(acc: dict, a: dict, b: dict, sign: int, width: int) -> dict:
 
 def q_unpack(k: int, packed: dict, width: int) -> Poly:
     """The polynomial whose q-packed form is `packed`, read as balanced
-    digits: exact when every coefficient c has |c| < 2^(width - 1)."""
+    digits: exact when width >= 2 and every coefficient c has
+    |c| < 2^(width - 1)."""
     base = 1 << width
     half = base >> 1
     mask = base - 1
+    # Eight digits fill `width` whole bytes.  Adding half to each digit makes
+    # them all nonnegative, so the bytes of x + bias split into independent
+    # blocks of eight digits; x + bias stays below 2^(width * digits) once
+    # |x| < 2^(width * (digits - 1)).
+    block_bias = sum(half << width * t for t in range(8)).to_bytes(width, "little")
     terms = {}
     for z, (lo, x) in packed.items():
         key = (z << Q_BITS) + lo
-        while x:
-            d = x & mask
-            if d >= half:
-                d -= base
-            if d:
-                terms[key] = d
-            x = (x - d) >> width
-            key += 1
+        if x.bit_length() < 64 * width:
+            # Short x: peeling digits off the low end is cheaper, although
+            # each step shifts the whole of x.
+            while x:
+                d = x & mask
+                if d >= half:
+                    d -= base
+                if d:
+                    terms[key] = d
+                x = (x - d) >> width
+                key += 1
+            continue
+        blocks = (x.bit_length() // width + 9) // 8
+        y = x + int.from_bytes(block_bias * blocks, "little")
+        data = y.to_bytes(blocks * width, "little")
+        for start in range(0, blocks * width, width):
+            chunk = int.from_bytes(data[start : start + width], "little")
+            for _ in range(8):
+                d = (chunk & mask) - half
+                if d:
+                    terms[key] = d
+                chunk >>= width
+                key += 1
     return Poly(k, terms)
 
 

@@ -15,17 +15,27 @@ weight of a tiling is the product of its tile weights, and the weighted count
     F_n(z; q) = sum over tilings of an n-board of the tiling weight
 
 is computed here by two independent routes: literal enumeration of every
-tiling, and the first-tile recursion with memoization on board position.
+tiling, and the first-tile recursion G(pos) = sum_i weight(i, pos) G(pos + i)
+over the suffix sums G of the board, run bottom-up over a rolling window of
+the k latest suffix sums.  The window is held in q-packed form (see
+polyring.q_pack): every coefficient counts tilings, so it is at most F_n and
+digits of W = bitlen(F_n) + 1 bits decode exactly; a tile step is one shift
+and add of a big integer per z-monomial.  Boards whose q exponents span so
+far that W times the span passes polyring.PACKED_BITS run the same window
+on Poly terms.
 """
 
+import collections
+import functools
 import itertools
+import operator
 import random
 from typing import Callable, Iterator, NamedTuple
 
 from ._backend import kernels as _k
 from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
-from .errors import CapacityError, DomainError
-from .polyring import Poly
+from .errors import CapacityError, DomainError, InvalidShiftError
+from .polyring import PACKED_BITS, Poly, q_mul_add, q_unpack
 
 __all__ = [
     "AppendSpec",
@@ -229,28 +239,30 @@ def tiling_weight(t: Tiling, w: WeightScheme, app=AppendSpec()) -> Poly:
 
 
 def _tile_deltas(n: int, maxpart: int, w: WeightScheme, app: AppendSpec):
-    """Packed key contribution of each (tile length, start) pair; see the
-    sum_tilings_terms kernel.  The kernel adds keys unchecked, so this first
-    bounds every tiling's exponents by their packed-field capacity."""
-    qs = [
-        [
-            w.qexp(i, sigma, n - sigma - i + 1)
-            + w.b(i) * app.before
-            + w.c(i) * app.after
-            for sigma in range(1, n - i + 2)
-        ]
-        for i in range(1, maxpart + 1)
-    ]
-    # top[s]: the largest q exponent over tilings of cells s..n
+    """Packed key contribution of each (tile length, start) pair, and the
+    span of q exponents over all tilings; see the sum_tilings_terms kernel.
+    The kernel adds keys unchecked, so this first bounds every tiling's
+    exponents by their packed-field capacity."""
+    qs = []
+    for i in range(1, maxpart + 1):
+        shift = w.b(i) * app.before + w.c(i) * app.after
+        qs.append([w.qexp(i, sigma, n - sigma - i + 1) + shift for sigma in range(1, n - i + 2)])
+    if min((min(row) for row in qs if row), default=0) < 0:
+        raise InvalidShiftError(f"{w.name} gives a negative q exponent on a {n}-board")
+    # low[s], top[s]: the least and largest q exponent over tilings of cells s..n
+    low = [0] * (n + 2)
     top = [0] * (n + 2)
     for s in range(n, 0, -1):
-        top[s] = max(row[s - 1] + top[s + i] for i, row in enumerate(qs, 1) if i <= n - s + 1)
+        firsts = [row[s - 1] for row in qs[: n - s + 1]]
+        low[s] = min(map(operator.add, firsts, low[s + 1 : s + 1 + maxpart]))
+        top[s] = max(map(operator.add, firsts, top[s + 1 : s + 1 + maxpart]))
     if n > Z_MASK or top[1] > Q_MASK:
         raise CapacityError(f"{n}-board tilings reach z^{n}, q^{top[1]}: beyond key capacity")
-    return [
+    deltas = [
         [(1 << (Q_BITS + (w.k - i) * Z_BITS)) + q for q in row]
         for i, row in enumerate(qs, 1)
     ]
+    return deltas, top[1] - low[1]
 
 
 def _check_cap(n, k, w):
@@ -272,40 +284,54 @@ def weighted_sum_enumerative(n: int, k: int, w: WeightScheme, app=AppendSpec()) 
     app = _normalize_append(app)
     if n < 0:
         return Poly.zero(w.k)
-    terms = _k.sum_tilings_terms(n, k, _tile_deltas(n, k, w, app))
+    deltas, _ = _tile_deltas(n, k, w, app)
+    terms = _k.sum_tilings_terms(n, k, deltas)
     return Poly(w.k, terms)
 
 
 def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) -> Poly:
-    """F_n(z; q) by the first-tile recursion, memoized on board position.
+    """F_n(z; q) by the first-tile recursion over a rolling window.
 
     The suffix sum G(pos) over tilings of cells pos..n satisfies
     G(pos) = sum over first-tile lengths i of weight(i, pos) * G(pos + i),
     which is the weighted first-tile recursion with the front shift folded
-    into the tile exponent.  Agrees with weighted_sum_enumerative on every
-    input; the recursion reaches board lengths far beyond what enumeration
-    can.
+    into the tile exponent.  It runs bottom-up and holds only the k suffix
+    sums G(pos + 1..pos + k), in q-packed form with digits of
+    W = bitlen(F_n) + 1 bits (each coefficient counts tilings, so it is at
+    most F_n), decoded once at the end.  When W times the q exponent span
+    over all tilings passes PACKED_BITS (q-sparse schemes) the same window
+    runs on Poly terms.  The tile exponents go through the same capacity
+    check as weighted_sum_enumerative, before any arithmetic.  Agrees with
+    weighted_sum_enumerative on every input; the recursion reaches board
+    lengths far beyond what enumeration can.
     """
     _check_cap(n, k, w)
     app = _normalize_append(app)
     if n < 0:
         return Poly.zero(w.k)
-    # Bottom-up: no recursion depth to exhaust, and no self-referencing
-    # closure, which would keep every suffix sum alive until a cyclic GC pass.
-    memo: dict[int, Poly] = {n + 1: Poly.one(w.k)}
-    for pos in range(n, 0, -1):
-        total = Poly.zero(w.k)
-        for i in range(1, min(k, n - pos + 1) + 1):
-            q_exp = (
-                w.qexp(i, pos, n - pos - i + 1)
-                + w.b(i) * app.before
-                + w.c(i) * app.after
-            )
-            counts = tuple(1 if j == i else 0 for j in range(1, w.k + 1))
-            tile = Poly.monomial(w.k, 1, counts, q_exp)
-            total = total + tile * memo[pos + i]
-        memo[pos] = total
-    return memo[1]
+    deltas, span = _tile_deltas(n, k, w, app)
+    width = fibonacci_k(n, k).bit_length() + 1
+    if width * (span + 1) > PACKED_BITS:
+        tiles = [[Poly(w.k, {d: 1}) for d in row] for row in deltas]
+        return _first_tile_sums(
+            tiles, Poly.one(w.k), functools.partial(Poly.zero, w.k), lambda acc, a, b: acc + a * b
+        )
+    tiles = [[{d >> Q_BITS: (d & Q_MASK, 1)} for d in row] for row in deltas]
+    mul_add = functools.partial(q_mul_add, sign=1, width=width)
+    return q_unpack(w.k, _first_tile_sums(tiles, {0: (0, 1)}, dict, mul_add), width)
+
+
+def _first_tile_sums(tiles, one, zero, mul_add):
+    """G(1) for G(pos) = sum_i tiles[i-1][pos-1] * G(pos + i), G(n + 1) = one,
+    over the ring given by zero() and mul_add(acc, a, b) = acc + a * b.
+    window[i-1] is G(pos + i); only the k latest suffix sums stay alive."""
+    window = collections.deque([one], maxlen=len(tiles))
+    for pos in range(len(tiles[0]), 0, -1):
+        total = zero()
+        for row, g in zip(tiles, window):
+            total = mul_add(total, row[pos - 1], g)
+        window.appendleft(total)
+    return window[0]
 
 
 class SchemeValidation(NamedTuple):

@@ -1,6 +1,7 @@
 """Polynomial ring: examples with hand-computed values, properties, errors."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -267,3 +268,96 @@ def test_q_packed_product(a, b, sign):
     assert q_unpack(2, q_pack(a, width), width) == a
     acc = q_mul_add({}, q_pack(a, width), q_pack(b, width), sign, width)
     assert q_unpack(2, acc, width) == a * b * sign
+
+
+def _balanced_digits(x, width):
+    # reference decoder: peel off one balanced digit at a time
+    base = 1 << width
+    digits = []
+    while x:
+        d = x & (base - 1)
+        if d >= base >> 1:
+            d -= base
+        digits.append(d)
+        x = (x - d) >> width
+    return digits
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 70),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 10**6)), min_size=1, max_size=3,
+             unique_by=lambda t: t[0]),
+    st.integers(0, 2**32),
+)
+def test_q_unpack_round_trip(width, groups, seed):
+    # at least 500 digits per z-monomial, digits at the balanced extremes
+    # +-(2^(width-1) - 1), and a negative leading digit
+    rnd = random.Random(seed)
+    top = (1 << (width - 1)) - 1
+    monos = []
+    for z1, lo in groups:
+        n_digits = rnd.randint(500, 600)
+        for j in range(n_digits):
+            c = rnd.choice((top, -top, 0, 1, -1, rnd.randint(-top, top)))
+            monos.append((c, (z1, 0), lo + j))
+        monos.append((-rnd.randint(1, top), (z1, 0), lo + n_digits))
+    p = Poly.from_monomials(2, monos)
+    assert q_unpack(2, q_pack(p, width), width) == p
+    # any integer x, short or long, decodes to the digits the
+    # one-at-a-time reader finds; x = 2^(width * j - 1) - 1 needs two
+    # digits more than its bit length fills
+    size = width * rnd.randint(1, 600)
+    xs = [rnd.getrandbits(size) - rnd.getrandbits(size)]
+    for j in range(60, 74):
+        xs += [(1 << width * j - 1) - 1, -(1 << width * j - 1), (1 << width * j) - 1]
+    for x in xs:
+        expected = {q: d for q, d in enumerate(_balanced_digits(x, width)) if d}
+        got = q_unpack(1, {0: (0, x)}, width)
+        assert {m.q_exp: m.coeff for m in got.monomials()} == expected
+
+
+def _reference_format(k, monos):
+    # independent renderer: merge, drop zeros, sort graded lex on
+    # (z1..zk, q) highest first, then print term by term
+    merged = {}
+    for c, zs, q in monos:
+        merged[zs, q] = merged.get((zs, q), 0) + c
+    ordered = sorted(
+        ((zs, q, c) for (zs, q), c in merged.items() if c),
+        key=lambda t: (sum(t[0]) + t[1], t[0], t[1]),
+        reverse=True,
+    )
+    if not ordered:
+        return "0", []
+    text = ""
+    for zs, q, c in ordered:
+        factors = [f"z{i}" if e == 1 else f"z{i}^{e}" for i, e in enumerate(zs, 1) if e]
+        if q:
+            factors.append("q" if q == 1 else f"q^{q}")
+        if not factors or abs(c) != 1:
+            factors.insert(0, str(abs(c)))
+        body = "*".join(factors)
+        if not text:
+            text = f"-{body}" if c < 0 else body
+        else:
+            text += f" - {body}" if c < 0 else f" + {body}"
+    return text, [Monomial(c, zs, q) for zs, q, c in ordered]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.tuples(
+        st.sampled_from((1, -1, 2, -3, 10**30, -(10**30))),
+        st.tuples(*[st.integers(0, 3)] * k),
+        st.integers(0, 5) | st.integers(0, (1 << 32) - 1),
+    ), max_size=12),
+)))
+def test_format_matches_reference_renderer(case):
+    k, monos = case
+    p = Poly.from_monomials(k, monos)
+    text, ordered = _reference_format(k, monos)
+    assert p.format() == text
+    assert list(p.monomials()) == ordered
+    assert Poly.parse(text, k) == p

@@ -1,8 +1,11 @@
 """Tilings, k-Fibonacci counts, weighted sums, and scheme validation."""
 
+import random
+
 import pytest
 
-from qfib.errors import CapacityError, DomainError
+from qfib import tiling
+from qfib.errors import CapacityError, DomainError, InvalidShiftError
 from qfib.layered import builtin_scheme
 from qfib.polyring import Poly
 from qfib.tiling import (
@@ -90,16 +93,47 @@ def test_weighted_sum_single_cell():
         assert weighted_sum_recursive(1, 3, w) == expected
 
 
-def test_recursive_equals_enumerative():
+def test_recursive_equals_enumerative(monkeypatch):
+    # the packed route, over built-in, random and incoherent schemes
+    unpacks = []
+    unpack = tiling.q_unpack
+    monkeypatch.setattr(tiling, "q_unpack", lambda *args: unpacks.append(args) or unpack(*args))
     pairs = ("inv-lp", "inv-rlp", "inv-prlp", "maj-lp", "maj-rlp", "maj-prlp", "rb-lpi")
-    schemes = [builtin_scheme(p, 4) for p in pairs]
-    schemes += [random_scheme(4, seed) for seed in (7, 8, 9)]
-    for w in schemes:
-        for n in range(0, 13):
-            for app in (AppendSpec(), AppendSpec(2, 0), AppendSpec(0, 3), AppendSpec(1, 1)):
-                assert weighted_sum_enumerative(n, 4, w, app) == weighted_sum_recursive(
-                    n, 4, w, app
-                ), (w.name, n, app)
+    decoded = 0
+    for k in range(1, 5):
+        schemes = [builtin_scheme(p, k) for p in pairs]
+        schemes += [random_scheme(k, seed) for seed in (7, 8, 9)]
+        schemes += [corrupted_scheme(k, seed) for seed in (1, 2)]
+        for w in schemes:
+            for n in range(-1, 13):
+                for app in (AppendSpec(), AppendSpec(2, 0), AppendSpec(0, 3), AppendSpec(1, 1)):
+                    assert weighted_sum_enumerative(n, k, w, app) == weighted_sum_recursive(
+                        n, k, w, app
+                    ), (w.name, k, n, app)
+                    decoded += n >= 0
+    assert len(unpacks) == decoded
+
+
+def test_recursive_equals_enumerative_on_q_sparse_schemes(monkeypatch):
+    # B and C in the hundreds of thousands spread q over millions of
+    # exponents: the window runs on Poly terms and never decodes (a board
+    # with one tiling, n < 2 or k = 1, has span 0 and still packs)
+    monkeypatch.setattr(tiling, "q_unpack", None)
+    rng = random.Random(5)
+    for k in (2, 3, 4):
+        tables = [[rng.randint(10**5, 9 * 10**5) for _ in range(k)] for _ in range(3)]
+        w = WeightScheme.from_tables(k, *tables)
+        for n in range(2, 9):
+            app = AppendSpec(rng.randint(0, 3), rng.randint(0, 3))
+            assert weighted_sum_enumerative(n, k, w, app) == weighted_sum_recursive(
+                n, k, w, app
+            ), (tables, n, app)
+    # The capacity bound is the largest exponent of an actual tiling, not n
+    # times the largest tile exponent: 3e9 on 2-tiles reaches 3e9 on a 3-board.
+    long_tiles = WeightScheme.from_tables(2, (0, 3 * 10**9), (0, 0), (0, 0))
+    assert weighted_sum_enumerative(3, 2, long_tiles) == weighted_sum_recursive(
+        3, 2, long_tiles
+    )
 
 
 def test_sum_equals_naive_per_tiling_sum():
@@ -136,22 +170,23 @@ def test_append_shift_law():
 
 
 def test_enumerative_sum_refuses_packed_key_overflow():
+    # both routes check the same tile exponents before any arithmetic
     q_cap, z_cap = (1 << 32) - 1, (1 << 16) - 1
-    for a, n in (((q_cap + 1,), 1), (((q_cap + 1) // 2,), 2)):
+    below = WeightScheme(2, lambda i: 0, lambda i: 0, lambda i: 0,
+                         exponent=lambda i, sigma, tau: 1 - tau)
+    for route in (weighted_sum_enumerative, weighted_sum_recursive):
+        for a, n in (((q_cap + 1,), 1), (((q_cap + 1) // 2,), 2)):
+            with pytest.raises(CapacityError):
+                route(n, 1, WeightScheme.from_tables(1, a, (0,), (0,)))
         with pytest.raises(CapacityError):
-            weighted_sum_enumerative(n, 1, WeightScheme.from_tables(1, a, (0,), (0,)))
-    with pytest.raises(CapacityError):
-        weighted_sum_enumerative(z_cap + 1, 1, builtin_scheme("maj-lp", 1))
-    with pytest.raises(CapacityError):
-        weighted_sum_enumerative(1, 1, WeightScheme.from_tables(1, (q_cap,), (0,), (1,)), (0, 1))
-    edge = WeightScheme.from_tables(1, (q_cap,), (0,), (0,))
-    assert weighted_sum_enumerative(1, 1, edge) == Poly.monomial(1, 1, (1,), q_cap)
-    # The bound is the largest exponent of an actual tiling, not n times the
-    # largest tile exponent: 3e9 on 2-tiles reaches 3e9 on a 3-board.
-    long_tiles = WeightScheme.from_tables(2, (0, 3 * 10**9), (0, 0), (0, 0))
-    assert weighted_sum_enumerative(3, 2, long_tiles) == weighted_sum_recursive(
-        3, 2, long_tiles
-    )
+            route(z_cap + 1, 1, builtin_scheme("maj-lp", 1))
+        with pytest.raises(CapacityError):
+            route(1, 1, WeightScheme.from_tables(1, (q_cap,), (0,), (1,)), (0, 1))
+        edge = WeightScheme.from_tables(1, (q_cap,), (0,), (0,))
+        assert route(1, 1, edge) == Poly.monomial(1, 1, (1,), q_cap)
+        # a negative exponent would borrow from the z fields of the packed key
+        with pytest.raises(InvalidShiftError):
+            route(3, 2, below)
 
 
 def test_tile_cap_must_fit_scheme():
@@ -189,6 +224,10 @@ def test_recursive_evaluator_reaches_large_boards():
     w = builtin_scheme("inv-rlp", 2)
     assert weighted_sum_recursive(80, 2, w).evaluate((1, 1), 1) == fibonacci_k(80, 2)
     assert fibonacci_k(80, 2) == 37889062373143906
+    # a long board as the benchmark runs it: 125,220 q-dense terms
+    long_board = weighted_sum_recursive(60, 3, builtin_scheme("maj-rlp", 3))
+    assert long_board.n_terms == 125220
+    assert long_board.evaluate((1, 1, 1), 1) == fibonacci_k(60, 3)
 
 
 def test_random_scheme_is_deterministic():
