@@ -23,7 +23,7 @@ except ImportError:
 
 def _workloads():
     w = builtin_scheme("maj-rlp", 4)
-    deltas = _tile_deltas(18, 4, w, AppendSpec())
+    deltas, _ = _tile_deltas(18, 4, w, AppendSpec())
     big = weighted_sum_enumerative(14, 4, w)._terms
     small = weighted_sum_enumerative(9, 4, w)._terms
     offs = _zoffsets(4)

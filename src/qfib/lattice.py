@@ -42,8 +42,7 @@ dim! * prod_j max_i L1(E[i][j]) in absolute value (L1 is an entry's sum of
 |coefficients|), so W = bit length of that bound + 2 makes each coefficient
 a balanced digit (|c| < 2^(W-1)), read back once at the end.  Entries whose
 q exponents are sparse would make the x's huge, so when W times the
-q degree bound exceeds polyring.PACKED_BITS the same expansion runs on Poly
-terms.
+q degree bound exceeds _PACKED_BITS the same expansion runs on Poly terms.
 
 The closed form equals that determinant exactly when the tile weight
 ignores the trailing length (C = 0, so arc weights are per-edge quantities
@@ -57,7 +56,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import LIMITS, DomainError, RingMismatchError, SizeLimitError
-from .polyring import PACKED_BITS, Poly, check_capacity, q_mul_add, q_pack, q_unpack
+from .polyring import Poly, check_capacity, q_mul_add, q_pack, q_unpack
 from .report import IdentityReport
 from .tiling import AppendSpec, WeightScheme, weighted_sum_enumerative
 
@@ -71,6 +70,14 @@ __all__ = [
     "enumerate_noncrossing_tuples",
     "miles_sign_check",
 ]
+
+# Largest packed integer, in bits, that determinant() allows: W times the
+# q degree bound.  Above it (q-sparse entries, as from weights with large B
+# or C values) the expansion runs on Poly terms.  On random generic schemes
+# at k = 2..4 the packed path was up to 10x faster below 2^17 bits and up to
+# 7x slower between 2^17 and 2^19; the built-in schemes need at most 45k
+# bits at k = 6.
+_PACKED_BITS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,7 @@ def determinant(mat: PolyMatrix) -> Poly:
     smallest degree in the shifted Fibonacci minor).  The arithmetic runs on
     q-packed entries (see the module docstring): one integer product per
     pair of z-monomials, decoded once at the end; entries too q-sparse to
-    pack (past PACKED_BITS) use Poly arithmetic instead.  Guarded by
+    pack (past _PACKED_BITS) use Poly arithmetic instead.  Guarded by
     LIMITS["det_dim"]: the memo has 2^dim entries.  Mixed rings raise
     RingMismatchError and a determinant whose degree bounds (the sums of
     the column maxima) overflow the packed key raises CapacityError, both
@@ -154,7 +161,7 @@ def determinant(mat: PolyMatrix) -> Poly:
     check_capacity(sum(max(e.degree_bounds[0] for e in col) for col in cols), qb)
     bound = math.factorial(d) * math.prod(max(e.l1_norm for e in col) for col in cols)
     width = bound.bit_length() + 2
-    if width * (qb + 1) > PACKED_BITS:
+    if width * (qb + 1) > _PACKED_BITS:
         return _expand(entries, lambda: Poly.zero(k), _poly_mul_add)
     packed = [[q_pack(e, width) for e in row] for row in entries]
     mul_add = functools.partial(q_mul_add, width=width)

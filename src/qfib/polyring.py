@@ -490,16 +490,6 @@ def check_capacity(zb: int, qb: int):
 # linear in the size of the x's: a long x is biased and converted to bytes
 # once, then read eight digits at a time.
 
-# Largest packed integer, in bits, that a q-packed computation may reach:
-# width times the q exponent span (plus one).  Above it (q-sparse operands,
-# as from weights with large B or C values) callers run the same algorithm
-# on Poly terms.  For determinants of random generic schemes at k = 2..4 the
-# packed path was up to 10x faster below 2^17 bits and up to 7x slower
-# between 2^17 and 2^19; the built-in schemes need at most 45k bits for the
-# k = 6 determinant and 98k bits for the long boards of the benchmark.
-PACKED_BITS = 1 << 17
-
-
 def q_pack(p: Poly, width: int) -> dict[int, tuple[int, int]]:
     """p in q-packed form with digits of `width` bits."""
     groups: dict[int, list[tuple[int, int]]] = {}
@@ -561,7 +551,12 @@ def q_unpack(k: int, packed: dict, width: int) -> Poly:
         key = (z << Q_BITS) + lo
         if x.bit_length() < 64 * width:
             # Short x: peeling digits off the low end is cheaper, although
-            # each step shifts the whole of x.
+            # each step shifts the whole of x.  Timed on random balanced
+            # digits at widths 8, 24, 64 and 160: peeling was 3-4x faster at
+            # 4-8 digits, the two met between 32 digits (width 160) and 128
+            # (width 8), and bytes were 1.3-4.5x faster at 256.  At 64 digits
+            # the slower one was within 1.3x of the faster for widths 8-64,
+            # which hold the determinant and long-board widths (11 to 80).
             while x:
                 d = x & mask
                 if d >= half:

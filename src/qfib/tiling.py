@@ -20,9 +20,8 @@ over the suffix sums G of the board, run bottom-up over a rolling window of
 the k latest suffix sums.  The window is held in q-packed form (see
 polyring.q_pack): every coefficient counts tilings, so it is at most F_n and
 digits of W = bitlen(F_n) + 1 bits decode exactly; a tile step is one shift
-and add of a big integer per z-monomial.  Boards whose q exponents span so
-far that W times the span passes polyring.PACKED_BITS run the same window
-on Poly terms.
+and add of a big integer per z-monomial.  Boards whose q exponents are too
+sparse for that (see _SLOTS_PER_TERM) run the same window on Poly terms.
 """
 
 import collections
@@ -35,7 +34,7 @@ from typing import Callable, Iterator, NamedTuple
 from ._backend import kernels as _k
 from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
 from .errors import CapacityError, DomainError, InvalidShiftError
-from .polyring import PACKED_BITS, Poly, q_mul_add, q_unpack
+from .polyring import Poly, q_mul_add, q_unpack
 
 __all__ = [
     "AppendSpec",
@@ -265,6 +264,46 @@ def _tile_deltas(n: int, maxpart: int, w: WeightScheme, app: AppendSpec):
     return deltas, top[1] - low[1]
 
 
+# The packed window pays for every q slot from a z-monomial's least to its
+# largest exponent, the Poly window for every term, and a Poly term with a
+# W-bit coefficient costs about as much more as a W-bit slot does.  So the
+# choice rests on slots per term (_q_slots_and_terms), not on W.  Timed on
+# 107 boards, each on both windows (built-in schemes at k = 2..4 and n up to
+# 300; generic schemes with B and C up to 10^5 at k = 2..4 and n = 12..60):
+# at up to 14 slots per estimated term the packed window won 44 of 56
+# boards, lost none that took over 10 ms by more than 1.4x, and was 6-30x
+# faster on most built-in long boards (maj-lp k=2 n=200: 0.94 s against
+# 30 s).  Past 14 the Poly window won 50 of 51, by up to 7000x where B and C
+# run in the hundred thousands, and there the packed window also ran out of
+# a 1 GB address space.
+_SLOTS_PER_TERM = 14
+
+
+def _q_slots_and_terms(n: int, k: int, span: int, count: int) -> tuple[int, int]:
+    """The q slots of a packed n-board sum, and a bound on its terms.
+
+    The slots are the z-monomials of an n-board, one per multiset of tile
+    lengths, times the q span of all its tilings.  The terms are bounded by
+    the count of tilings, and per z-monomial by
+    prod_{i<k} (c_i (n - i c_i) + 1) when it has c_i tiles of length i: in a
+    separable scheme its q exponent is affine in the sums S_i of the tile
+    starts over its i-tiles, S_i takes at most c_i (n - i c_i) + 1 values,
+    and sum_i i S_i is fixed.  Both sums over z-monomials run as one
+    knapsack over tile lengths.
+    """
+    zmons = [1] + [0] * n
+    bound = [1] + [0] * n
+    for i in range(1, k):
+        factors = [c * (n - i * c) + 1 for c in range(1, n // i + 1)]
+        for m in range(n, i - 1, -1):
+            bound[m] += sum(map(operator.mul, bound[m - i :: -i], factors))
+        for m in range(i, n + 1):
+            zmons[m] += zmons[m - i]
+    # tiles of length k add a factor 1 whatever their count
+    slots = sum(zmons[n::-k]) * (span + 1)
+    return slots, min(count, sum(bound[n::-k]))
+
+
 def _check_cap(n, k, w):
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive int, got {k!r}")
@@ -298,10 +337,11 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     into the tile exponent.  It runs bottom-up and holds only the k suffix
     sums G(pos + 1..pos + k), in q-packed form with digits of
     W = bitlen(F_n) + 1 bits (each coefficient counts tilings, so it is at
-    most F_n), decoded once at the end.  When W times the q exponent span
-    over all tilings passes PACKED_BITS (q-sparse schemes) the same window
-    runs on Poly terms.  The tile exponents go through the same capacity
-    check as weighted_sum_enumerative, before any arithmetic.  Agrees with
+    most F_n), decoded once at the end.  When the q exponents are sparse,
+    with more than _SLOTS_PER_TERM packed q slots per estimated term
+    (generic schemes with large B or C), the same window runs on Poly terms.
+    The tile exponents go through the same capacity check as
+    weighted_sum_enumerative, before any arithmetic.  Agrees with
     weighted_sum_enumerative on every input; the recursion reaches board
     lengths far beyond what enumeration can.
     """
@@ -310,12 +350,14 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     if n < 0:
         return Poly.zero(w.k)
     deltas, span = _tile_deltas(n, k, w, app)
-    width = fibonacci_k(n, k).bit_length() + 1
-    if width * (span + 1) > PACKED_BITS:
+    count = fibonacci_k(n, k)
+    slots, terms = _q_slots_and_terms(n, k, span, count)
+    if slots > _SLOTS_PER_TERM * terms:
         tiles = [[Poly(w.k, {d: 1}) for d in row] for row in deltas]
         return _first_tile_sums(
             tiles, Poly.one(w.k), functools.partial(Poly.zero, w.k), lambda acc, a, b: acc + a * b
         )
+    width = count.bit_length() + 1
     tiles = [[{d >> Q_BITS: (d & Q_MASK, 1)} for d in row] for row in deltas]
     mul_add = functools.partial(q_mul_add, sign=1, width=width)
     return q_unpack(w.k, _first_tile_sums(tiles, {0: (0, 1)}, dict, mul_add), width)

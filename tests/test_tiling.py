@@ -94,24 +94,28 @@ def test_weighted_sum_single_cell():
 
 
 def test_recursive_equals_enumerative(monkeypatch):
-    # the packed route, over built-in, random and incoherent schemes
+    # each window forced on every board, over built-in, random and incoherent
+    # schemes: the packed one decodes every board, the Poly one none
     unpacks = []
     unpack = tiling.q_unpack
     monkeypatch.setattr(tiling, "q_unpack", lambda *args: unpacks.append(args) or unpack(*args))
     pairs = ("inv-lp", "inv-rlp", "inv-prlp", "maj-lp", "maj-rlp", "maj-prlp", "rb-lpi")
-    decoded = 0
-    for k in range(1, 5):
-        schemes = [builtin_scheme(p, k) for p in pairs]
-        schemes += [random_scheme(k, seed) for seed in (7, 8, 9)]
-        schemes += [corrupted_scheme(k, seed) for seed in (1, 2)]
-        for w in schemes:
-            for n in range(-1, 13):
-                for app in (AppendSpec(), AppendSpec(2, 0), AppendSpec(0, 3), AppendSpec(1, 1)):
-                    assert weighted_sum_enumerative(n, k, w, app) == weighted_sum_recursive(
-                        n, k, w, app
-                    ), (w.name, k, n, app)
-                    decoded += n >= 0
-    assert len(unpacks) == decoded
+    for slots_per_term, decodes in ((10**9, True), (0, False)):
+        monkeypatch.setattr(tiling, "_SLOTS_PER_TERM", slots_per_term)
+        unpacks.clear()
+        boards = 0
+        for k in range(1, 5):
+            schemes = [builtin_scheme(p, k) for p in pairs]
+            schemes += [random_scheme(k, seed) for seed in (7, 8, 9)]
+            schemes += [corrupted_scheme(k, seed) for seed in (1, 2)]
+            for w in schemes:
+                for n in range(-1, 13):
+                    for app in (AppendSpec(), AppendSpec(2, 0), AppendSpec(0, 3), AppendSpec(1, 1)):
+                        assert weighted_sum_enumerative(n, k, w, app) == weighted_sum_recursive(
+                            n, k, w, app
+                        ), (w.name, k, n, app, slots_per_term)
+                        boards += n >= 0
+        assert len(unpacks) == (boards if decodes else 0)
 
 
 def test_recursive_equals_enumerative_on_q_sparse_schemes(monkeypatch):
@@ -228,6 +232,38 @@ def test_recursive_evaluator_reaches_large_boards():
     long_board = weighted_sum_recursive(60, 3, builtin_scheme("maj-rlp", 3))
     assert long_board.n_terms == 125220
     assert long_board.evaluate((1, 1, 1), 1) == fibonacci_k(60, 3)
+
+
+def test_recursive_route_choice(monkeypatch):
+    # q-dense built-in boards pack at any length; q-sparse boards run on Poly terms
+    unpacks = []
+    unpack = tiling.q_unpack
+    monkeypatch.setattr(tiling, "q_unpack", lambda *args: unpacks.append(args) or unpack(*args))
+    maj = weighted_sum_recursive(100, 2, builtin_scheme("maj-lp", 2))
+    assert len(unpacks) == 1
+    assert maj.evaluate((1, 1), 1) == fibonacci_k(100, 2)
+    sparse = WeightScheme.from_tables(3, (0, 0, 0), (10**5, 3 * 10**5, 7 * 10**5), (2 * 10**5, 0, 5 * 10**5))
+    assert weighted_sum_recursive(12, 3, sparse).evaluate((1, 1, 1), 1) == fibonacci_k(12, 3)
+    # 1.3M tilings but at most 2256 terms over 134k slots: only the bound
+    # on terms per z-monomial tells this board from a dense one
+    sparse = WeightScheme.from_tables(2, (0, 0), (0, 40), (40, 0))
+    assert weighted_sum_recursive(30, 2, sparse).evaluate((1, 1), 1) == fibonacci_k(30, 2)
+    assert len(unpacks) == 1
+
+
+def test_slot_estimate_bounds_the_terms():
+    # z-monomials counted exactly and terms bounded, on separable schemes whose
+    # q exponents are dense (built-in) or as sparse as they get (B and C up to 9e5)
+    rng = random.Random(3)
+    for k in range(1, 5):
+        tables = [[rng.randint(0, 9 * 10**5) for _ in range(k)] for _ in range(3)]
+        for w in (builtin_scheme("maj-rlp", k), random_scheme(k, 4), WeightScheme.from_tables(k, *tables)):
+            for n in range(11):
+                p = weighted_sum_enumerative(n, k, w, AppendSpec(1, 2))
+                _, span = tiling._tile_deltas(n, k, w, AppendSpec(1, 2))
+                slots, terms = tiling._q_slots_and_terms(n, k, span, fibonacci_k(n, k))
+                assert slots == len({m.z_exps for m in p.monomials()}) * (span + 1), (w, n)
+                assert p.n_terms <= terms, (w, n)
 
 
 def test_random_scheme_is_deterministic():
