@@ -555,8 +555,10 @@ def q_unpack(k: int, packed: dict, width: int) -> Poly:
             # digits at widths 8, 24, 64 and 160: peeling was 3-4x faster at
             # 4-8 digits, the two met between 32 digits (width 160) and 128
             # (width 8), and bytes were 1.3-4.5x faster at 256.  At 64 digits
-            # the slower one was within 1.3x of the faster for widths 8-64,
-            # which hold the determinant and long-board widths (11 to 80).
+            # the slower one was within 1.3x of the faster for widths 8-64.
+            # The verify-grid determinants decode at most 11 digits (widths
+            # 25-44); the long boards average 1 (inv-prlp) to about 500
+            # (maj-lp) digits per z-monomial (widths 29-76).
             while x:
                 d = x & mask
                 if d >= half:

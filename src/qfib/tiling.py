@@ -271,11 +271,11 @@ def _tile_deltas(n: int, maxpart: int, w: WeightScheme, app: AppendSpec):
 # 107 boards, each on both windows (built-in schemes at k = 2..4 and n up to
 # 300; generic schemes with B and C up to 10^5 at k = 2..4 and n = 12..60):
 # at up to 14 slots per estimated term the packed window won 44 of 56
-# boards, lost none that took over 10 ms by more than 1.4x, and was 6-30x
-# faster on most built-in long boards (maj-lp k=2 n=200: 0.94 s against
-# 30 s).  Past 14 the Poly window won 50 of 51, by up to 7000x where B and C
-# run in the hundred thousands, and there the packed window also ran out of
-# a 1 GB address space.
+# boards and lost none that took over 10 ms by more than 1.4x.  On 12 of
+# the 17 built-in boards it was 6-32x faster (maj-lp k=2 n=200: 0.94 s
+# against 30 s), on the other 5 0.8-1.1x.  Past 14 the Poly window won 50
+# of 51, by up to 7000x where B and C run in the hundred thousands, and
+# there the packed window also ran out of a 1 GB address space.
 _SLOTS_PER_TERM = 14
 
 
