@@ -23,13 +23,15 @@ except ImportError:
 
 def _workloads():
     w = builtin_scheme("maj-rlp", 4)
-    deltas, _ = _tile_deltas(18, 4, w, AppendSpec())
+    deltas18, _, _ = _tile_deltas(18, 4, w, AppendSpec())
+    deltas20, _, _ = _tile_deltas(20, 4, w, AppendSpec())
     big = weighted_sum_enumerative(14, 4, w)._terms
     small = weighted_sum_enumerative(9, 4, w)._terms
     offs = _zoffsets(4)
     shifts = tuple((off, 2) for off in offs)
     return [
-        ("sum_tilings(n=18, k=4)", "sum_tilings_terms", (18, 4, deltas)),
+        ("sum_tilings(n=18, k=4)", "sum_tilings_terms", (18, 4, deltas18)),
+        ("sum_tilings(n=20, k=4)", "sum_tilings_terms", (20, 4, deltas20)),
         ("mul(F14 * F14)", "mul_terms", (big, big)),
         ("mul(F14 * F9)", "mul_terms", (big, small)),
         ("add(F14 + F14)", "add_terms", (big, big)),

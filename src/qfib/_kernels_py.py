@@ -16,6 +16,9 @@ qfib._backend swaps in the compiled twin of this module (_kernels_cy) when it
 is available; both implement exactly the same functions.
 """
 
+import collections
+import itertools
+
 Z_BITS = 16
 Q_BITS = 32
 Z_MASK = (1 << Z_BITS) - 1
@@ -118,24 +121,44 @@ def sum_tilings_terms(n, maxpart, deltas):
     starting at position sigma: (1 << zshift_i) + q_exponent.  Because packed
     monomial products are key sums, the weight of a tiling is just the sum of
     its tiles' deltas, and every tiling contributes coefficient 1.
+
+    The enumeration splits at the middle cell c = ceil(n/2).  Exactly one
+    tile (i, s) of each tiling covers c, so the tiling is, uniquely, a tiling
+    of cells 1..s-1, that tile, and a tiling of cells s+i..n.  The key lists
+    of every prefix (cells 1..p, p < c) and every suffix (the last j cells,
+    j <= n - c) are built level by level; each covering tile then joins its
+    prefix and suffix lists pairwise.  That is still one key per tiling,
+    added from the tiles' own deltas and merged only once at the end.  Besides
+    the result, memory holds only the half-board lists, each about the
+    square root of the tiling count.
     """
-    acc = {}
     if n < 0:
-        return acc
+        return {}
     if n == 0:
-        acc[0] = 1
-        return acc
-    stack = [(1, 0)]
-    while stack:
-        pos, key = stack.pop()
-        rem = n - pos + 1
-        top = maxpart if maxpart < rem else rem
-        row = deltas
-        for i in range(1, top + 1):
-            nkey = key + row[i - 1][pos - 1]
-            npos = pos + i
-            if npos > n:
-                acc[nkey] = acc.get(nkey, 0) + 1
-            else:
-                stack.append((npos, nkey))
-    return acc
+        return {0: 1}
+    mid = (n + 1) // 2
+    pre = _prefix_keys(mid, maxpart, deltas)
+    # the last j cells, read backwards, are the first j cells of the
+    # reversed board, whose tile starts run backwards too
+    suf = _prefix_keys(n - mid + 1, maxpart, [row[::-1] for row in deltas])
+    joins = []  # (delta of a tile covering mid, shorter side, longer side)
+    for i in range(1, maxpart + 1):
+        for s in range(max(1, mid - i + 1), min(mid, n - i + 1) + 1):
+            left, right = pre[s - 1], suf[n - s - i + 1]
+            if len(left) > len(right):
+                left, right = right, left
+            joins.append((deltas[i - 1][s - 1], left, right))
+    keys = (map((a + d).__add__, right) for d, left, right in joins for a in left)
+    return dict(collections.Counter(itertools.chain.from_iterable(keys)))
+
+
+def _prefix_keys(levels, maxpart, deltas):
+    """keys[p]: the keys of the tilings of cells 1..p, one per tiling, for
+    p < levels, each level extending the shorter ones by one tile."""
+    keys = [[0]]
+    for p in range(1, levels):
+        cur = []
+        for i in range(1, min(maxpart, p) + 1):
+            cur += map(deltas[i - 1][p - i].__add__, keys[p - i])
+        keys.append(cur)
+    return keys

@@ -239,9 +239,9 @@ def tiling_weight(t: Tiling, w: WeightScheme, app=AppendSpec()) -> Poly:
 
 def _tile_deltas(n: int, maxpart: int, w: WeightScheme, app: AppendSpec):
     """Packed key contribution of each (tile length, start) pair, and the
-    span of q exponents over all tilings; see the sum_tilings_terms kernel.
-    The kernel adds keys unchecked, so this first bounds every tiling's
-    exponents by their packed-field capacity."""
+    least and largest q exponent over all tilings; see the sum_tilings_terms
+    kernel.  The kernel adds keys unchecked, so this first bounds every
+    tiling's exponents by their packed-field capacity."""
     qs = []
     for i in range(1, maxpart + 1):
         shift = w.b(i) * app.before + w.c(i) * app.after
@@ -261,7 +261,7 @@ def _tile_deltas(n: int, maxpart: int, w: WeightScheme, app: AppendSpec):
         [(1 << (Q_BITS + (w.k - i) * Z_BITS)) + q for q in row]
         for i, row in enumerate(qs, 1)
     ]
-    return deltas, top[1] - low[1]
+    return deltas, low[1], top[1]
 
 
 # The packed window pays for every q slot from a z-monomial's least to its
@@ -323,9 +323,10 @@ def weighted_sum_enumerative(n: int, k: int, w: WeightScheme, app=AppendSpec()) 
     app = _normalize_append(app)
     if n < 0:
         return Poly.zero(w.k)
-    deltas, _ = _tile_deltas(n, k, w, app)
-    terms = _k.sum_tilings_terms(n, k, deltas)
-    return Poly(w.k, terms)
+    deltas, _, qtop = _tile_deltas(n, k, w, app)
+    # exact bounds, no re-scan: the all-ones tiling reaches z_1^n, and every
+    # coefficient is a positive count, so the largest q exponent qtop is kept
+    return Poly._wrap(w.k, _k.sum_tilings_terms(n, k, deltas), n, qtop)
 
 
 def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) -> Poly:
@@ -349,9 +350,9 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     app = _normalize_append(app)
     if n < 0:
         return Poly.zero(w.k)
-    deltas, span = _tile_deltas(n, k, w, app)
+    deltas, qlow, qtop = _tile_deltas(n, k, w, app)
     count = fibonacci_k(n, k)
-    slots, terms = _q_slots_and_terms(n, k, span, count)
+    slots, terms = _q_slots_and_terms(n, k, qtop - qlow, count)
     if slots > _SLOTS_PER_TERM * terms:
         tiles = [[Poly(w.k, {d: 1}) for d in row] for row in deltas]
         return _first_tile_sums(

@@ -64,7 +64,7 @@ def test_shift_eval_parity(seed):
 def test_sum_tilings_parity():
     w = builtin_scheme("maj-rlp", 4)
     for n in (-1, 0, 1, 7, 12):
-        deltas, _ = _tile_deltas(max(n, 0), 4, w, AppendSpec(1, 2))
+        deltas, _, _ = _tile_deltas(max(n, 0), 4, w, AppendSpec(1, 2))
         assert _kernels_py.sum_tilings_terms(n, 4, deltas) == cy.sum_tilings_terms(
             n, 4, deltas
         )

@@ -1,10 +1,11 @@
 """Tilings, k-Fibonacci counts, weighted sums, and scheme validation."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from qfib import tiling
+from qfib import _kernels_py, tiling
 from qfib.errors import CapacityError, DomainError, InvalidShiftError
 from qfib.layered import builtin_scheme
 from qfib.polyring import Poly
@@ -141,14 +142,40 @@ def test_recursive_equals_enumerative_on_q_sparse_schemes(monkeypatch):
 
 
 def test_sum_equals_naive_per_tiling_sum():
-    # the kernel accumulates tiling weights in one pass; cross-check against
-    # the definition as a sum of tiling_weight values
-    w = random_scheme(3, 42)
-    for n in range(0, 9):
-        naive = Poly.zero(3)
-        for t in enumerate_tilings(n, 3):
-            naive = naive + tiling_weight(t, w, (1, 2))
-        assert weighted_sum_enumerative(n, 3, w, (1, 2)) == naive
+    # the kernel splits each tiling at its middle cell; cross-check against
+    # the definition as a sum of tiling_weight values, over the split's edge
+    # cases (n = 1, n = 2, n < k), a corrupted scheme (whose declared shifts
+    # the kernel must not rely on), and appends on every scheme
+    app = AppendSpec(1, 2)
+    for k in range(1, 6):
+        schemes = (builtin_scheme("maj-rlp", k), random_scheme(k, 42), corrupted_scheme(k, 3))
+        for w in schemes:
+            for n in range(0, 13):
+                naive = Poly.zero(k)
+                for t in enumerate_tilings(n, k):
+                    naive = naive + tiling_weight(t, w, app)
+                p = weighted_sum_enumerative(n, k, w, app)
+                assert p == naive, (w, n)
+                # one key per tiling: the coefficients count every tiling once
+                assert p.evaluate((1,) * k, 1) == fibonacci_k(n, k), (w, n)
+                # the bounds passed in without a re-scan are the exact ones
+                assert p.degree_bounds == naive.degree_bounds, (w, n)
+
+
+def test_enumeration_kernel_memory_is_bounded():
+    # the middle-cell split holds half-board key lists, not one list per
+    # board position: maj-rlp k=4 n=20 (283,953 tilings) peaks near 0.6 MB,
+    # where per-position lists peak near 28 MB
+    n, k = 20, 4
+    deltas, _, _ = tiling._tile_deltas(n, k, builtin_scheme("maj-rlp", k), AppendSpec())
+    tracemalloc.start()
+    try:
+        terms = _kernels_py.sum_tilings_terms(n, k, deltas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(terms.values()) == fibonacci_k(n, k) == 283_953
+    assert peak < 4 * 2**20, peak
 
 
 def test_specialization_to_counts():
@@ -260,7 +287,8 @@ def test_slot_estimate_bounds_the_terms():
         for w in (builtin_scheme("maj-rlp", k), random_scheme(k, 4), WeightScheme.from_tables(k, *tables)):
             for n in range(11):
                 p = weighted_sum_enumerative(n, k, w, AppendSpec(1, 2))
-                _, span = tiling._tile_deltas(n, k, w, AppendSpec(1, 2))
+                _, qlow, qtop = tiling._tile_deltas(n, k, w, AppendSpec(1, 2))
+                span = qtop - qlow
                 slots, terms = tiling._q_slots_and_terms(n, k, span, fibonacci_k(n, k))
                 assert slots == len({m.z_exps for m in p.monomials()}) * (span + 1), (w, n)
                 assert p.n_terms <= terms, (w, n)
