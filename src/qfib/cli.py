@@ -31,6 +31,7 @@ for testing the verifiers themselves).
 
 import argparse
 import ast
+import functools
 import json
 import operator
 import os
@@ -416,7 +417,10 @@ def _append_pair(text: str):
     return pair
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args leaves it unchanged, and
+    building it costs about a millisecond per in-process call of main."""
     parser = argparse.ArgumentParser(
         prog="qfib",
         description="Exact q-analogues of k-Fibonacci numbers from weighted tilings.",

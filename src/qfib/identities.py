@@ -33,13 +33,13 @@ the major-index family the front shift stays a substitution), with every
 specialized exponent hard-coded as an independent expression.
 """
 
-from functools import lru_cache
-
 from .errors import DomainError
 from .layered import StatPair, builtin_scheme
 from .polyring import Poly
 from .report import IdentityReport
-from .tiling import WeightScheme, fibonacci_k, weighted_sum_enumerative
+# _plain, _front and _back are tiling's shared sum caches, bound here under
+# their own names: callers clear them and read their hits through this module.
+from .tiling import WeightScheme, _back, _front, _plain, fibonacci_k
 
 __all__ = [
     "convolution_count",
@@ -49,29 +49,6 @@ __all__ = [
     "verify_recursion",
     "verify_specializations",
 ]
-
-
-@lru_cache(maxsize=None)
-def _plain(n: int, kcap: int, w: WeightScheme) -> Poly:
-    # Enumerative sums repeat across grid cells; schemes hash by identity and
-    # Poly is immutable, so sharing cached values is safe.
-    return weighted_sum_enumerative(n, kcap, w)
-
-
-@lru_cache(maxsize=None)
-def _front(n: int, kcap: int, w: WeightScheme, m: int) -> Poly:
-    """F_n with an m-board appended in front: plain sum under s^-_m."""
-    if m == 0:
-        return _plain(n, kcap, w)
-    return _plain(n, kcap, w).substitute_z_scale(w.front_shift_exps(m))
-
-
-@lru_cache(maxsize=None)
-def _back(n: int, kcap: int, w: WeightScheme, m: int) -> Poly:
-    """F_n with an m-board appended behind: plain sum under s^+_m."""
-    if m == 0:
-        return _plain(n, kcap, w)
-    return _plain(n, kcap, w).substitute_z_scale(w.back_shift_exps(m))
 
 
 def _zmono(w: WeightScheme, i: int, q_exp: int) -> Poly:

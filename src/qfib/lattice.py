@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from .errors import LIMITS, DomainError, RingMismatchError, SizeLimitError
 from .polyring import Poly, check_capacity, q_mul_add, q_pack, q_unpack
 from .report import IdentityReport
-from .tiling import AppendSpec, WeightScheme, weighted_sum_enumerative
+from .tiling import WeightScheme, _front
 
 __all__ = [
     "MinorSpec",
@@ -116,17 +116,15 @@ class PolyMatrix:
 
 
 def build_minor(spec: MinorSpec, w: WeightScheme) -> PolyMatrix:
-    """Entry (i, j) is the weighted path count from u_i to v_j."""
-    rows = []
-    for ui in spec.u:
-        row = tuple(
-            weighted_sum_enumerative(vj - ui, spec.k, w, AppendSpec(ui, 0))
-            if vj >= ui
-            else Poly.zero(w.k)
-            for vj in spec.v
-        )
-        rows.append(row)
-    return PolyMatrix(spec.k, tuple(rows))
+    """Entry (i, j) is the weighted path count from u_i to v_j: the sum over
+    tilings of the (v_j - u_i)-board with a u_i-board appended in front.
+    Entries come from the verifiers' shared sum cache (tiling._front), whose
+    shift is the declared B, as enumeration with AppendSpec(u_i, 0) applies
+    it, so the two agree for incoherent schemes too."""
+    rows = tuple(
+        tuple(_front(vj - ui, spec.k, w, ui) for vj in spec.v) for ui in spec.u
+    )
+    return PolyMatrix(spec.k, rows)
 
 
 def determinant(mat: PolyMatrix) -> Poly:

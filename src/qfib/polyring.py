@@ -257,7 +257,11 @@ class Poly:
             raise CapacityError(f"q degree bound {qb} exceeds packed-key capacity")
         offs = _zoffsets(self.k)
         shifts = tuple((offs[i], e) for i, e in enumerate(exps) if e)
-        return Poly._wrap(self.k, _k.shift_q_terms(self._terms, shifts), self._zb, qb)
+        terms = _k.shift_q_terms(self._terms, shifts)
+        # qb above only guards the packed field.  The result's own q bound
+        # is read off its keys, one pass at C speed, because it is often
+        # k times smaller and the determinant picks its route by it.
+        return Poly._wrap(self.k, terms, self._zb, max(map(Q_MASK.__and__, terms)))
 
     def times_q(self, e: int) -> "Poly":
         """Multiply by the monomial q^e."""
@@ -534,10 +538,11 @@ def q_mul_add(acc: dict, a: dict, b: dict, sign: int, width: int) -> dict:
     return acc
 
 
-def q_unpack(k: int, packed: dict, width: int) -> Poly:
+def q_unpack(k: int, packed: dict, width: int, bounds=None) -> Poly:
     """The polynomial whose q-packed form is `packed`, read as balanced
     digits: exact when width >= 2 and every coefficient c has
-    |c| < 2^(width - 1)."""
+    |c| < 2^(width - 1).  `bounds`, when given, are the result's degree
+    bounds (z, q), known to the caller; without them the terms are scanned."""
     base = 1 << width
     half = base >> 1
     mask = base - 1
@@ -579,7 +584,7 @@ def q_unpack(k: int, packed: dict, width: int) -> Poly:
                     terms[key] = d
                 chunk >>= width
                 key += 1
-    return Poly(k, terms)
+    return Poly(k, terms) if bounds is None else Poly._wrap(k, terms, *bounds)
 
 
 def diff_witness(a: Poly, b: Poly) -> str | None:

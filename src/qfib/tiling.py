@@ -104,9 +104,15 @@ class WeightScheme:
     (used to build deliberately incoherent schemes for falsifiability tests);
     the shift factors always come from the declared B and C, so
     validate_weight_scheme can detect the mismatch.
+
+    Schemes compare and hash by value: k, the A, B and C tables and the
+    `exponent` override, which, being a function, compares by identity.  The
+    name is left out, so two schemes that weight every tile alike share the
+    cached sums below, and two corrupted schemes (each with its own
+    override) never do.
     """
 
-    __slots__ = ("k", "name", "_a", "_b", "_c", "_exponent")
+    __slots__ = ("k", "name", "_a", "_b", "_c", "_exponent", "_key", "_hash")
 
     def __init__(
         self,
@@ -125,6 +131,8 @@ class WeightScheme:
         self._b = self._freeze(b, "B")
         self._c = self._freeze(c, "C")
         self._exponent = exponent
+        self._key = (k, self._a, self._b, self._c, exponent)
+        self._hash = hash(self._key)
 
     def _freeze(self, fn, label):
         vals = []
@@ -174,6 +182,14 @@ class WeightScheme:
     def back_shift_exps(self, m: int) -> tuple[int, ...]:
         """Per-variable q exponents realizing the back shift s^+_m."""
         return tuple(ci * m for ci in self._c)
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightScheme):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"WeightScheme(k={self.k}, name={self.name!r})"
@@ -329,6 +345,43 @@ def weighted_sum_enumerative(n: int, k: int, w: WeightScheme, app=AppendSpec()) 
     return Poly._wrap(w.k, _k.sum_tilings_terms(n, k, deltas), n, qtop)
 
 
+# The sums the verifiers use: identities checks its q-identities against
+# them and lattice.build_minor takes the minor's entries from _front.  They
+# key on the scheme's value (WeightScheme.__eq__), so a scheme that repeats
+# another's tables, or a fresh copy of one, reuses its sums.  Poly is
+# immutable, so sharing cached values is safe.  The bound keeps a run over
+# many schemes from pinning every sum it ever made.  Measured on
+# `verify --identity all --k 4 --max-n 10` (the built-in schemes on the
+# largest convolution grid the CLI allows) and on a verify-grid pass of
+# perfbench: at 512 entries per cache both missed exactly as often as
+# unbounded caches (192, 972 and 984 times in _plain, _front and _back for
+# the first), and the pass peaked at 3.19 MB of allocations (tracemalloc)
+# against 3.37 MB at 1024 entries; at 256, _front and _back missed 8-17%
+# more often.
+_SUM_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_SUM_CACHE_SIZE)
+def _plain(n: int, kcap: int, w: WeightScheme) -> Poly:
+    return weighted_sum_enumerative(n, kcap, w)
+
+
+@functools.lru_cache(maxsize=_SUM_CACHE_SIZE)
+def _front(n: int, kcap: int, w: WeightScheme, m: int) -> Poly:
+    """F_n with an m-board appended in front: plain sum under s^-_m."""
+    if m == 0:
+        return _plain(n, kcap, w)
+    return _plain(n, kcap, w).substitute_z_scale(w.front_shift_exps(m))
+
+
+@functools.lru_cache(maxsize=_SUM_CACHE_SIZE)
+def _back(n: int, kcap: int, w: WeightScheme, m: int) -> Poly:
+    """F_n with an m-board appended behind: plain sum under s^+_m."""
+    if m == 0:
+        return _plain(n, kcap, w)
+    return _plain(n, kcap, w).substitute_z_scale(w.back_shift_exps(m))
+
+
 def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) -> Poly:
     """F_n(z; q) by the first-tile recursion over a rolling window.
 
@@ -353,15 +406,18 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     deltas, qlow, qtop = _tile_deltas(n, k, w, app)
     count = fibonacci_k(n, k)
     slots, terms = _q_slots_and_terms(n, k, qtop - qlow, count)
+    # exact bounds, as in weighted_sum_enumerative: no scan of the result
+    bounds = (n, qtop)
     if slots > _SLOTS_PER_TERM * terms:
         tiles = [[Poly(w.k, {d: 1}) for d in row] for row in deltas]
-        return _first_tile_sums(
+        total = _first_tile_sums(
             tiles, Poly.one(w.k), functools.partial(Poly.zero, w.k), lambda acc, a, b: acc + a * b
         )
+        return Poly._wrap(w.k, total._terms, *bounds)
     width = count.bit_length() + 1
     tiles = [[{d >> Q_BITS: (d & Q_MASK, 1)} for d in row] for row in deltas]
     mul_add = functools.partial(q_mul_add, sign=1, width=width)
-    return q_unpack(w.k, _first_tile_sums(tiles, {0: (0, 1)}, dict, mul_add), width)
+    return q_unpack(w.k, _first_tile_sums(tiles, {0: (0, 1)}, dict, mul_add), width, bounds)
 
 
 def _first_tile_sums(tiles, one, zero, mul_add):

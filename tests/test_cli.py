@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from qfib.cli import _parse_scheme, main
+from qfib.cli import _parse_scheme, build_parser, main
 from qfib.polyring import Poly
 
 
@@ -52,6 +52,26 @@ def test_table_append(capsys):
     out = capsys.readouterr().out.strip()
     # F_2 under a front shift by 3: every tile weight gains q^3
     assert out == Poly.parse("z1^2*q^7 + z2*q^3", 2).format()
+
+
+def test_in_process_calls_share_one_parser_without_leaking_state(capsys):
+    assert build_parser() is build_parser()
+    table = ["table", "--n", "2", "--k", "2", "--stat", "maj-lp"]
+    assert main(table) == 0
+    plain = capsys.readouterr().out
+    assert main(table + ["--append", "1,2"]) == 0
+    assert capsys.readouterr().out != plain
+    # a call without --append sees the default again
+    assert build_parser().parse_args(table).append == (0, 0)
+    assert main(table) == 0
+    assert capsys.readouterr().out == plain
+    # a usage error leaves the parser fit for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "2", "--k", "2", "--append", "1,2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(table) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_table_generic_scheme(capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qfib import identities, lattice, tiling
 from qfib.errors import DomainError
 from qfib.identities import (
     convolution_count,
@@ -107,6 +108,89 @@ def test_rb_lpi_identities_match_maj_lp():
         a = verify_recursion(n, 3, builtin_scheme("rb-lpi", 3))
         b = verify_recursion(n, 3, builtin_scheme("maj-lp", 3))
         assert a.lhs == b.lhs and a.rhs == b.rhs
+
+
+# ----------------------------------------------------------------------
+# the shared, value-keyed sum caches
+
+_CACHES = (identities._plain, identities._front, identities._back)
+
+
+@pytest.fixture
+def cleared_caches():
+    for f in _CACHES:
+        f.cache_clear()
+
+
+def _plain_misses():
+    return identities._plain.cache_info().misses
+
+
+def _verify_some(w, k):
+    return [verify_recursion(n, k, w) for n in range(1, 7)] + [
+        verify_convolution(m, n, k, w) for m in (1, 2, 3) for n in (1, 2, 3)
+    ] + [verify_k_reduction(n, k, w) for n in range(2, 7)]
+
+
+def test_sum_caches_are_one_set_under_the_identities_names():
+    # callers clear the caches and read their hits through identities
+    assert identities._plain is tiling._plain
+    assert identities._front is tiling._front is lattice._front
+    assert identities._back is tiling._back
+    for f in _CACHES:
+        assert callable(f.cache_clear)
+        assert f.cache_info().maxsize == tiling._SUM_CACHE_SIZE
+
+
+def test_equal_tables_share_sums_and_keep_their_names(cleared_caches):
+    maj, rb = builtin_scheme("maj-lp", 3), builtin_scheme("rb-lpi", 3)
+    assert maj == rb and hash(maj) == hash(rb)
+    first = _verify_some(maj, 3)
+    misses = _plain_misses()
+    assert misses > 0
+    second = _verify_some(rb, 3)
+    # rb-lpi found every sum maj-lp left in the cache ...
+    assert _plain_misses() == misses
+    # ... and its reports still carry its own name
+    assert {r.params["scheme"] for r in first} == {"maj-lp"}
+    assert {r.params["scheme"] for r in second} == {"rb-lpi"}
+    assert [(r.lhs, r.rhs) for r in first] == [(r.lhs, r.rhs) for r in second]
+
+
+def test_corrupted_schemes_never_share_sums(cleared_caches):
+    a, b = corrupted_scheme(3, seed=4), corrupted_scheme(3, seed=4)
+    # each has its own exponent override, which compares by identity
+    assert a != b
+    assert a != random_scheme(3, 4)
+    _verify_some(a, 3)
+    misses = _plain_misses()
+    _verify_some(b, 3)
+    assert _plain_misses() == 2 * misses
+
+
+def test_specializations_reuse_the_builtin_sums(cleared_caches):
+    k, n_max = 3, 4
+    w = builtin_scheme("maj-rlp", k)
+    for n in range(1, 2 * n_max + 1):
+        verify_recursion(n, k, w)
+    for n in range(1, n_max + 1):
+        verify_k_reduction(n, k, w)
+    misses, hits = _plain_misses(), identities._plain.cache_info().hits
+    # verify_specializations builds its own scheme object for the pair
+    reports = verify_specializations("maj-rlp", n_max, k)
+    assert all(r.passed for r in reports)
+    assert _plain_misses() == misses
+    assert identities._plain.cache_info().hits > hits
+
+
+def test_sum_caches_are_bounded(cleared_caches):
+    size = tiling._SUM_CACHE_SIZE
+    for seed in range(size + 50):
+        assert verify_recursion(1, 1, random_scheme(4, seed)).passed
+    assert _plain_misses() > size
+    for f in _CACHES:
+        info = f.cache_info()
+        assert info.currsize <= info.maxsize == size
 
 
 def test_corrupted_scheme_fails_with_witness():

@@ -33,7 +33,14 @@ from qfib.lattice import (
 )
 from qfib.layered import SCHEMED_PAIRS, builtin_scheme
 from qfib.polyring import Q_MASK, Poly
-from qfib.tiling import WeightScheme, corrupted_scheme, fibonacci_k, random_scheme
+from qfib.tiling import (
+    AppendSpec,
+    WeightScheme,
+    corrupted_scheme,
+    fibonacci_k,
+    random_scheme,
+    weighted_sum_enumerative,
+)
 
 # determinant = closed form holds exactly when the weight ignores the
 # trailing length (C = 0); see the module docstring
@@ -73,6 +80,26 @@ def test_build_minor_toeplitz_shift_structure():
             for j in range(i, 3):
                 shifted = m.entries[0][j - i].substitute_z_scale(w.front_shift_exps(i))
                 assert m.entries[i][j] == shifted
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_build_minor_entries_are_literal_path_sums(k):
+    # entries come from the shared front-shifted sums; they must be the
+    # literal enumeration with the row vertex appended in front, bounds
+    # included (the determinant picks its route by the q bounds), and for
+    # incoherent schemes too
+    schemes = [builtin_scheme(p, k) for p in SCHEMED_PAIRS]
+    schemes += [random_scheme(k, seed) for seed in (3, 4)]
+    schemes += [corrupted_scheme(k, seed) for seed in (1, 2)]
+    for w in schemes:
+        for n in range(1, 6):
+            spec = MinorSpec(n, k)
+            m = build_minor(spec, w)
+            for row, u in zip(m.entries, spec.u):
+                for entry, v in zip(row, spec.v):
+                    literal = weighted_sum_enumerative(v - u, k, w, AppendSpec(u, 0))
+                    assert entry == literal, (w.name, n, u, v)
+                    assert entry.degree_bounds == literal.degree_bounds, (w.name, n, u, v)
 
 
 def test_determinant_examples():

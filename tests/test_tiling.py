@@ -119,6 +119,23 @@ def test_recursive_equals_enumerative(monkeypatch):
         assert len(unpacks) == (boards if decodes else 0)
 
 
+def test_recursive_degree_bounds_are_exact(monkeypatch):
+    # both windows return bounds known before any arithmetic (z_1^n and the
+    # largest q); they must equal a fresh scan of the terms
+    for slots_per_term in (10**9, 0):
+        monkeypatch.setattr(tiling, "_SLOTS_PER_TERM", slots_per_term)
+        for k in range(1, 5):
+            schemes = [builtin_scheme("maj-rlp", k), builtin_scheme("inv-prlp", k)]
+            schemes += [random_scheme(k, 7), corrupted_scheme(k, 1)]
+            for w in schemes:
+                for n in range(-1, 11):
+                    for app in (AppendSpec(), AppendSpec(2, 1)):
+                        p = weighted_sum_recursive(n, k, w, app)
+                        assert p.degree_bounds == Poly(p.k, p._terms).degree_bounds, (
+                            w.name, k, n, app, slots_per_term
+                        )
+
+
 def test_recursive_equals_enumerative_on_q_sparse_schemes(monkeypatch):
     # B and C in the hundreds of thousands spread q over millions of
     # exponents: the window runs on Poly terms and never decodes (a board
