@@ -1,32 +1,5 @@
-"""Select the term-kernel implementation once, at import time.
+"""Alias of the term kernels: perfbench patches ``kernels`` here and reports ``BACKEND``."""
 
-The compiled kernels (_kernels_cy, built from the .pyx source when Cython and
-a C compiler are present) are preferred; the pure-Python module is the
-fallback.  Set QFIB_BACKEND=python or QFIB_BACKEND=cython to force one.
-"""
+from . import _kernels_py as kernels
 
-import os
-
-_choice = os.environ.get("QFIB_BACKEND", "auto").strip().lower() or "auto"
-
-if _choice == "auto":
-    try:
-        from . import _kernels_cy as kernels  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-        BACKEND = "python"
-elif _choice == "python":
-    from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-    BACKEND = "python"
-elif _choice == "cython":
-    from . import _kernels_cy as kernels  # type: ignore[no-redef]
-
-    BACKEND = "cython"
-else:
-    raise ImportError(
-        f"unknown QFIB_BACKEND value {_choice!r}: expected auto, python or cython"
-    )
+BACKEND = "python"

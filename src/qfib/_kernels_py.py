@@ -11,9 +11,6 @@ Fields never overlap (the Poly layer enforces e_i < 2**Z_BITS and
 eq < 2**Q_BITS before any arithmetic), so multiplying two monomials is a
 single integer addition of their keys.  Comparing packed keys as integers is
 plain lexicographic order on (e1, ..., ek, eq).
-
-qfib._backend swaps in the compiled twin of this module (_kernels_cy) when it
-is available; both implement exactly the same functions.
 """
 
 import collections

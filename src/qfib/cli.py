@@ -425,9 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qfib",
         description="Exact q-analogues of k-Fibonacci numbers from weighted tilings.",
         epilog=(
-            "Environment: QFIB_SEED overrides --seed; QFIB_BACKEND selects the "
-            "term kernels (auto/python/cython); QFIB_CORRUPT_SCHEMES=1 corrupts "
-            "--random-schemes schemes to exercise the verifiers."
+            "Environment: QFIB_SEED overrides --seed; QFIB_CORRUPT_SCHEMES=1 "
+            "corrupts --random-schemes schemes to exercise the verifiers."
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)

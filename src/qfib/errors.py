@@ -45,7 +45,8 @@ class SizeLimitError(QfibError, ValueError):
 # Costs are single calls on a 2-vCPU host.
 LIMITS = {
     # table/enumerate --n, verify --max-n, det's n + 2k - 2: enumeration
-    # visits all F_n tilings (table --n 20 --k 20 takes 0.9 s).
+    # visits all F_n tilings (table --n 20 --k 20 takes 0.17-0.22 s in-process
+    # for maj-lp, maj-rlp and generic:0,1,0).
     "board": 20,
     # --k on every verb.  No accepted board holds a longer tile; table --n 10
     # gives the same polynomial in 6 ms at k = 20 and 0.47 s at k = 1000.
@@ -55,7 +56,7 @@ LIMITS = {
     "validate_max_n": 20,
     # det --k, verify det, lattice.determinant: 2^dim memo entries.  With
     # q-packed arithmetic det --n 6 --k 6 takes 7-11 s for maj-rlp and
-    # 24-34 s for inv-prlp, whose 1.0M-term result takes about 10 s to print.
+    # 24-34 s for inv-prlp, whose 1.0M-term result takes about 4 s to print.
     "det_dim": 6,
     # verify and validate-scheme --random-schemes: every scheme is built up
     # front (about 2 KB each) and verified in turn.  The cheapest verify

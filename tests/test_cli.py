@@ -242,6 +242,18 @@ def test_verify_seed_env_override():
     assert "random-99" in result.stdout
 
 
+@pytest.mark.parametrize("value", ["cython", "bogus"])
+def test_qfib_backend_variable_changes_nothing(value):
+    # earlier releases chose a kernel set by QFIB_BACKEND and exited 1 on
+    # values they could not import; the exit contract allows no such code
+    args = ("table", "--n", "3", "--k", "2", "--stat", "maj-lp")
+    plain = run_cli(*args)
+    result = run_cli(*args, env={"QFIB_BACKEND": value})
+    assert plain.returncode == result.returncode == 0
+    assert result.stdout == plain.stdout
+    assert "Traceback" not in result.stderr
+
+
 def test_verify_json_stream(capsys):
     code = main(
         [

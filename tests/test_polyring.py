@@ -26,6 +26,9 @@ def P(text, k=2):
 
 def test_add_merges_like_terms():
     assert P("z1*q") + P("z1*q") == P("2*z1*q")
+    # all but one term cancel, and no zero coefficient is kept
+    total = P("5*q^10 - 3*q^20") + P("-5*q^10 + 3*q^20 + q^30")
+    assert total == P("q^30") and total.n_terms == 1
 
 
 def test_add_zero_is_identity():
@@ -44,6 +47,7 @@ def test_mul_monomials():
 def test_mul_one_is_identity():
     p = P("z1^3 + 2*z1*z2*q")
     assert p * Poly.one(2) == p
+    assert 0 * p == Poly.zero(2)
 
 
 def _naive_product(a: Poly, b: Poly) -> Poly:
@@ -65,6 +69,8 @@ def test_square_of_binomial():
     expected = P("z1^2 + 2*z1*z2*q + z2^2*q^2")
     assert p * p == expected
     assert _naive_product(p, p) == expected
+    # the cross terms cancel while the product accumulates
+    assert P("z1 - z2*q") * P("z1 + z2*q") == P("z1^2 - z2^2*q^2")
 
 
 def test_substitute_z_scale_examples():
