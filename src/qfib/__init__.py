@@ -12,6 +12,7 @@ from .errors import (
     CapacityError,
     DomainError,
     InvalidShiftError,
+    PolyJsonError,
     PolyParseError,
     QfibError,
     RingMismatchError,
@@ -84,6 +85,7 @@ __all__ = [
     "PAIRS",
     "PathTuple",
     "Poly",
+    "PolyJsonError",
     "PolyMatrix",
     "PolyParseError",
     "QfibError",

@@ -29,6 +29,10 @@ class PolyParseError(QfibError, ValueError):
         self.pos = pos
 
 
+class PolyJsonError(QfibError, ValueError):
+    """A JSON polynomial that is not in the term form Poly.to_json_dict writes."""
+
+
 class DomainError(QfibError, ValueError):
     """Arguments outside an operation's mathematical domain."""
 

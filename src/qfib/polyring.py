@@ -14,14 +14,30 @@ on (e1, ..., ek, eq), highest first.
 
 Text grammar (produced by format, accepted by parse):
 
-    poly   := "0" | ["-"] term ((" + " | " - ") term)*
+    poly   := ["-"] term (("+" | "-") term)*
     term   := coeff | [coeff "*"] factor ("*" factor)*
     factor := ("z" index | "q") ["^" exponent]
 
-with coefficient 1 and exponent 1 left implicit and exponent-0 factors
-omitted.
+coeff, index and exponent are runs of ASCII digits; leading zeros are
+allowed.  Spaces may stand around "*", "+" and "-" and at either end, but
+not around "^" or inside a number.  format writes "0" for the zero
+polynomial, " + " and " - " between terms, coefficient 1 and exponent 1
+implicit, exponent-0 factors omitted and the factors in the order z1, ...,
+zk, q.  parse also reads factors in any order and a variable named more than
+once, whose exponents add up; every term is range-checked as a whole.
+
+JSON form (produced by to_json_dict, accepted by from_json_dict):
+
+    {"k": k, "terms": [{"coeff": "-3", "z": [e1, ..., ek], "q": eq}, ...]}
+
+coeff is written as a decimal string so that any size survives a JSON
+reader; it is read as an int or a string of ASCII digits with an optional
+leading "-".  z is a list of k ints and q an int.  Terms are written in
+canonical order and read in any order, repeats adding up.
 """
 
+import re
+import struct
 from typing import Iterable, Iterator, NamedTuple
 
 from ._backend import kernels as _k
@@ -29,6 +45,7 @@ from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
 from .errors import (
     CapacityError,
     InvalidShiftError,
+    PolyJsonError,
     PolyParseError,
     RingMismatchError,
 )
@@ -56,13 +73,11 @@ def _pack(k: int, z_exps, q_exp: int) -> int:
     return key
 
 
-def _unpack(k: int, key: int) -> tuple[tuple[int, ...], int]:
-    zs = []
-    off = Q_BITS + (k - 1) * Z_BITS
-    for _ in range(k):
-        zs.append((key >> off) & Z_MASK)
-        off -= Z_BITS
-    return tuple(zs), key & Q_MASK
+def _z_exps(k: int, z: int) -> tuple[int, ...]:
+    """Exponents of the z-monomial z = key >> Q_BITS."""
+    # tuple() of a list, not of a generator: that one over-allocates and
+    # shrinks, and raised cli-session's peak RSS by 0.3 MB
+    return tuple([(z >> (k - i) * Z_BITS) & Z_MASK for i in range(1, k + 1)])
 
 
 class Poly:
@@ -77,8 +92,7 @@ class Poly:
     __slots__ = ("k", "_terms", "_zb", "_qb")
 
     def __init__(self, k: int, terms=None):
-        if not isinstance(k, int) or k < 1:
-            raise RingMismatchError(f"ring needs a positive variable count, got {k!r}")
+        _check_ring_size(k)
         object.__setattr__(self, "k", k)
         terms = {} if terms is None else terms
         zb = qb = 0
@@ -138,23 +152,29 @@ class Poly:
     def from_monomials(cls, k: int, monomials: Iterable) -> "Poly":
         """Sum of (coeff, z_exps, q_exp) terms in one pass; every term is
         checked before it merges, even one that later cancels."""
+        _check_ring_size(k)
+        # The big-endian fields of one struct record are the packed key's
+        # fields, and struct range-checks them in C; its error is then
+        # turned into the error class the per-field checks name.
+        pack = struct.Struct(f">{k}HI").pack
+        from_bytes = int.from_bytes
         terms: dict[int, int] = {}
+        get = terms.get
+        zb = qb = 0
         for coeff, z_exps, q_exp in monomials:
             z_exps = tuple(z_exps)
-            if len(z_exps) != k:
-                raise RingMismatchError(f"expected {k} z exponents, got {len(z_exps)}")
-            for e in z_exps:
-                if not isinstance(e, int) or e < 0:
-                    raise InvalidShiftError(f"z exponents must be nonnegative ints, got {e!r}")
-                if e > Z_MASK:
-                    raise CapacityError(f"z exponent {e} exceeds field capacity {Z_MASK}")
-            if not isinstance(q_exp, int) or q_exp < 0:
-                raise InvalidShiftError(f"q exponent must be a nonnegative int, got {q_exp!r}")
-            if q_exp > Q_MASK:
-                raise CapacityError(f"q exponent {q_exp} exceeds field capacity {Q_MASK}")
-            key = _pack(k, z_exps, q_exp)
-            terms[key] = terms.get(key, 0) + coeff
-        return cls(k, {key: c for key, c in terms.items() if c})
+            try:
+                key = from_bytes(pack(*z_exps, q_exp), "big")
+            except struct.error:
+                _check_term(k, z_exps, q_exp)
+                raise
+            terms[key] = get(key, 0) + coeff
+            e = max(z_exps)
+            if e > zb:
+                zb = e
+            if q_exp > qb:
+                qb = q_exp
+        return _merged(cls, k, terms, zb, qb)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -320,7 +340,7 @@ class Poly:
         for key in self._canonical_keys():
             zs = z_exps.get(key >> Q_BITS)
             if zs is None:
-                zs = z_exps[key >> Q_BITS] = _unpack(self.k, key)[0]
+                zs = z_exps[key >> Q_BITS] = _z_exps(self.k, key >> Q_BITS)
             yield Monomial(self._terms[key], zs, key & Q_MASK)
 
     def format(self) -> str:
@@ -335,7 +355,7 @@ class Poly:
             if body is None:
                 body = z_text[key >> Q_BITS] = "*".join(
                     f"z{i}" if e == 1 else f"z{i}^{e}"
-                    for i, e in enumerate(_unpack(self.k, key)[0], start=1)
+                    for i, e in enumerate(_z_exps(self.k, key >> Q_BITS), start=1)
                     if e
                 )
             q = key & Q_MASK
@@ -358,118 +378,214 @@ class Poly:
         return f"Poly.parse({self.format()!r}, k={self.k})"
 
     def to_json_dict(self) -> dict:
+        terms = self._terms
+        keys = self._canonical_keys()
+        # each z-monomial is decoded once; every term gets its own z list
+        exps = {z: _z_exps(self.k, z) for z in set(map(Q_BITS.__rrshift__, keys))}
         return {
             "k": self.k,
             "terms": [
-                {"coeff": str(m.coeff), "z": list(m.z_exps), "q": m.q_exp}
-                for m in self.monomials()
+                {"coeff": str(terms[key]), "z": [*exps[key >> Q_BITS]], "q": key & Q_MASK}
+                for key in keys
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Poly":
-        return cls.from_monomials(
-            data["k"],
-            ((int(t["coeff"]), tuple(t["z"]), int(t["q"])) for t in data["terms"]),
-        )
+        try:
+            k, rows = data["k"], data["terms"]
+        except (KeyError, TypeError):
+            raise PolyJsonError('a JSON polynomial is an object with "k" and "terms"') from None
+        if not isinstance(rows, list):
+            raise PolyJsonError(f'"terms" must be a list, got {type(rows).__name__}')
+        return cls.from_monomials(k, map(_json_term, rows))
 
     # ------------------------------------------------------------------
     # parsing
 
     @classmethod
     def parse(cls, text: str, k: int) -> "Poly":
-        return cls.from_monomials(k, _parse_terms(text, k))
+        """The polynomial written in the text grammar (module docstring).
 
-
-def _parse_terms(text: str, k: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """Yield (coeff, z_exps, q_exp) per term of the text grammar."""
-    s = text
-    n = len(s)
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and s[pos] == " ":
-            pos += 1
-
-    def parse_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and s[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise PolyParseError("expected a number", start)
-        return int(s[start:pos])
-
-    def parse_factor(zs, q_exp):
-        nonlocal pos
-        ch = s[pos]
-        if ch == "z":
-            pos += 1
-            idx = parse_int()
-            if not 1 <= idx <= k:
-                raise PolyParseError(f"variable z{idx} outside ring with k={k}", pos)
-        elif ch == "q":
-            pos += 1
-            idx = 0
-        else:
-            raise PolyParseError(f"expected a factor, found {ch!r}", pos)
-        exp = 1
-        if pos < n and s[pos] == "^":
-            pos += 1
-            exp = parse_int()
-        if idx == 0:
-            return zs, q_exp + exp
-        zs = list(zs)
-        zs[idx - 1] += exp
-        return tuple(zs), q_exp
-
-    def parse_term():
-        nonlocal pos
-        coeff = 1
-        zs: tuple[int, ...] = (0,) * k
-        q_exp = 0
-        skip_ws()
-        if pos >= n:
-            raise PolyParseError("expected a term", pos)
-        if s[pos].isdigit():
-            coeff = parse_int()
-            skip_ws()
-            if pos < n and s[pos] == "*":
-                pos += 1
-            else:
-                return coeff, zs, q_exp
-        while True:
-            skip_ws()
-            if pos >= n:
-                raise PolyParseError("expected a factor", pos)
-            zs, q_exp = parse_factor(zs, q_exp)
-            skip_ws()
-            if pos < n and s[pos] == "*":
-                pos += 1
-            else:
-                return coeff, zs, q_exp
-
-    skip_ws()
-    if pos >= n:
-        raise PolyParseError("empty input", pos)
-    sign = 1
-    if s[pos] == "-":
-        sign = -1
-        pos += 1
-    while True:
-        coeff, zs, q_exp = parse_term()
-        yield sign * coeff, zs, q_exp
-        skip_ws()
-        if pos >= n:
-            return
-        if s[pos] == "+":
-            sign = 1
-        elif s[pos] == "-":
+        One regex match reads each term.  A term's z factors are decoded once
+        per distinct text, and its key is packed and range-checked before the
+        next term is read, so errors come in text order.
+        """
+        _check_ring_size(k)
+        n = len(text)
+        pos = _SPACES.match(text).end()
+        if pos == n:
+            raise PolyParseError("empty input", pos)
+        sign = 1
+        if text[pos] == "-":
             sign = -1
+            pos += 1
+        match = _TERM.match
+        z_decoded: dict[str, tuple[int, int, list]] = {}
+        terms: dict[int, int] = {}
+        get = terms.get
+        zb = qb = 0
+        while True:
+            m = match(text, pos)
+            if m is None:
+                raise _factor_error(text, _SPACES.match(text, pos).end(), "expected a term")
+            c, z, q = m.groups()
+            coeff = sign * int(c) if c else sign
+            if z is None:
+                zkey = ze = 0
+            else:
+                hit = z_decoded.get(z)
+                if hit is None:
+                    z_exps = [0] * k
+                    _add_factors(z, m.start(2), k, z_exps)
+                    # the key is meaningful only when the largest exponent fits
+                    hit = z_decoded[z] = (_pack(k, z_exps, 0), max(z_exps), z_exps)
+                zkey, ze, z_exps = hit
+            if q is None:
+                qe = 0
+            elif q == "q":
+                qe = 1
+            elif q == "q^":
+                raise PolyParseError("expected a number", m.end(3))
+            else:
+                qe = int(q[2:])
+            pos = m.end()
+            sep = text[pos : pos + 1]
+            if sep == "*":
+                z_exps = list(z_exps) if z else [0] * k
+                while sep == "*":
+                    more = _MORE.match(text, pos)
+                    if more is None:
+                        raise _factor_error(
+                            text, _SPACES.match(text, pos + 1).end(), "expected a factor"
+                        )
+                    qe += _add_factors(more[1], more.start(1), k, z_exps)
+                    pos = more.end()
+                    sep = text[pos : pos + 1]
+                zkey = _pack(k, z_exps, 0)
+                ze = max(z_exps)
+            if ze > zb:
+                if ze > Z_MASK:
+                    raise CapacityError(f"z exponent {ze} exceeds field capacity {Z_MASK}")
+                zb = ze
+            if qe > qb:
+                if qe > Q_MASK:
+                    raise CapacityError(f"q exponent {qe} exceeds field capacity {Q_MASK}")
+                qb = qe
+            key = zkey + qe
+            terms[key] = get(key, 0) + coeff
+            if sep == "+":
+                sign = 1
+            elif sep == "-":
+                sign = -1
+            elif sep:
+                raise PolyParseError(f"expected '+' or '-', found {sep!r}", pos)
+            else:
+                return _merged(cls, k, terms, zb, qb)
+            pos += 1
+
+
+def _check_ring_size(k):
+    if not isinstance(k, int) or k < 1:
+        raise RingMismatchError(f"ring needs a positive variable count, got {k!r}")
+
+
+def _check_term(k: int, z_exps: tuple, q_exp):
+    """Raise the error for the first field of a term that does not fit its
+    place in the packed key."""
+    if len(z_exps) != k:
+        raise RingMismatchError(f"expected {k} z exponents, got {len(z_exps)}")
+    for e in z_exps:
+        if not isinstance(e, int) or e < 0:
+            raise InvalidShiftError(f"z exponents must be nonnegative ints, got {e!r}")
+        if e > Z_MASK:
+            raise CapacityError(f"z exponent {e} exceeds field capacity {Z_MASK}")
+    if not isinstance(q_exp, int) or q_exp < 0:
+        raise InvalidShiftError(f"q exponent must be a nonnegative int, got {q_exp!r}")
+    if q_exp > Q_MASK:
+        raise CapacityError(f"q exponent {q_exp} exceeds field capacity {Q_MASK}")
+
+
+def _merged(cls, k: int, terms: dict, zb: int, qb: int) -> Poly:
+    # zb and qb bound every key merged; they may bound only a key whose
+    # coefficient cancelled, so then the survivors are rescanned.
+    if 0 in terms.values():
+        return cls(k, {key: c for key, c in terms.items() if c})
+    return cls._wrap(k, terms, zb, qb)
+
+
+_decimal = re.compile(r"-?[0-9]+").fullmatch
+
+
+def _json_term(t) -> tuple:
+    """(coeff, z, q) of one JSON term; z and q are checked as they pack."""
+    try:
+        coeff, z, q = t["coeff"], t["z"], t["q"]
+    except (KeyError, TypeError):
+        raise PolyJsonError('a JSON term is an object with "coeff", "z" and "q"') from None
+    if type(coeff) is str and _decimal(coeff):
+        coeff = int(coeff)
+    elif type(coeff) is not int:
+        raise PolyJsonError(f"a coefficient must be an int or a decimal string, got {coeff!r}")
+    if type(z) is not list:
+        raise PolyJsonError(f"z exponents must be a list, got {type(z).__name__}")
+    return coeff, z, q
+
+
+# The start of one term of the text grammar, with the spaces around it: the
+# coefficient, a run of up to 64 z factors (with the "*" before a q that
+# follows them) and one q factor, each group optional.  Every term format
+# writes ends there; parse reads any further factors in chunks with _MORE.
+# A group's text is well formed except that an exponent may be empty
+# ("z1^", reported at its position); index ranges are checked while
+# decoding.  Factors never follow a digit, so "2z1" ends the term after "2".
+# The matcher keeps state for every repeat of a part longer than one
+# character until the match ends, and possessive repeats need Python 3.11,
+# so each such repeat is capped: memory stays bounded however long a term.
+_F = r"(?:z[0-9]+|q)(?:\^[0-9]*)?"
+_ZF = r"z[0-9]+(?:\^[0-9]*)?"
+_TERM = re.compile(
+    r" *(?:([0-9]+)(?: *\* *(?=z[0-9]|q))?|(?=z[0-9]|q))"
+    rf"(?:(?<![0-9])({_ZF}(?: *\* *{_ZF}){{0,63}}(?: *\* *(?=q))?)?"
+    r"((?<![0-9^])q(?:\^[0-9]*)?)?)? *"
+)
+_MORE = re.compile(rf"\* *({_F}(?: *\* *{_F}){{0,63}}) *")
+_FACTOR = re.compile(r"([zq])([0-9]*)(?:\^([0-9]*))?")
+_SPACES = re.compile(" *")
+
+
+def _add_factors(text: str, base: int, k: int, z_exps: list) -> int:
+    """Add the exponents of the factors in `text`, which starts at position
+    `base` of the parsed string, into z_exps; return the q exponent."""
+    q = 0
+    for f in _FACTOR.finditer(text):
+        var, index, exp = f.groups()
+        if var == "z":
+            i = int(index)
+            if not 1 <= i <= k:
+                raise PolyParseError(f"variable z{i} outside ring with k={k}", base + f.end(2))
+        if exp is None:
+            e = 1
+        elif exp:
+            e = int(exp)
         else:
-            raise PolyParseError(f"expected '+' or '-', found {s[pos]!r}", pos)
-        pos += 1
+            raise PolyParseError("expected a number", base + f.end())
+        if var == "q":
+            q += e
+        else:
+            z_exps[i - 1] += e
+    return q
+
+
+def _factor_error(text: str, pos: int, at_end: str) -> PolyParseError:
+    # pos is where a factor (or a term) must start but no pattern matched:
+    # an ASCII digit would have begun a coefficient, "q" always matches and
+    # "z" followed by a digit would have matched too.
+    if pos == len(text):
+        return PolyParseError(at_end, pos)
+    if text[pos] == "z":
+        return PolyParseError("expected a number", pos + 1)
+    return PolyParseError(f"expected a factor, found {text[pos]!r}", pos)
 
 
 def check_capacity(zb: int, qb: int):
@@ -602,7 +718,6 @@ def diff_witness(a: Poly, b: Poly) -> str | None:
         ca = a._terms.get(key, 0)
         cb = b._terms.get(key, 0)
         if ca != cb:
-            zs, q = _unpack(a.k, key)
-            name = Poly.monomial(a.k, 1, zs, q).format()
+            name = Poly.monomial(a.k, 1, _z_exps(a.k, key >> Q_BITS), key & Q_MASK).format()
             return f"coefficient of {name}: {ca} != {cb}"
     return None

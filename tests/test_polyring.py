@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from qfib.errors import (
     CapacityError,
     InvalidShiftError,
+    PolyJsonError,
     PolyParseError,
+    QfibError,
     RingMismatchError,
 )
 from qfib.polyring import Monomial, Poly, diff_witness, q_mul_add, q_pack, q_unpack
@@ -135,6 +137,62 @@ def test_parse_rejects_bad_input():
     assert err is not None and err.pos >= 0 and "position" in str(err)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("-z1 + 2", "-z1 + 2"),
+        ("- 3*q", "-3*q"),
+        ("z01", "z1"),
+        ("007*z1^0*q^01", "7*q"),
+        ("q*z2*z1^2*q", "z1^2*z2*q^2"),
+        ("2 *z2 * z1+z1*z2 - q", "3*z1*z2 - q"),
+        ("+z1", (PolyParseError, 0)),
+        ("z1 z2", (PolyParseError, 3)),
+        ("2*3", (PolyParseError, 2)),
+        ("2z1", (PolyParseError, 1)),
+        ("q ^2", (PolyParseError, 2)),
+        ("z1^2^3", (PolyParseError, 4)),
+        ("z1q", (PolyParseError, 2)),
+        ("z1\n", (PolyParseError, 2)),
+        ("1 + -z1", (PolyParseError, 4)),
+        ("-", (PolyParseError, 1)),
+        ("z1^65535*z1", (CapacityError, None)),
+        # a term is checked before the text after it is read
+        ("z1^65536 z2", (CapacityError, None)),
+    ],
+)
+def test_parse_accepts_exactly_the_grammar(text, expected):
+    # outcomes and error positions of the character-by-character reader
+    # this parser replaced
+    if isinstance(expected, str):
+        assert Poly.parse(text, 2).format() == expected
+        return
+    error, pos = expected
+    with pytest.raises(error) as info:
+        Poly.parse(text, 2)
+    if pos is not None:
+        assert info.value.pos == pos
+
+
+@pytest.mark.parametrize("text, pos", [("z\u00b2", 1), ("z1^\u00b2", 3), ("\u0663*z1", 0)])
+def test_parse_reads_ascii_digits_only(text, pos):
+    # superscript two and Arabic-Indic three are digits to str.isdigit
+    with pytest.raises(PolyParseError) as info:
+        Poly.parse(text, 2)
+    assert info.value.pos == pos
+
+
+def test_parse_long_terms_in_any_order():
+    # terms longer than the parser's 64-factor chunks, factors interleaved
+    factors = ["z2", "q^2", "z1^3", "q"] * 50
+    text = "*".join(factors) + " - 5*" + " * ".join(reversed(factors))
+    assert Poly.parse(text, 2) == Poly.monomial(2, -4, (150, 50), 150)
+    bad = "*".join(factors) + "*z3"
+    with pytest.raises(PolyParseError) as info:
+        Poly.parse(bad, 2)
+    assert info.value.pos == len(bad)
+
+
 def test_ring_mismatch_raises():
     with pytest.raises(RingMismatchError):
         P("z1", 2) + P("z1", 3)
@@ -163,6 +221,43 @@ def test_json_roundtrip():
     assert Poly.from_json_dict(data) == p
     assert data["terms"][0]["coeff"] == "1"
     assert data["terms"][1]["coeff"] == "-2"
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        ({"k": 2, "terms": [{"coeff": "1", "z": [1, 0], "q": 2.7}]}, InvalidShiftError),
+        ({"k": 2, "terms": [{"coeff": "1", "z": [1, 0], "q": "2"}]}, InvalidShiftError),
+        ({"k": 2, "terms": [{"coeff": "1", "z": [1.0, 0], "q": 2}]}, InvalidShiftError),
+        ({"k": 2, "terms": [{"coeff": "1", "z": [1, 0]}]}, PolyJsonError),
+        ({"k": 2, "terms": [{"z": [1, 0], "q": 0}]}, PolyJsonError),
+        ({"k": 2, "terms": [{"coeff": 2.0, "z": [1, 0], "q": 0}]}, PolyJsonError),
+        ({"k": 2, "terms": [{"coeff": "1_0", "z": [1, 0], "q": 0}]}, PolyJsonError),
+        ({"k": 2, "terms": [{"coeff": " 1", "z": [1, 0], "q": 0}]}, PolyJsonError),
+        ({"k": 2, "terms": [{"coeff": "+1", "z": [1, 0], "q": 0}]}, PolyJsonError),
+        ({"k": 2, "terms": [{"coeff": "\u0663", "z": [1, 0], "q": 0}]}, PolyJsonError),
+        ({"k": 2, "terms": [{"coeff": True, "z": [1, 0], "q": 0}]}, PolyJsonError),
+        ({"k": 2, "terms": [{"coeff": "1", "z": 1, "q": 0}]}, PolyJsonError),
+        ({"k": 2, "terms": [["1", [1, 0], 0]]}, PolyJsonError),
+        ({"k": 2, "terms": {"coeff": "1"}}, PolyJsonError),
+        ({"k": 2}, PolyJsonError),
+        ({"terms": []}, PolyJsonError),
+        ([], PolyJsonError),
+        ({"k": 0, "terms": []}, RingMismatchError),
+    ],
+)
+def test_json_reader_is_strict(data, error):
+    # the reader used to truncate a float q or coefficient, read "1_0" as
+    # 10 and raise KeyError or TypeError on a malformed object
+    with pytest.raises(error) as info:
+        Poly.from_json_dict(data)
+    assert isinstance(info.value, QfibError)
+
+
+def test_json_reader_coefficient_forms():
+    term = {"z": [1, 0], "q": 0}
+    assert Poly.from_json_dict({"k": 2, "terms": [{"coeff": -7, **term}]}) == P("-7*z1")
+    assert Poly.from_json_dict({"k": 2, "terms": [{"coeff": "-007", **term}]}) == P("-7*z1")
 
 
 def _json_form(monos):
@@ -264,6 +359,20 @@ def test_shift_composition(p, e, f):
 @given(_polys)
 def test_parse_format_roundtrip(p):
     assert Poly.parse(p.format(), 2) == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys)
+def test_to_json_dict_matches_monomials(p):
+    # the definition the direct writer replaced
+    assert p.to_json_dict() == {
+        "k": p.k,
+        "terms": [
+            {"coeff": str(m.coeff), "z": list(m.z_exps), "q": m.q_exp} for m in p.monomials()
+        ],
+    }
+    terms = p.to_json_dict()["terms"]
+    assert len({id(t["z"]) for t in terms}) == len(terms)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 """Tilings, k-Fibonacci counts, weighted sums, and scheme validation."""
 
+import json
 import random
 import tracemalloc
 
@@ -193,6 +194,35 @@ def test_enumeration_kernel_memory_is_bounded():
         tracemalloc.stop()
     assert sum(terms.values()) == fibonacci_k(n, k) == 283_953
     assert peak < 4 * 2**20, peak
+
+
+def _traced_peak(fn):
+    fn()  # compiled patterns and struct formats are cached before tracing
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_poly_readers_memory_is_bounded():
+    # maj-rlp k=4 n=20: 4,562 terms, 110 kB of text.  Both readers peaked
+    # near 0.37 MB, about the result dict; a term regex whose repeats keep
+    # their backtracking state grows with the factors of one term (a
+    # 60,000-factor term took 42 MB that way; capped repeats, 0.03 MB).
+    k = 4
+    p = weighted_sum_recursive(20, k, builtin_scheme("maj-rlp", k))
+    text, data = p.format(), json.loads(json.dumps(p.to_json_dict()))
+    for read in (lambda: Poly.parse(text, k), lambda: Poly.from_json_dict(data)):
+        result, peak = _traced_peak(read)
+        assert result == p
+        assert peak < 2**20, peak
+    long_term = "*".join(["z1", "z2", "q"] * 20_000)
+    result, peak = _traced_peak(lambda: Poly.parse(long_term, 2))
+    assert result == Poly.monomial(2, 1, (20_000, 20_000), 20_000)
+    assert peak < 2**18, peak
 
 
 def test_specialization_to_counts():
