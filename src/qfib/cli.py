@@ -41,7 +41,9 @@ import sys
 from . import identities, lattice
 from .errors import LIMITS, QfibError, SizeLimitError
 from .layered import (
+    FAMILIES,
     SCHEMED_PAIRS,
+    STATISTICS,
     StatPair,
     builtin_scheme,
     enumerate_family,
@@ -215,27 +217,15 @@ def _cmd_table(args) -> int:
     return 0
 
 
-_OBJECT_STATS = {
-    "lp": ("inv", "maj"),
-    "rlp": ("inv", "maj"),
-    "prlp": ("inv", "maj"),
-    "lpi": ("rb", "ls"),
-    "tilings": (),
-}
-
-
 def _cmd_enumerate(args) -> int:
     if args.n < 0 or args.n > LIMITS["board"]:
         raise SizeLimitError(f"enumerate is desk-scale: need 0 <= n <= {LIMITS['board']}")
-    stat = args.with_stat
-    if stat and stat not in _OBJECT_STATS[args.object]:
-        raise QfibError(f"statistic {stat!r} is not defined for {args.object}")
+    pair = StatPair(args.with_stat, args.object) if args.with_stat else None
     rows = []
     if args.object == "tilings":
         for t in enumerate_tilings(args.n, args.k):
             rows.append((",".join(str(p) for p in t.parts), None))
     else:
-        pair = StatPair(stat, args.object) if stat else None
         for obj in enumerate_family(args.object, args.n, args.k):
             value = object_statistic(pair, obj) if pair else None
             rows.append((format_object(args.object, obj), value))
@@ -251,52 +241,38 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _det_report(n: int, k: int, w: WeightScheme) -> IdentityReport:
+    spec = lattice.MinorSpec(n, k)
+    return IdentityReport.compare(
+        "det",
+        {"n": n, "k": k, "scheme": w.name},
+        lattice.determinant(lattice.build_minor(spec, w)),
+        lattice.closed_form_det(spec, w),
+    )
+
+
 def _verify_reports(args, schemes):
-    identity = args.identity
-    plans = []
-    if identity in ("recursion", "all"):
-        plans.append("recursion")
-    if identity in ("convolution", "all"):
-        plans.append("convolution")
-    if identity in ("kreduce", "all"):
-        plans.append("kreduce")
-    if identity in ("det", "all"):
-        plans.append("det")
-    reports = []
-    for w in schemes:
-        for plan in plans:
-            if plan == "recursion":
-                reports.extend(
-                    identities.verify_recursion(n, args.k, w)
-                    for n in range(1, args.max_n + 1)
-                )
-            elif plan == "convolution":
-                reports.extend(
-                    identities.verify_convolution(m, n, args.k, w)
-                    for m in range(1, args.max_n + 1)
-                    for n in range(1, args.max_n + 1)
-                )
-            elif plan == "kreduce" and args.k >= 2:
-                reports.extend(
-                    identities.verify_k_reduction(n, args.k, w)
-                    for n in range(1, args.max_n + 1)
-                )
-            elif plan == "det":
-                for n in range(1, args.max_n + 1):
-                    spec = lattice.MinorSpec(n, args.k)
-                    reports.append(
-                        IdentityReport.compare(
-                            "det",
-                            {"n": n, "k": args.k, "scheme": w.name},
-                            lattice.determinant(lattice.build_minor(spec, w)),
-                            lattice.closed_form_det(spec, w),
-                        )
-                    )
-        if identity == "all" and w.name in _BUILTIN_NAMES:
-            reports.extend(
-                identities.verify_specializations(w.name, args.max_n, args.k)
-            )
-    return reports
+    """Every report --identity asks for, scheme by scheme."""
+    k, ns = args.k, range(1, args.max_n + 1)
+    recursion = lambda w: [identities.verify_recursion(n, k, w) for n in ns]
+    convolution = lambda w: [
+        identities.verify_convolution(m, n, k, w) for m in ns for n in ns
+    ]
+    kreduce = lambda w: [identities.verify_k_reduction(n, k, w) for n in ns if k >= 2]
+    det = lambda w: [_det_report(n, k, w) for n in ns]
+    specialized = lambda w: (
+        identities.verify_specializations(w.name, args.max_n, k)
+        if w.name in _BUILTIN_NAMES
+        else []
+    )
+    verifiers = {
+        "recursion": (recursion,),
+        "convolution": (convolution,),
+        "kreduce": (kreduce,),
+        "det": (det,),
+        "all": (recursion, convolution, kreduce, det, specialized),
+    }[args.identity]
+    return [r for w in schemes for verify in verifiers for r in verify(w)]
 
 
 def _cmd_verify(args) -> int:
@@ -447,11 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--object",
         required=True,
-        choices=("tilings", "lp", "rlp", "prlp", "lpi"),
+        choices=("tilings", *FAMILIES),
     )
     p.add_argument(
         "--with-stat",
-        choices=("inv", "maj", "rb", "ls"),
+        choices=STATISTICS,
         help="annotate each object with a statistic",
     )
     p.set_defaults(fn=_cmd_enumerate)

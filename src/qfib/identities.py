@@ -26,12 +26,19 @@ and back shifts, and f(i, s, t) for the tile exponent:
 At z = 1, q = 1 the convolution and k-reduction collapse to integer
 k-Fibonacci identities, checked separately by the *_count helpers.
 
-For each built-in statistic scheme, verify_specializations additionally pins
-the specialized closed forms in which the generic shifts simplify (for the
-inversion family the back shift collapses to the scalar prefactor q^(nm); for
-the major-index family the front shift stays a substitution), with every
-specialized exponent hard-coded as an independent expression.
+Each right side has one builder, taking the tile exponent and the shifted
+sums as functions: the generic verifiers pass the scheme's own, and
+verify_specializations passes the pair's row of _SPECIAL, the general
+identity with a built-in statistic's weights put in.  A row hard-codes
+f(i, s, t), the factor c by which the back shift of an x-board by t
+collapses to the scalar q^(c x t), the per-variable front-shift rule and the
+minor determinant's exponent, and reads no scheme's tables or exponent.  The
+c column carries the paper's collapse: for inv-lp and inv-prlp the back
+shift is the prefactor q^(nm); for the major-index family it vanishes and
+the front shift stays a substitution.
 """
+
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
 from .layered import StatPair, builtin_scheme
@@ -56,16 +63,49 @@ def _zmono(w: WeightScheme, i: int, q_exp: int) -> Poly:
     return Poly.monomial(w.k, 1, counts, q_exp)
 
 
+# ----------------------------------------------------------------------
+# right sides: tile(i, s, t) is a tile's q exponent; front(x, kcap, w, m) and
+# back(x, kcap, w, t) are w's sums over x-boards with tiles up to kcap under
+# s-_m and s+_t, called like the cached _front and _back
+
+
+def _recursion_rhs(w, n, k, tile, front) -> Poly:
+    rhs = Poly.zero(w.k)
+    for i in range(1, min(k, n) + 1):
+        rhs = rhs + _zmono(w, i, tile(i, 1, n - i)) * front(n - i, k, w, i)
+    return rhs
+
+
+def _convolution_rhs(w, m, n, k, tile, front, back) -> Poly:
+    rhs = back(m, k, w, n) * front(n, k, w, m)
+    for i in range(2, k + 1):
+        for j in range(1, i):
+            if m - j < 0 or n - i + j < 0:
+                continue
+            crossing = _zmono(w, i, tile(i, m - j + 1, n - i + j))
+            rhs = rhs + crossing * back(m - j, k, w, n + j) * front(
+                n - i + j, k, w, m + i - j
+            )
+    return rhs
+
+
+def _k_reduction_rhs(w, n, k, tile, front, back) -> Poly:
+    rhs = back(n, k - 1, w, 0)  # F_n^(k-1): no tile of length k
+    for j in range(0, n - k + 1):
+        first_k_tile = _zmono(w, k, tile(k, j + 1, n - k - j))
+        rhs = rhs + first_k_tile * back(j, k - 1, w, n - j) * front(
+            n - k - j, k, w, k + j
+        )
+    return rhs
+
+
 def verify_recursion(n: int, k: int, w: WeightScheme) -> IdentityReport:
     """First-tile recursion: peel the tile covering cell 1."""
     if n < 1:
         raise DomainError(f"recursion needs n >= 1, got {n}")
-    lhs = _plain(n, k, w)
-    rhs = Poly.zero(w.k)
-    for i in range(1, min(k, n) + 1):
-        rhs = rhs + _zmono(w, i, w.qexp(i, 1, n - i)) * _front(n - i, k, w, i)
+    rhs = _recursion_rhs(w, n, k, w.qexp, _front)
     return IdentityReport.compare(
-        "recursion", {"n": n, "k": k, "scheme": w.name}, lhs, rhs
+        "recursion", {"n": n, "k": k, "scheme": w.name}, _plain(n, k, w), rhs
     )
 
 
@@ -73,19 +113,9 @@ def verify_convolution(m: int, n: int, k: int, w: WeightScheme) -> IdentityRepor
     """Break-at-m convolution: split tilings of an (m+n)-board at cell m."""
     if m < 1 or n < 1:
         raise DomainError(f"convolution needs m, n >= 1, got m={m}, n={n}")
-    lhs = _plain(m + n, k, w)
-    rhs = _back(m, k, w, n) * _front(n, k, w, m)
-    for i in range(2, k + 1):
-        for j in range(1, i):
-            if m - j < 0 or n - i + j < 0:
-                continue
-            crossing = _zmono(w, i, w.qexp(i, m - j + 1, n - i + j))
-            rhs = rhs + crossing * _back(m - j, k, w, n + j) * _front(
-                n - i + j, k, w, m + i - j
-            )
-    return IdentityReport.compare(
-        "convolution", {"m": m, "n": n, "k": k, "scheme": w.name}, lhs, rhs
-    )
+    rhs = _convolution_rhs(w, m, n, k, w.qexp, _front, _back)
+    params = {"m": m, "n": n, "k": k, "scheme": w.name}
+    return IdentityReport.compare("convolution", params, _plain(m + n, k, w), rhs)
 
 
 def verify_k_reduction(n: int, k: int, w: WeightScheme) -> IdentityReport:
@@ -94,15 +124,9 @@ def verify_k_reduction(n: int, k: int, w: WeightScheme) -> IdentityReport:
         raise DomainError(f"k-reduction needs n >= 1, got {n}")
     if k < 2:
         raise DomainError(f"k-reduction needs k >= 2, got {k}")
-    lhs = _plain(n, k, w)
-    rhs = _plain(n, k - 1, w)
-    for j in range(0, n - k + 1):
-        first_k_tile = _zmono(w, k, w.qexp(k, j + 1, n - k - j))
-        rhs = rhs + first_k_tile * _back(j, k - 1, w, n - j) * _front(
-            n - k - j, k, w, k + j
-        )
+    rhs = _k_reduction_rhs(w, n, k, w.qexp, _front, _back)
     return IdentityReport.compare(
-        "kreduce", {"n": n, "k": k, "scheme": w.name}, lhs, rhs
+        "kreduce", {"n": n, "k": k, "scheme": w.name}, _plain(n, k, w), rhs
     )
 
 
@@ -139,156 +163,61 @@ def _ch2(m: int) -> int:
     return m * (m - 1) // 2
 
 
-def _front_vec(pair: StatPair, k: int, m: int) -> tuple[int, ...]:
-    """Front-shift exponent vector of the built-in schemes, hard-coded.
+class _Forms(NamedTuple):
+    """The closed forms of one built-in scheme, every value hard-coded."""
 
-    For the major index over partially reversed layers the naive
-    per-variable rule (j-1)m misses that a singleton layer still sits below
-    the descent out of the layer before it, so z_1 shifts by q^m as well.
-    """
-    name = str(pair)
-    if name in ("maj-lp", "rb-lpi"):
-        return (m,) * k
-    if name == "maj-rlp":
-        return tuple((j - 1) * m for j in range(1, k + 1))
-    if name == "maj-prlp":
-        return tuple(max(j - 1, 1) * m for j in range(1, k + 1))
-    return (0,) * k  # inversion family: position before a tile is weightless
+    f: Callable[[int, int, int], int]  # tile exponent f(i, s, t)
+    c: int  # the back shift of an x-board by t is the scalar q^(c x t)
+    front: Callable[[int], int] | None  # s-_m sends z_j to z_j q^(front(j) m)
+    det: Callable[[int, int, int, int], int]  # det exponent in N, k, p, r
 
 
-def _specialized_recursion_rhs(pair, n, k, w) -> Poly:
-    name = str(pair)
-    rhs = Poly.zero(k)
-    for i in range(1, min(k, n) + 1):
-        x = n - i
-        tail = _plain(x, k, w)
-        if name == "inv-lp":
-            term = _zmono(w, i, i * x) * tail
-        elif name == "inv-rlp":
-            term = _zmono(w, i, _ch2(i)) * tail
-        elif name == "inv-prlp":
-            term = _zmono(w, i, _ch2(i - 1) + i * x) * tail
-        elif name in ("maj-lp", "rb-lpi"):
-            term = _zmono(w, i, 0) * tail.substitute_z_scale(_front_vec(pair, k, i))
-        elif name == "maj-rlp":
-            term = _zmono(w, i, _ch2(i)) * tail.substitute_z_scale(
-                _front_vec(pair, k, i)
-            )
-        elif name == "maj-prlp":
-            term = _zmono(w, i, _ch2(i - 1)) * tail.substitute_z_scale(
-                _front_vec(pair, k, i)
-            )
-        else:
-            raise DomainError(f"no specialized forms for {name}")
-        rhs = rhs + term
-    return rhs
+# front is None for the inversion family: the position before a tile is
+# weightless.  For maj-prlp the naive rule j-1 misses that a singleton layer
+# still sits below the descent out of the layer before it, so z_1 shifts by
+# q^m as well.
+_SPECIAL = {
+    "inv-lp": _Forms(lambda i, s, t: i * t, 1, None,
+                     lambda N, k, p, r: p * r * k * k + k**3 * _ch2(p)),
+    "inv-rlp": _Forms(lambda i, s, t: _ch2(i), 0, None,
+                      lambda N, k, p, r: N * _ch2(k)),
+    "inv-prlp": _Forms(lambda i, s, t: _ch2(i - 1) + i * t, 1, None,
+                       lambda N, k, p, r: N * _ch2(k - 1) + p * r * k * k + k**3 * _ch2(p)),
+    "maj-lp": _Forms(lambda i, s, t: s - 1, 0, lambda j: 1,
+                     lambda N, k, p, r: _ch2(N)),
+    "maj-rlp": _Forms(lambda i, s, t: _ch2(i) + (i - 1) * (s - 1), 0, lambda j: j - 1,
+                      lambda N, k, p, r: (k - 1) * _ch2(N) + _ch2(k) * N),
+    "maj-prlp": _Forms(lambda i, s, t: _ch2(i - 1) + (i - 1) * (s - 1), 0,
+                       lambda j: max(j - 1, 1),
+                       lambda N, k, p, r: (k - 1) * _ch2(N) + _ch2(k - 1) * N),
+    "rb-lpi": _Forms(lambda i, s, t: s - 1, 0, lambda j: 1,
+                     lambda N, k, p, r: _ch2(N)),
+}
 
 
-def _specialized_convolution_rhs(pair, m, n, k, w) -> Poly:
-    name = str(pair)
-    S = lambda x: _plain(x, k, w)
-    sub = lambda p, mm: p.substitute_z_scale(_front_vec(pair, k, mm))
-    if name in ("inv-lp", "inv-prlp"):
-        rhs = (S(m) * S(n)).times_q(n * m)
-    elif name == "inv-rlp":
-        rhs = S(m) * S(n)
-    else:
-        rhs = S(m) * sub(S(n), m)
-    for i in range(2, k + 1):
-        for j in range(1, i):
-            if m - j < 0 or n - i + j < 0:
-                continue
-            if name == "inv-lp":
-                # the crossing tile has trailing length n-i+j, so its
-                # exponent is i(n-i+j), matching the inv-prlp specialization
-                term = (
-                    _zmono(w, i, i * (n - i + j) + (m - j) * (n + j))
-                    * S(m - j)
-                    * S(n - i + j)
-                )
-            elif name == "inv-rlp":
-                term = _zmono(w, i, _ch2(i)) * S(m - j) * S(n - i + j)
-            elif name == "inv-prlp":
-                term = (
-                    _zmono(w, i, _ch2(i - 1) + i * (n - i + j) + (m - j) * (n + j))
-                    * S(m - j)
-                    * S(n - i + j)
-                )
-            elif name in ("maj-lp", "rb-lpi"):
-                term = _zmono(w, i, m - j) * S(m - j) * sub(S(n - i + j), m + i - j)
-            elif name == "maj-rlp":
-                term = (
-                    _zmono(w, i, (m - j) * (i - 1) + _ch2(i))
-                    * S(m - j)
-                    * sub(S(n - i + j), m + i - j)
-                )
-            elif name == "maj-prlp":
-                term = (
-                    _zmono(w, i, (m - j) * (i - 1) + _ch2(i - 1))
-                    * S(m - j)
-                    * sub(S(n - i + j), m + i - j)
-                )
-            else:
-                raise DomainError(f"no specialized forms for {name}")
-            rhs = rhs + term
-    return rhs
+def _special_sides(row: _Forms):
+    """The row's tile exponent and shifted sums, built from plain sums."""
+
+    def front(x, kcap, w, m):
+        tail = _plain(x, kcap, w)
+        if row.front is None:
+            return tail
+        return tail.substitute_z_scale([row.front(j) * m for j in range(1, w.k + 1)])
+
+    def back(x, kcap, w, t):
+        return _plain(x, kcap, w).times_q(row.c * x * t)
+
+    return row.f, front, back
 
 
-def _specialized_k_reduction_rhs(pair, n, k, w) -> Poly:
-    name = str(pair)
-    Skm1 = lambda x: _plain(x, k - 1, w)
-    Sk = lambda x: _plain(x, k, w)
-    sub = lambda p, mm: p.substitute_z_scale(_front_vec(pair, k, mm))
-    rhs = Skm1(n)
-    for j in range(0, n - k + 1):
-        if name == "inv-lp":
-            term = _zmono(w, k, k * (n - k - j) + j * (n - j)) * Skm1(j) * Sk(n - k - j)
-        elif name == "inv-rlp":
-            term = _zmono(w, k, _ch2(k)) * Skm1(j) * Sk(n - k - j)
-        elif name == "inv-prlp":
-            term = (
-                _zmono(w, k, _ch2(k - 1) + k * (n - k - j) + j * (n - j))
-                * Skm1(j)
-                * Sk(n - k - j)
-            )
-        elif name in ("maj-lp", "rb-lpi"):
-            term = _zmono(w, k, j) * Skm1(j) * sub(Sk(n - k - j), k + j)
-        elif name == "maj-rlp":
-            term = _zmono(w, k, j * (k - 1) + _ch2(k)) * Skm1(j) * sub(
-                Sk(n - k - j), k + j
-            )
-        elif name == "maj-prlp":
-            term = _zmono(w, k, (k - 1) * j + _ch2(k - 1)) * Skm1(j) * sub(
-                Sk(n - k - j), k + j
-            )
-        else:
-            raise DomainError(f"no specialized forms for {name}")
-        rhs = rhs + term
-    return rhs
-
-
-def _specialized_det(pair, n, k) -> Poly:
-    """The statistic-specific minor determinant, exponent written in closed
-    form directly in n, k, p, r."""
-    name = str(pair)
-    p, r = divmod(n + k - 1, k)
-    if name == "inv-lp":
-        e = p * r * k * k + k**3 * _ch2(p)
-    elif name == "inv-rlp":
-        e = (n + k - 1) * _ch2(k)
-    elif name == "inv-prlp":
-        e = (n + k - 1) * _ch2(k - 1) + p * r * k * k + k**3 * _ch2(p)
-    elif name in ("maj-lp", "rb-lpi"):
-        e = _ch2(n + k - 1)
-    elif name == "maj-rlp":
-        e = (k - 1) * _ch2(n + k - 1) + _ch2(k) * (n + k - 1)
-    elif name == "maj-prlp":
-        e = (k - 1) * _ch2(n + k - 1) + _ch2(k - 1) * (n + k - 1)
-    else:
-        raise DomainError(f"no specialized forms for {name}")
+def _specialized_det(row: _Forms, n: int, k: int) -> Poly:
+    """The statistic-specific minor determinant, its exponent written in
+    closed form directly in the arc count N = n + k - 1 = p k + r, k, p, r."""
+    N = n + k - 1
+    p, r = divmod(N, k)
     sign = 1 if (k % 2 == 1 or (n - 1) % 2 == 0) else -1
-    counts = tuple(0 if j < k else n + k - 1 for j in range(1, k + 1))
-    return Poly.monomial(k, sign, counts, e)
+    counts = tuple(0 if j < k else N for j in range(1, k + 1))
+    return Poly.monomial(k, sign, counts, row.det(N, k, p, r))
 
 
 def verify_specializations(pair, n_max: int, k: int) -> list[IdentityReport]:
@@ -296,50 +225,38 @@ def verify_specializations(pair, n_max: int, k: int) -> list[IdentityReport]:
 
     The left side of each report is recomputed generically (enumerative sums;
     the generic closed-form product for the determinant rows); the right side
-    is the specialized expression with every exponent hard-coded in n, m, k.
+    is the general identity with the pair's _SPECIAL row put in.
     """
     from .lattice import MinorSpec, closed_form_det
 
     pair = StatPair.parse(pair)
     w = builtin_scheme(pair, k)
+    row = _SPECIAL.get(str(pair))
+    if row is None:
+        raise DomainError(f"no specialized forms for {pair}")
+    tile, front, back = _special_sides(row)
     base = {"k": k, "scheme": w.name}
-    reports = []
-    for n in range(1, n_max + 1):
-        reports.append(
-            IdentityReport.compare(
-                "recursion-specialized",
-                {**base, "n": n},
-                _plain(n, k, w),
-                _specialized_recursion_rhs(pair, n, k, w),
-            )
-        )
-    for m in range(1, n_max + 1):
-        for n in range(1, n_max + 1):
-            reports.append(
-                IdentityReport.compare(
-                    "convolution-specialized",
-                    {**base, "m": m, "n": n},
-                    _plain(m + n, k, w),
-                    _specialized_convolution_rhs(pair, m, n, k, w),
-                )
-            )
+    ns = range(1, n_max + 1)
+    checks = [
+        ("recursion", {"n": n}, _plain(n, k, w), _recursion_rhs(w, n, k, tile, front))
+        for n in ns
+    ] + [
+        ("convolution", {"m": m, "n": n}, _plain(m + n, k, w),
+         _convolution_rhs(w, m, n, k, tile, front, back))
+        for m in ns
+        for n in ns
+    ]
     if k >= 2:
-        for n in range(1, n_max + 1):
-            reports.append(
-                IdentityReport.compare(
-                    "kreduce-specialized",
-                    {**base, "n": n},
-                    _plain(n, k, w),
-                    _specialized_k_reduction_rhs(pair, n, k, w),
-                )
-            )
-        for n in range(1, n_max + 1):
-            reports.append(
-                IdentityReport.compare(
-                    "det-specialized",
-                    {**base, "n": n},
-                    closed_form_det(MinorSpec(n, k), w),
-                    _specialized_det(pair, n, k),
-                )
-            )
-    return reports
+        checks += [
+            ("kreduce", {"n": n}, _plain(n, k, w),
+             _k_reduction_rhs(w, n, k, tile, front, back))
+            for n in ns
+        ] + [
+            ("det", {"n": n}, closed_form_det(MinorSpec(n, k), w),
+             _specialized_det(row, n, k))
+            for n in ns
+        ]
+    return [
+        IdentityReport.compare(f"{name}-specialized", {**base, **params}, lhs, rhs)
+        for name, params, lhs, rhs in checks
+    ]

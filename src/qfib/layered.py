@@ -198,10 +198,8 @@ def layer_lengths(family: str, obj) -> list[int]:
 # ----------------------------------------------------------------------
 # statistic/family pairs
 
-STATISTICS = ("inv", "maj", "rb", "ls")
-FAMILIES = ("lp", "rlp", "prlp", "lpi")
-
-_VALID = {
+# Every statistic/family pair, in the order PAIRS, STATISTICS and FAMILIES take.
+_CATALOG = (
     ("inv", "lp"),
     ("inv", "rlp"),
     ("inv", "prlp"),
@@ -210,7 +208,9 @@ _VALID = {
     ("maj", "prlp"),
     ("rb", "lpi"),
     ("ls", "lpi"),
-}
+)
+STATISTICS = tuple(dict.fromkeys(stat for stat, _ in _CATALOG))
+FAMILIES = tuple(dict.fromkeys(family for _, family in _CATALOG))
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ class StatPair:
     family: str
 
     def __post_init__(self):
-        if (self.stat, self.family) not in _VALID:
+        if (self.stat, self.family) not in _CATALOG:
             raise DomainError(
                 f"unsupported statistic/family pair {self.stat}-{self.family}"
             )
@@ -239,22 +239,29 @@ class StatPair:
         return f"{self.stat}-{self.family}"
 
 
-PAIRS = tuple(
-    StatPair(s, f)
-    for s, f in (
-        ("inv", "lp"),
-        ("inv", "rlp"),
-        ("inv", "prlp"),
-        ("maj", "lp"),
-        ("maj", "rlp"),
-        ("maj", "prlp"),
-        ("rb", "lpi"),
-        ("ls", "lpi"),
-    )
-)
+PAIRS = tuple(StatPair(stat, family) for stat, family in _CATALOG)
 
-# Pairs with a tile-local weight scheme (all but ls-lpi).
-SCHEMED_PAIRS = tuple(p for p in PAIRS if not (p.stat == "ls"))
+
+def _zero(i: int) -> int:
+    return 0
+
+
+def _ch2(m: int) -> int:
+    return m * (m - 1) // 2
+
+
+# The (A, B, C) tables of the pairs with a tile-local weight scheme (all but
+# ls-lpi); builtin_scheme gives the exponents they make.
+_SCHEME_TABLES = {
+    ("inv", "lp"): (_zero, _zero, lambda i: i),
+    ("inv", "rlp"): (_ch2, _zero, _zero),
+    ("inv", "prlp"): (lambda i: _ch2(i - 1), _zero, lambda i: i),
+    ("maj", "lp"): (_zero, lambda i: 1, _zero),
+    ("maj", "rlp"): (_ch2, lambda i: i - 1, _zero),
+    ("maj", "prlp"): (lambda i: _ch2(i - 1), lambda i: max(i - 1, 1), _zero),
+    ("rb", "lpi"): (_zero, lambda i: 1, _zero),
+}
+SCHEMED_PAIRS = tuple(p for p in PAIRS if (p.stat, p.family) in _SCHEME_TABLES)
 
 _BUILDERS = {
     "lp": tiling_to_lp,
@@ -322,27 +329,10 @@ def builtin_scheme(pair, k: int) -> WeightScheme:
     blocks precede it, which is not a function of (i, sigma, tau).
     """
     pair = StatPair.parse(pair)
-    ch2 = lambda m: m * (m - 1) // 2
-    zero = lambda i: 0
-    name = f"{pair}"
-    key = (pair.stat, pair.family)
-    if key == ("inv", "lp"):
-        return WeightScheme(k, zero, zero, lambda i: i, name)
-    if key == ("inv", "rlp"):
-        return WeightScheme(k, ch2, zero, zero, name)
-    if key == ("inv", "prlp"):
-        return WeightScheme(k, lambda i: ch2(i - 1), zero, lambda i: i, name)
-    if key in (("maj", "lp"), ("rb", "lpi")):
-        return WeightScheme(k, zero, lambda i: 1, zero, name)
-    if key == ("maj", "rlp"):
-        return WeightScheme(k, ch2, lambda i: i - 1, zero, name)
-    if key == ("maj", "prlp"):
-        return WeightScheme(
-            k, lambda i: ch2(i - 1), lambda i: max(i - 1, 1), zero, name
-        )
-    raise UnsupportedSchemeError(
-        f"{pair} has no tile-local weight scheme"
-    )
+    tables = _SCHEME_TABLES.get((pair.stat, pair.family))
+    if tables is None:
+        raise UnsupportedSchemeError(f"{pair} has no tile-local weight scheme")
+    return WeightScheme(k, *tables, name=str(pair))
 
 
 # ----------------------------------------------------------------------

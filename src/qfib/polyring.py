@@ -34,6 +34,12 @@ coeff is written as a decimal string so that any size survives a JSON
 reader; it is read as an int or a string of ASCII digits with an optional
 leading "-".  z is a list of k ints and q an int.  Terms are written in
 canonical order and read in any order, repeats adding up.
+
+Python limits int/str conversion to sys.get_int_max_str_digits() digits
+(4300 by default).  parse raises PolyParseError at the first digit of a
+longer number and from_json_dict raises PolyJsonError on a longer
+coefficient string; format and to_json_dict keep Python's ValueError for a
+coefficient that long, which no CLI output comes near.
 """
 
 import re
@@ -430,7 +436,10 @@ class Poly:
             if m is None:
                 raise _factor_error(text, _SPACES.match(text, pos).end(), "expected a term")
             c, z, q = m.groups()
-            coeff = sign * int(c) if c else sign
+            try:
+                coeff = sign * int(c) if c else sign
+            except ValueError:
+                raise _too_long(c, m.start(1)) from None
             if z is None:
                 zkey = ze = 0
             else:
@@ -448,7 +457,10 @@ class Poly:
             elif q == "q^":
                 raise PolyParseError("expected a number", m.end(3))
             else:
-                qe = int(q[2:])
+                try:
+                    qe = int(q[2:])
+                except ValueError:
+                    raise _too_long(q[2:], m.start(3) + 2) from None
             pos = m.end()
             sep = text[pos : pos + 1]
             if sep == "*":
@@ -483,6 +495,13 @@ class Poly:
             else:
                 return _merged(cls, k, terms, zb, qb)
             pos += 1
+
+
+def _too_long(digits: str, pos: int) -> PolyParseError:
+    # int() raises ValueError on ASCII digits only past Python's int/str
+    # conversion limit; the readers convert inside try blocks, which cost
+    # nothing until they raise, instead of calling a checking helper per term.
+    return PolyParseError(f"a number of {len(digits)} digits is too long", pos)
 
 
 def _check_ring_size(k):
@@ -524,7 +543,10 @@ def _json_term(t) -> tuple:
     except (KeyError, TypeError):
         raise PolyJsonError('a JSON term is an object with "coeff", "z" and "q"') from None
     if type(coeff) is str and _decimal(coeff):
-        coeff = int(coeff)
+        try:
+            coeff = int(coeff)
+        except ValueError:  # past Python's int/str conversion limit
+            raise PolyJsonError(f"coefficient of {len(coeff)} characters is too long") from None
     elif type(coeff) is not int:
         raise PolyJsonError(f"a coefficient must be an int or a decimal string, got {coeff!r}")
     if type(z) is not list:
@@ -561,13 +583,19 @@ def _add_factors(text: str, base: int, k: int, z_exps: list) -> int:
     for f in _FACTOR.finditer(text):
         var, index, exp = f.groups()
         if var == "z":
-            i = int(index)
+            try:
+                i = int(index)
+            except ValueError:
+                raise _too_long(index, base + f.start(2)) from None
             if not 1 <= i <= k:
                 raise PolyParseError(f"variable z{i} outside ring with k={k}", base + f.end(2))
         if exp is None:
             e = 1
         elif exp:
-            e = int(exp)
+            try:
+                e = int(exp)
+            except ValueError:
+                raise _too_long(exp, base + f.start(3)) from None
         else:
             raise PolyParseError("expected a number", base + f.end())
         if var == "q":

@@ -153,6 +153,13 @@ def test_enumerate_invalid_stat_combination(capsys):
     )
 
 
+@pytest.mark.parametrize("obj, stat", [("lp", "rb"), ("tilings", "inv")])
+def test_enumerate_stat_must_be_a_catalog_pair(capsys, obj, stat):
+    argv = ["enumerate", "--n", "4", "--k", "2", "--object", obj, "--with-stat", stat]
+    assert main(argv) == 2
+    assert f"unsupported statistic/family pair {stat}-{obj}" in capsys.readouterr().err
+
+
 def test_verify_all_passes_for_maj_rlp(capsys):
     code = main(
         ["verify", "--identity", "all", "--k", "3", "--max-n", "6", "--stat", "maj-rlp"]

@@ -211,3 +211,37 @@ def test_report_json_shape():
     assert data["witness"] is None
     assert data["params"] == {"k": 2, "n": 3, "scheme": "maj-lp"}
     assert Poly.from_json_dict(data["lhs"]) == report.lhs
+
+
+# ----------------------------------------------------------------------
+# the table of specialized closed forms
+
+
+def _mutants(row):
+    """One wrong value per column of a _SPECIAL row."""
+    f, c, front, det = row
+    yield "f+1 at i=2", row._replace(f=lambda i, s, t: f(i, s, t) + (i == 2))
+    yield "c flipped", row._replace(c=1 - c)
+    yield "z_1 front off by m", row._replace(
+        front=lambda j: (front(j) if front else 0) + (j == 1)
+    )
+    yield "det+1", row._replace(det=lambda N, k, p, r: det(N, k, p, r) + 1)
+
+
+def test_unknown_pair_has_no_specialized_forms(monkeypatch):
+    monkeypatch.delitem(identities._SPECIAL, "maj-rlp")
+    with pytest.raises(DomainError, match="no specialized forms for maj-rlp"):
+        verify_specializations("maj-rlp", 3, 2)
+
+
+@pytest.mark.parametrize("pair", [str(p) for p in SCHEMED_PAIRS])
+def test_every_wrong_table_value_fails_a_specialization(monkeypatch, pair):
+    row = identities._SPECIAL[pair]
+    for label, mutant in _mutants(row):
+        monkeypatch.setitem(identities._SPECIAL, pair, mutant)
+        caught = any(
+            not r.passed and r.witness
+            for k in (2, 3, 4)
+            for r in verify_specializations(pair, 5, k)
+        )
+        assert caught, f"{pair}: {label} passed every check"

@@ -10,7 +10,10 @@ import pytest
 
 from qfib.errors import DomainError, UnsupportedSchemeError
 from qfib.layered import (
+    FAMILIES,
+    PAIRS,
     SCHEMED_PAIRS,
+    STATISTICS,
     StatPair,
     builtin_scheme,
     distribution,
@@ -303,6 +306,21 @@ def test_maj_prlp_front_shift_includes_singletons():
     # shift exponent is 1, not i-1 = 0
     w = builtin_scheme("maj-prlp", 4)
     assert [w.b(i) for i in (1, 2, 3, 4)] == [1, 1, 2, 3]
+
+
+def test_pair_catalog():
+    assert [str(p) for p in PAIRS] == [
+        "inv-lp", "inv-rlp", "inv-prlp", "maj-lp", "maj-rlp", "maj-prlp", "rb-lpi", "ls-lpi"
+    ]
+    assert STATISTICS == ("inv", "maj", "rb", "ls")
+    assert FAMILIES == ("lp", "rlp", "prlp", "lpi")
+    assert SCHEMED_PAIRS == PAIRS[:-1]
+    assert {builtin_scheme(p, 3).name for p in SCHEMED_PAIRS} == set(map(str, SCHEMED_PAIRS))
+    names = {str(p) for p in PAIRS}
+    for stat, family in itertools.product(STATISTICS, FAMILIES):
+        if f"{stat}-{family}" not in names:
+            with pytest.raises(DomainError):
+                StatPair(stat, family)
 
 
 def test_ls_has_no_scheme():

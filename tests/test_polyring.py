@@ -193,6 +193,35 @@ def test_parse_long_terms_in_any_order():
     assert info.value.pos == len(bad)
 
 
+_LONG = "7" * 5000  # past Python's default int/str limit of 4300 digits
+
+
+@pytest.mark.parametrize(
+    "before, after, pos",
+    [
+        ("", "", 0),
+        ("z1 - ", "*z2", 5),
+        ("z", "", 1),
+        ("z1^", "", 3),
+        ("3*z2*z1^", "", 8),
+        ("q^", "", 2),
+        ("2*z1*q^", "", 7),
+    ],
+)
+def test_parse_reports_numbers_too_long_to_read(before, after, pos):
+    # int() alone raises a bare ValueError, not a QfibError, on these
+    with pytest.raises(PolyParseError) as info:
+        Poly.parse(before + _LONG + after, 2)
+    assert info.value.pos == pos
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_json_reader_reports_coefficients_too_long_to_read(sign):
+    term = {"coeff": sign + _LONG, "z": [1], "q": 0}
+    with pytest.raises(PolyJsonError):
+        Poly.from_json_dict({"k": 1, "terms": [term]})
+
+
 def test_ring_mismatch_raises():
     with pytest.raises(RingMismatchError):
         P("z1", 2) + P("z1", 3)
