@@ -58,7 +58,7 @@ LIMITS = {
     # validate-scheme --max-n: 2k * max_n^3 checks, one string per violation.
     # A corrupted k = 20 scheme takes 0.7 s, 56 MB at 20; 2.7 s, 150 MB at 30.
     "validate_max_n": 20,
-    # det --k, verify det, lattice.determinant: 2^dim memo entries.  With
+    # det --k, verify det, lattice.determinant: 2^dim minors.  With
     # q-packed arithmetic det --n 6 --k 6 takes 7-11 s for maj-rlp and
     # 24-34 s for inv-prlp, whose 1.0M-term result takes about 4 s to print.
     "det_dim": 6,

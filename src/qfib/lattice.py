@@ -23,26 +23,14 @@ n+k-1 = p*k + r with 0 <= r < k, the first r arcs are followed by paths of
 length p*k and each later group of k arcs drops the trailing length by k.
 
 The determinant itself is computed by exact cofactor expansion (no
-division), expanding along the highest column so the memoized minors span
-the small low-column entries.  The expansion runs on q-packed entries
-(Kronecker substitution in q alone, see polyring.q_pack): each entry becomes
-a dict from z-monomial to a pair (lo, x) standing for q^lo * P(q), with lo
-that z-monomial's own least q exponent and x = P(2^W).  A product is one
-integer multiply per pair of z-monomials (z-keys add, offsets add, the x's
-multiply); a sum shifts the x with the larger offset.  The entries of the
-shifted minor cancel from about 10k terms down to one monomial, and the
-packed form does that cancellation inside big-int arithmetic instead of
-term by term.
-
-Decoding is exact because q -> 2^W is a ring homomorphism: the packed
-expansion computes the image of the determinant, so only the determinant's
-own coefficients must fit in W bits, whatever the size of the intermediate
-x's.  Every coefficient of a dim x dim determinant is at most
+division), expanding along the highest column so the shared minors span
+the small low-column entries.  The expansion runs on q-packed entries where
+they allow (see qpacked): the entries of the shifted minor cancel from
+about 10k terms down to one monomial, and the packed form does that
+cancellation inside big-int arithmetic instead of term by term.  Every
+coefficient of a dim x dim determinant is at most
 dim! * prod_j max_i L1(E[i][j]) in absolute value (L1 is an entry's sum of
-|coefficients|), so W = bit length of that bound + 2 makes each coefficient
-a balanced digit (|c| < 2^(W-1)), read back once at the end.  Entries whose
-q exponents are sparse would make the x's huge, so when W times the
-q degree bound exceeds _PACKED_BITS the same expansion runs on Poly terms.
+|coefficients|); qpacked.determinant_width turns that bound into W.
 
 The closed form equals that determinant exactly when the tile weight
 ignores the trailing length (C = 0, so arc weights are per-edge quantities
@@ -52,11 +40,13 @@ identity checks report as counterexamples.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
+from . import qpacked
 from .errors import LIMITS, DomainError, RingMismatchError, SizeLimitError
-from .polyring import Poly, check_capacity, q_mul_add, q_pack, q_unpack
+from .polyring import Poly, check_capacity
 from .report import IdentityReport
 from .tiling import WeightScheme, _front
 
@@ -70,14 +60,6 @@ __all__ = [
     "enumerate_noncrossing_tuples",
     "miles_sign_check",
 ]
-
-# Largest packed integer, in bits, that determinant() allows: W times the
-# q degree bound.  Above it (q-sparse entries, as from weights with large B
-# or C values) the expansion runs on Poly terms.  On random generic schemes
-# at k = 2..4 the packed path was up to 10x faster below 2^17 bits and up to
-# 7x slower between 2^17 and 2^19; the built-in schemes need at most 45k
-# bits at k = 6.
-_PACKED_BITS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -128,15 +110,13 @@ def build_minor(spec: MinorSpec, w: WeightScheme) -> PolyMatrix:
 
 
 def determinant(mat: PolyMatrix) -> Poly:
-    """Exact determinant by cofactor expansion with row-subset memoization.
+    """Exact determinant by cofactor expansion over row subsets.
 
-    Expansion runs along the last remaining column at every level, so the
-    shared subproblems are minors over the leading columns (the entries of
-    smallest degree in the shifted Fibonacci minor).  The arithmetic runs on
-    q-packed entries (see the module docstring): one integer product per
-    pair of z-monomials, decoded once at the end; entries too q-sparse to
-    pack (past _PACKED_BITS) use Poly arithmetic instead.  Guarded by
-    LIMITS["det_dim"]: the memo has 2^dim entries.  Mixed rings raise
+    Expansion runs along the last column at every level, so the shared
+    subproblems are minors over the leading columns (the entries of
+    smallest degree in the shifted Fibonacci minor), on q-packed entries
+    unless they are too q-sparse to pack (see qpacked).  Guarded by
+    LIMITS["det_dim"]: the expansion builds 2^dim minors.  Mixed rings raise
     RingMismatchError and a determinant whose degree bounds (the sums of
     the column maxima) overflow the packed key raises CapacityError, both
     before any arithmetic.
@@ -158,40 +138,33 @@ def determinant(mat: PolyMatrix) -> Poly:
     qb = sum(max(e.degree_bounds[1] for e in col) for col in cols)
     check_capacity(sum(max(e.degree_bounds[0] for e in col) for col in cols), qb)
     bound = math.factorial(d) * math.prod(max(e.l1_norm for e in col) for col in cols)
-    width = bound.bit_length() + 2
-    if width * (qb + 1) > _PACKED_BITS:
-        return _expand(entries, lambda: Poly.zero(k), _poly_mul_add)
-    packed = [[q_pack(e, width) for e in row] for row in entries]
-    mul_add = functools.partial(q_mul_add, width=width)
-    return q_unpack(k, _expand(packed, dict, mul_add), width)
-
-
-def _poly_mul_add(acc: Poly, a: Poly, b: Poly, sign: int) -> Poly:
-    return acc + a * b if sign > 0 else acc - a * b
+    width = qpacked.determinant_width(bound, qb)
+    if width is None:
+        return _expand(entries, functools.partial(Poly.zero, k), qpacked.poly_mul_add)
+    packed = [[qpacked.q_pack(e, width) for e in row] for row in entries]
+    mul_add = functools.partial(qpacked.q_mul_add, width=width)
+    return qpacked.q_unpack(k, _expand(packed, dict, mul_add), width)
 
 
 def _expand(entries, zero, mul_add):
     """Last-column cofactor expansion of a square matrix over any ring given
-    by `zero()` and `mul_add(acc, a, b, sign)` = acc + sign * a * b."""
-    memo = {}
-
-    def minor_det(rows: tuple[int, ...]):
-        col = len(rows) - 1
-        if col == 0:
-            return entries[rows[0]][0]
-        cached = memo.get(rows)
-        if cached is not None:
-            return cached
-        acc = zero()
-        for idx, r in enumerate(rows):
-            entry = entries[r][col]
-            if entry:
-                sub = minor_det(rows[:idx] + rows[idx + 1 :])
-                acc = mul_add(acc, entry, sub, -1 if (idx + col) % 2 else 1)
-        memo[rows] = acc
-        return acc
-
-    return minor_det(tuple(range(len(entries))))
+    by zero() and mul_add (see qpacked), one column at a time: the minors on
+    columns 0..col, keyed by row subset, are built from those on 0..col-1,
+    which are then dropped."""
+    d = len(entries)
+    minors = {(r,): entries[r][0] for r in range(d)}
+    for col in range(1, d):
+        wider = {}
+        for rows in itertools.combinations(range(d), col + 1):
+            acc = zero()
+            for idx, r in enumerate(rows):
+                entry = entries[r][col]
+                if entry:
+                    sub = minors[rows[:idx] + rows[idx + 1 :]]
+                    acc = mul_add(acc, entry, sub, -1 if (idx + col) % 2 else 1)
+            wider[rows] = acc
+        minors = wider
+    return minors[tuple(range(d))]
 
 
 def closed_form_det(spec: MinorSpec, w: WeightScheme) -> Poly:

@@ -42,6 +42,7 @@ coefficient string; format and to_json_dict keep Python's ValueError for a
 coefficient that long, which no CLI output comes near.
 """
 
+import operator
 import re
 import struct
 from typing import Iterable, Iterator, NamedTuple
@@ -142,17 +143,6 @@ class Poly:
     @classmethod
     def monomial(cls, k: int, coeff: int, z_exps, q_exp: int = 0) -> "Poly":
         return cls.from_monomials(k, [(coeff, z_exps, q_exp)])
-
-    @classmethod
-    def z(cls, k: int, i: int) -> "Poly":
-        """The variable z_i (1-based index)."""
-        if not 1 <= i <= k:
-            raise RingMismatchError(f"variable index {i} outside 1..{k}")
-        return cls.monomial(k, 1, tuple(1 if j == i else 0 for j in range(1, k + 1)))
-
-    @classmethod
-    def q(cls, k: int) -> "Poly":
-        return cls.monomial(k, 1, (0,) * k, 1)
 
     @classmethod
     def from_monomials(cls, k: int, monomials: Iterable) -> "Poly":
@@ -625,112 +615,6 @@ def check_capacity(zb: int, qb: int):
         )
 
 
-# ----------------------------------------------------------------------
-# q-packed form: Kronecker substitution q -> 2^width in q alone
-#
-# A q-packed polynomial is a dict from z-key (packed key >> Q_BITS) to a pair
-# (lo, x) standing for q^lo * P(q) with x = P(2^width), where lo starts as
-# that z-monomial's least q exponent.  Each z-monomial has its own offset, so
-# z-monomials whose q exponents sit far apart cost nothing extra.  q -> 2^width
-# is a ring homomorphism, so sums and products may be taken on the x's, and
-# only the coefficients of the final result need to fit in width bits for
-# q_unpack to undo the map; intermediate x's may have any size.  Decoding is
-# linear in the size of the x's: a long x is biased and converted to bytes
-# once, then read eight digits at a time.
-
-def q_pack(p: Poly, width: int) -> dict[int, tuple[int, int]]:
-    """p in q-packed form with digits of `width` bits."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for key, c in p._terms.items():
-        groups.setdefault(key >> Q_BITS, []).append((key & Q_MASK, c))
-    out = {}
-    for z, terms in groups.items():
-        lo = min(q for q, _ in terms)
-        out[z] = (lo, sum(c << width * (q - lo) for q, c in terms))
-    return out
-
-
-def q_mul_add(acc: dict, a: dict, b: dict, sign: int, width: int) -> dict:
-    """acc + sign * a * b on q-packed forms, updating acc in place.
-
-    One integer product per pair of z-monomials: z-keys add, offsets add and
-    the x's multiply.  When offsets differ, the x with the larger offset is
-    shifted; a z-monomial whose x becomes 0 is dropped.
-    """
-    get = acc.get
-    for za, (la, xa) in a.items():
-        if sign < 0:
-            xa = -xa
-        for zb, (lb, xb) in b.items():
-            z = za + zb
-            lo = la + lb
-            x = xa * xb
-            cur = get(z)
-            if cur is not None:
-                l0, x0 = cur
-                if l0 == lo:
-                    x += x0
-                elif l0 < lo:
-                    x = x0 + (x << width * (lo - l0))
-                    lo = l0
-                else:
-                    x += x0 << width * (l0 - lo)
-                if not x:
-                    del acc[z]
-                    continue
-            acc[z] = (lo, x)
-    return acc
-
-
-def q_unpack(k: int, packed: dict, width: int, bounds=None) -> Poly:
-    """The polynomial whose q-packed form is `packed`, read as balanced
-    digits: exact when width >= 2 and every coefficient c has
-    |c| < 2^(width - 1).  `bounds`, when given, are the result's degree
-    bounds (z, q), known to the caller; without them the terms are scanned."""
-    base = 1 << width
-    half = base >> 1
-    mask = base - 1
-    # Eight digits fill `width` whole bytes.  Adding half to each digit makes
-    # them all nonnegative, so the bytes of x + bias split into independent
-    # blocks of eight digits; x + bias stays below 2^(width * digits) once
-    # |x| < 2^(width * (digits - 1)).
-    block_bias = sum(half << width * t for t in range(8)).to_bytes(width, "little")
-    terms = {}
-    for z, (lo, x) in packed.items():
-        key = (z << Q_BITS) + lo
-        if x.bit_length() < 64 * width:
-            # Short x: peeling digits off the low end is cheaper, although
-            # each step shifts the whole of x.  Timed on random balanced
-            # digits at widths 8, 24, 64 and 160: peeling was 3-4x faster at
-            # 4-8 digits, the two met between 32 digits (width 160) and 128
-            # (width 8), and bytes were 1.3-4.5x faster at 256.  At 64 digits
-            # the slower one was within 1.3x of the faster for widths 8-64.
-            # The verify-grid determinants decode at most 11 digits (widths
-            # 25-44); the long boards average 1 (inv-prlp) to about 500
-            # (maj-lp) digits per z-monomial (widths 29-76).
-            while x:
-                d = x & mask
-                if d >= half:
-                    d -= base
-                if d:
-                    terms[key] = d
-                x = (x - d) >> width
-                key += 1
-            continue
-        blocks = (x.bit_length() // width + 9) // 8
-        y = x + int.from_bytes(block_bias * blocks, "little")
-        data = y.to_bytes(blocks * width, "little")
-        for start in range(0, blocks * width, width):
-            chunk = int.from_bytes(data[start : start + width], "little")
-            for _ in range(8):
-                d = (chunk & mask) - half
-                if d:
-                    terms[key] = d
-                chunk >>= width
-                key += 1
-    return Poly(k, terms) if bounds is None else Poly._wrap(k, terms, *bounds)
-
-
 def diff_witness(a: Poly, b: Poly) -> str | None:
     """First differing term of two polynomials, or None when they are equal.
 
@@ -741,11 +625,13 @@ def diff_witness(a: Poly, b: Poly) -> str | None:
         raise RingMismatchError(f"mixed rings: k={a.k} vs k={b.k}")
     if a == b:
         return None
-    union = Poly._wrap(a.k, {**b._terms, **a._terms}, 0, 0)
-    for key in union._canonical_keys():
-        ca = a._terms.get(key, 0)
-        cb = b._terms.get(key, 0)
-        if ca != cb:
-            name = Poly.monomial(a.k, 1, _z_exps(a.k, key >> Q_BITS), key & Q_MASK).format()
-            return f"coefficient of {name}: {ca} != {cb}"
-    return None
+    at, bt = a._terms, b._terms
+    # the keys whose coefficients differ, a stored 0 counting as absent
+    keys = [*map(operator.itemgetter(0), filter(operator.itemgetter(1), at.items() ^ bt.items()))]
+    if not keys:
+        return None
+    zdeg = {z: sum(_z_exps(a.k, z)) for z in {key >> Q_BITS for key in keys}}
+    # the first of them in canonical order has the largest (total degree, key)
+    key = max(keys, key=lambda key: (zdeg[key >> Q_BITS] + (key & Q_MASK), key))
+    name = Poly.monomial(a.k, 1, _z_exps(a.k, key >> Q_BITS), key & Q_MASK).format()
+    return f"coefficient of {name}: {at.get(key, 0)} != {bt.get(key, 0)}"

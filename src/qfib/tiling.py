@@ -17,11 +17,8 @@ weight of a tiling is the product of its tile weights, and the weighted count
 is computed here by two independent routes: literal enumeration of every
 tiling, and the first-tile recursion G(pos) = sum_i weight(i, pos) G(pos + i)
 over the suffix sums G of the board, run bottom-up over a rolling window of
-the k latest suffix sums.  The window is held in q-packed form (see
-polyring.q_pack): every coefficient counts tilings, so it is at most F_n and
-digits of W = bitlen(F_n) + 1 bits decode exactly; a tile step is one shift
-and add of a big integer per z-monomial.  Boards whose q exponents are too
-sparse for that (see _SLOTS_PER_TERM) run the same window on Poly terms.
+the k latest suffix sums, in q-packed form where the board allows (see
+qpacked).
 """
 
 import collections
@@ -31,10 +28,11 @@ import operator
 import random
 from typing import Callable, Iterator, NamedTuple
 
+from . import qpacked
 from ._backend import kernels as _k
 from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
 from .errors import CapacityError, DomainError, InvalidShiftError
-from .polyring import Poly, q_mul_add, q_unpack
+from .polyring import Poly
 
 __all__ = [
     "AppendSpec",
@@ -280,46 +278,6 @@ def _tile_deltas(n: int, maxpart: int, w: WeightScheme, app: AppendSpec):
     return deltas, low[1], top[1]
 
 
-# The packed window pays for every q slot from a z-monomial's least to its
-# largest exponent, the Poly window for every term, and a Poly term with a
-# W-bit coefficient costs about as much more as a W-bit slot does.  So the
-# choice rests on slots per term (_q_slots_and_terms), not on W.  Timed on
-# 107 boards, each on both windows (built-in schemes at k = 2..4 and n up to
-# 300; generic schemes with B and C up to 10^5 at k = 2..4 and n = 12..60):
-# at up to 14 slots per estimated term the packed window won 44 of 56
-# boards and lost none that took over 10 ms by more than 1.4x.  On 12 of
-# the 17 built-in boards it was 6-32x faster (maj-lp k=2 n=200: 0.94 s
-# against 30 s), on the other 5 0.8-1.1x.  Past 14 the Poly window won 50
-# of 51, by up to 7000x where B and C run in the hundred thousands, and
-# there the packed window also ran out of a 1 GB address space.
-_SLOTS_PER_TERM = 14
-
-
-def _q_slots_and_terms(n: int, k: int, span: int, count: int) -> tuple[int, int]:
-    """The q slots of a packed n-board sum, and a bound on its terms.
-
-    The slots are the z-monomials of an n-board, one per multiset of tile
-    lengths, times the q span of all its tilings.  The terms are bounded by
-    the count of tilings, and per z-monomial by
-    prod_{i<k} (c_i (n - i c_i) + 1) when it has c_i tiles of length i: in a
-    separable scheme its q exponent is affine in the sums S_i of the tile
-    starts over its i-tiles, S_i takes at most c_i (n - i c_i) + 1 values,
-    and sum_i i S_i is fixed.  Both sums over z-monomials run as one
-    knapsack over tile lengths.
-    """
-    zmons = [1] + [0] * n
-    bound = [1] + [0] * n
-    for i in range(1, k):
-        factors = [c * (n - i * c) + 1 for c in range(1, n // i + 1)]
-        for m in range(n, i - 1, -1):
-            bound[m] += sum(map(operator.mul, bound[m - i :: -i], factors))
-        for m in range(i, n + 1):
-            zmons[m] += zmons[m - i]
-    # tiles of length k add a factor 1 whatever their count
-    slots = sum(zmons[n::-k]) * (span + 1)
-    return slots, min(count, sum(bound[n::-k]))
-
-
 def _check_cap(n, k, w):
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive int, got {k!r}")
@@ -389,11 +347,10 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     G(pos) = sum over first-tile lengths i of weight(i, pos) * G(pos + i),
     which is the weighted first-tile recursion with the front shift folded
     into the tile exponent.  It runs bottom-up and holds only the k suffix
-    sums G(pos + 1..pos + k), in q-packed form with digits of
-    W = bitlen(F_n) + 1 bits (each coefficient counts tilings, so it is at
-    most F_n), decoded once at the end.  When the q exponents are sparse,
-    with more than _SLOTS_PER_TERM packed q slots per estimated term
-    (generic schemes with large B or C), the same window runs on Poly terms.
+    sums G(pos + 1..pos + k).  Each coefficient counts tilings, so it is at
+    most F_n, and q-packed digits of W = bitlen(F_n) + 1 bits decode it
+    (qpacked.recursion_width); boards too q-sparse to pack (generic schemes
+    with large B or C) run the same window on Poly terms.
     The tile exponents go through the same capacity check as
     weighted_sum_enumerative, before any arithmetic.  Agrees with
     weighted_sum_enumerative on every input; the recursion reaches board
@@ -404,31 +361,30 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     if n < 0:
         return Poly.zero(w.k)
     deltas, qlow, qtop = _tile_deltas(n, k, w, app)
-    count = fibonacci_k(n, k)
-    slots, terms = _q_slots_and_terms(n, k, qtop - qlow, count)
+    width = qpacked.recursion_width(n, k, qtop - qlow, fibonacci_k(n, k))
     # exact bounds, as in weighted_sum_enumerative: no scan of the result
     bounds = (n, qtop)
-    if slots > _SLOTS_PER_TERM * terms:
+    if width is None:
         tiles = [[Poly(w.k, {d: 1}) for d in row] for row in deltas]
         total = _first_tile_sums(
-            tiles, Poly.one(w.k), functools.partial(Poly.zero, w.k), lambda acc, a, b: acc + a * b
+            tiles, Poly.one(w.k), functools.partial(Poly.zero, w.k), qpacked.poly_mul_add
         )
         return Poly._wrap(w.k, total._terms, *bounds)
-    width = count.bit_length() + 1
     tiles = [[{d >> Q_BITS: (d & Q_MASK, 1)} for d in row] for row in deltas]
-    mul_add = functools.partial(q_mul_add, sign=1, width=width)
-    return q_unpack(w.k, _first_tile_sums(tiles, {0: (0, 1)}, dict, mul_add), width, bounds)
+    mul_add = functools.partial(qpacked.q_mul_add, width=width)
+    return qpacked.q_unpack(w.k, _first_tile_sums(tiles, {0: (0, 1)}, dict, mul_add), width, bounds)
 
 
 def _first_tile_sums(tiles, one, zero, mul_add):
     """G(1) for G(pos) = sum_i tiles[i-1][pos-1] * G(pos + i), G(n + 1) = one,
-    over the ring given by zero() and mul_add(acc, a, b) = acc + a * b.
-    window[i-1] is G(pos + i); only the k latest suffix sums stay alive."""
+    over the ring given by zero() and mul_add (see qpacked), called with
+    sign 1.  window[i-1] is G(pos + i); only the k latest suffix sums stay
+    alive."""
     window = collections.deque([one], maxlen=len(tiles))
     for pos in range(len(tiles[0]), 0, -1):
         total = zero()
         for row, g in zip(tiles, window):
-            total = mul_add(total, row[pos - 1], g)
+            total = mul_add(total, row[pos - 1], g, 1)
         window.appendleft(total)
     return window[0]
 

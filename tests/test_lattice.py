@@ -11,12 +11,14 @@ suite reports the criterion that assumed the identity for all schemes as
 failed.
 """
 
+import gc
 import itertools
 
 import pytest
 
-from qfib import lattice
+from qfib import qpacked
 from qfib.errors import (
+    LIMITS,
     CapacityError,
     DomainError,
     RingMismatchError,
@@ -176,27 +178,78 @@ def test_hand_built_determinant_on_packed_form(monkeypatch):
     # balanced and as wide as the bound says for the decode to be right
     m = _hand_built_matrix()
     expected = _permutation_det(m)
-    monkeypatch.setattr(lattice, "_poly_mul_add", _refuse)
+    monkeypatch.setattr(qpacked, "poly_mul_add", _refuse)
     det = determinant(m)
     assert det == expected
     assert max(abs(t.coeff) for t in det.monomials()) > 2**140
     assert min(t.coeff for t in det.monomials()) < 0
 
 
-def test_determinant_of_q_sparse_entries(monkeypatch):
-    # q exponents a million apart would need huge packed integers, so the
-    # expansion runs on Poly terms
+def _q_sparse_matrix():
     p = lambda text: Poly.parse(text, 2)
-    m = PolyMatrix(
+    return PolyMatrix(
         2,
         (
             (p("z1 + q^1000000"), p("z2*q^2000000 - 3")),
             (p("z1*z2 - q"), p("z1^2*q^999999 + z2")),
         ),
     )
+
+
+def test_determinant_of_q_sparse_entries(monkeypatch):
+    # q exponents a million apart would need huge packed integers, so the
+    # expansion runs on Poly terms
+    m = _q_sparse_matrix()
     expected = _permutation_det(m)
-    monkeypatch.setattr(lattice, "q_pack", _refuse)
+    monkeypatch.setattr(qpacked, "q_pack", _refuse)
     assert determinant(m) == expected
+
+
+class _Routed(Exception):
+    pass
+
+
+def test_determinant_route_choice(monkeypatch):
+    # every built-in minor the CLI accepts packs; q-sparse entries do not.
+    # The spy stops each determinant once its route is chosen, so the k = 6
+    # minors are built but never expanded.
+    widths = []
+
+    def spy(bound, qb):
+        widths.append(width_of(bound, qb))
+        raise _Routed
+
+    width_of = qpacked.determinant_width
+    monkeypatch.setattr(qpacked, "determinant_width", spy)
+    for k in range(1, LIMITS["det_dim"] + 1):
+        for pair in SCHEMED_PAIRS:
+            w = builtin_scheme(pair, k)
+            for n in range(1, LIMITS["board"] - 2 * k + 3):
+                with pytest.raises(_Routed):
+                    determinant(build_minor(MinorSpec(n, k), w))
+                assert widths.pop() is not None, (str(pair), k, n)
+    # the q-sparse matrix above, and det --n 4 --k 3 on
+    # generic:0,[0 1000000 7],[5 0 300000]
+    sparse = WeightScheme.from_tables(3, (0, 0, 0), (0, 1000000, 7), (5, 0, 300000))
+    for m in (_q_sparse_matrix(), build_minor(MinorSpec(4, 3), sparse)):
+        with pytest.raises(_Routed):
+            determinant(m)
+        assert widths.pop() is None
+
+
+@pytest.mark.parametrize(
+    "make", [_minor(3, 4, builtin_scheme("maj-rlp", 4)), _q_sparse_matrix], ids=("packed", "poly")
+)
+def test_determinant_leaves_no_cycles(make):
+    # nothing the expansion builds, on either route, waits for the cyclic GC
+    m = make()
+    gc.collect()
+    gc.disable()
+    try:
+        determinant(m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_determinant_needs_square_entries():

@@ -15,7 +15,8 @@ from qfib.errors import (
     QfibError,
     RingMismatchError,
 )
-from qfib.polyring import Monomial, Poly, diff_witness, q_mul_add, q_pack, q_unpack
+from qfib.polyring import Monomial, Poly, diff_witness
+from qfib.qpacked import q_mul_add, q_pack, q_unpack
 
 
 def P(text, k=2):
@@ -341,6 +342,9 @@ def test_diff_witness():
     assert diff_witness(P("z1 + q"), P("z1 + q")) is None
     w = diff_witness(P("z1 + 3*q"), P("z1 + 5*q"))
     assert w == "coefficient of q: 3 != 5"
+    # a coefficient stored as 0 counts as absent
+    assert diff_witness(Poly(2, {0: 0}), Poly.zero(2)) is None
+    assert diff_witness(Poly(2, {0: 0, 1: 2}), Poly.zero(2)) == "coefficient of q: 2 != 0"
 
 
 # ----------------------------------------------------------------------
@@ -354,6 +358,38 @@ _small_monos = st.tuples(
 _polys = st.lists(_small_monos, max_size=5).map(
     lambda monos: Poly.from_monomials(2, monos)
 )
+
+
+def _reference_witness(a, b):
+    # the definition: the first differing term in canonical order (graded
+    # lex, highest first) over the sorted union of both supports
+    ca = {(m.z_exps, m.q_exp): m.coeff for m in a.monomials()}
+    cb = {(m.z_exps, m.q_exp): m.coeff for m in b.monomials()}
+    for z, q in sorted(ca.keys() | cb.keys(), key=lambda t: (sum(t[0]) + t[1], t), reverse=True):
+        if ca.get((z, q), 0) != cb.get((z, q), 0):
+            name = Poly.monomial(a.k, 1, z, q).format()
+            return f"coefficient of {name}: {ca.get((z, q), 0)} != {cb.get((z, q), 0)}"
+    return None
+
+
+@st.composite
+def _nearby_pairs(draw):
+    # a at k = 1..4 and b = a plus a few terms, so the supports overlap and
+    # differ in a handful of coefficients, dropped terms or new ones
+    k = draw(st.integers(1, 4))
+    mono = st.tuples(
+        st.integers(-3, 3), st.lists(st.integers(0, 3), min_size=k, max_size=k), st.integers(0, 5)
+    )
+    a = Poly.from_monomials(k, draw(st.lists(mono, max_size=12)))
+    return a, a + Poly.from_monomials(k, draw(st.lists(mono, max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nearby_pairs())
+def test_diff_witness_is_the_first_canonical_difference(pair):
+    a, b = pair
+    assert diff_witness(a, b) == _reference_witness(a, b)
+    assert diff_witness(b, a) == _reference_witness(b, a)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from qfib import _kernels_py, tiling
+from qfib import _kernels_py, qpacked, tiling
 from qfib.errors import CapacityError, DomainError, InvalidShiftError
 from qfib.layered import builtin_scheme
 from qfib.polyring import Poly
@@ -99,11 +99,11 @@ def test_recursive_equals_enumerative(monkeypatch):
     # each window forced on every board, over built-in, random and incoherent
     # schemes: the packed one decodes every board, the Poly one none
     unpacks = []
-    unpack = tiling.q_unpack
-    monkeypatch.setattr(tiling, "q_unpack", lambda *args: unpacks.append(args) or unpack(*args))
+    unpack = qpacked.q_unpack
+    monkeypatch.setattr(qpacked, "q_unpack", lambda *args: unpacks.append(args) or unpack(*args))
     pairs = ("inv-lp", "inv-rlp", "inv-prlp", "maj-lp", "maj-rlp", "maj-prlp", "rb-lpi")
     for slots_per_term, decodes in ((10**9, True), (0, False)):
-        monkeypatch.setattr(tiling, "_SLOTS_PER_TERM", slots_per_term)
+        monkeypatch.setattr(qpacked, "_SLOTS_PER_TERM", slots_per_term)
         unpacks.clear()
         boards = 0
         for k in range(1, 5):
@@ -124,7 +124,7 @@ def test_recursive_degree_bounds_are_exact(monkeypatch):
     # both windows return bounds known before any arithmetic (z_1^n and the
     # largest q); they must equal a fresh scan of the terms
     for slots_per_term in (10**9, 0):
-        monkeypatch.setattr(tiling, "_SLOTS_PER_TERM", slots_per_term)
+        monkeypatch.setattr(qpacked, "_SLOTS_PER_TERM", slots_per_term)
         for k in range(1, 5):
             schemes = [builtin_scheme("maj-rlp", k), builtin_scheme("inv-prlp", k)]
             schemes += [random_scheme(k, 7), corrupted_scheme(k, 1)]
@@ -141,7 +141,7 @@ def test_recursive_equals_enumerative_on_q_sparse_schemes(monkeypatch):
     # B and C in the hundreds of thousands spread q over millions of
     # exponents: the window runs on Poly terms and never decodes (a board
     # with one tiling, n < 2 or k = 1, has span 0 and still packs)
-    monkeypatch.setattr(tiling, "q_unpack", None)
+    monkeypatch.setattr(qpacked, "q_unpack", None)
     rng = random.Random(5)
     for k in (2, 3, 4):
         tables = [[rng.randint(10**5, 9 * 10**5) for _ in range(k)] for _ in range(3)]
@@ -311,8 +311,8 @@ def test_recursive_evaluator_reaches_large_boards():
 def test_recursive_route_choice(monkeypatch):
     # q-dense built-in boards pack at any length; q-sparse boards run on Poly terms
     unpacks = []
-    unpack = tiling.q_unpack
-    monkeypatch.setattr(tiling, "q_unpack", lambda *args: unpacks.append(args) or unpack(*args))
+    unpack = qpacked.q_unpack
+    monkeypatch.setattr(qpacked, "q_unpack", lambda *args: unpacks.append(args) or unpack(*args))
     maj = weighted_sum_recursive(100, 2, builtin_scheme("maj-lp", 2))
     assert len(unpacks) == 1
     assert maj.evaluate((1, 1), 1) == fibonacci_k(100, 2)
@@ -336,7 +336,7 @@ def test_slot_estimate_bounds_the_terms():
                 p = weighted_sum_enumerative(n, k, w, AppendSpec(1, 2))
                 _, qlow, qtop = tiling._tile_deltas(n, k, w, AppendSpec(1, 2))
                 span = qtop - qlow
-                slots, terms = tiling._q_slots_and_terms(n, k, span, fibonacci_k(n, k))
+                slots, terms = qpacked._q_slots_and_terms(n, k, span, fibonacci_k(n, k))
                 assert slots == len({m.z_exps for m in p.monomials()}) * (span + 1), (w, n)
                 assert p.n_terms <= terms, (w, n)
 
