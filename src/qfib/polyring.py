@@ -91,46 +91,39 @@ class Poly:
     """Immutable sparse polynomial over Z in z_1..z_k and q.
 
     All operations return new instances; values can be shared freely across
-    threads.  _zb and _qb are conservative upper bounds on any single z
-    exponent and on the q exponent, carried along to keep packed-field
-    overflow checks O(1).
+    threads.  _bounds is a pair of upper bounds (see degree_bounds) that
+    keeps packed-field overflow checks O(1).  An operation sets it only
+    where it knows the bounds without looking at its terms (a product, a
+    shift, a sum of two values with bounds); otherwise it is None until
+    degree_bounds reads the exact bounds off the terms and keeps them.
     """
 
-    __slots__ = ("k", "_terms", "_zb", "_qb")
+    __slots__ = ("k", "_terms", "_bounds")
 
     def __init__(self, k: int, terms=None):
         _check_ring_size(k)
-        object.__setattr__(self, "k", k)
         terms = {} if terms is None else terms
-        zb = qb = 0
-        offs = _zoffsets(k)
-        for key in terms:
-            q = key & Q_MASK
-            if q > qb:
-                qb = q
-            for off in offs:
-                e = (key >> off) & Z_MASK
-                if e > zb:
-                    zb = e
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_zb", zb)
-        object.__setattr__(self, "_qb", qb)
+        if 0 in terms.values():
+            terms = {key: c for key, c in terms.items() if c}
+        self.k = k
+        self._terms = terms
+        self._bounds = None
 
     # ------------------------------------------------------------------
     # construction
 
     @classmethod
-    def _wrap(cls, k: int, terms: dict, zb: int, qb: int) -> "Poly":
+    def _wrap(cls, k: int, terms: dict, bounds=None) -> "Poly":
+        # terms must hold no zero coefficient; bounds as in _bounds
         self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_zb", zb)
-        object.__setattr__(self, "_qb", qb)
+        self.k = k
+        self._terms = terms
+        self._bounds = bounds
         return self
 
     @classmethod
     def zero(cls, k: int) -> "Poly":
-        return cls(k)
+        return cls.constant(k, 0)
 
     @classmethod
     def one(cls, k: int) -> "Poly":
@@ -138,7 +131,8 @@ class Poly:
 
     @classmethod
     def constant(cls, k: int, c: int) -> "Poly":
-        return cls(k, {0: c} if c else {})
+        _check_ring_size(k)
+        return cls._wrap(k, {0: c} if c else {}, (0, 0))
 
     @classmethod
     def monomial(cls, k: int, coeff: int, z_exps, q_exp: int = 0) -> "Poly":
@@ -170,7 +164,10 @@ class Poly:
                 zb = e
             if q_exp > qb:
                 qb = q_exp
-        return _merged(cls, k, terms, zb, qb)
+        # the bounds cover every term merged, a cancelled one too
+        self = cls(k, terms)
+        self._bounds = zb, qb
+        return self
 
     # ------------------------------------------------------------------
     # ring operations
@@ -188,10 +185,7 @@ class Poly:
             return NotImplemented
         self._check_ring(other)
         return Poly._wrap(
-            self.k,
-            _k.add_terms(self._terms, other._terms),
-            max(self._zb, other._zb),
-            max(self._qb, other._qb),
+            self.k, _k.add_terms(self._terms, other._terms), _max_bounds(self, other)
         )
 
     __radd__ = __add__
@@ -203,32 +197,25 @@ class Poly:
             return NotImplemented
         self._check_ring(other)
         return Poly._wrap(
-            self.k,
-            _k.sub_terms(self._terms, other._terms),
-            max(self._zb, other._zb),
-            max(self._qb, other._qb),
+            self.k, _k.sub_terms(self._terms, other._terms), _max_bounds(self, other)
         )
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly._wrap(
-            self.k, _k.scalar_mul_terms(self._terms, -1), self._zb, self._qb
-        )
+        return Poly._wrap(self.k, _k.scalar_mul_terms(self._terms, -1), self._bounds)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Poly._wrap(
-                self.k, _k.scalar_mul_terms(self._terms, other), self._zb, self._qb
-            )
+            return Poly._wrap(self.k, _k.scalar_mul_terms(self._terms, other), self._bounds)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        zb = self._zb + other._zb
-        qb = self._qb + other._qb
-        check_capacity(zb, qb)
-        return Poly._wrap(self.k, _k.mul_terms(self._terms, other._terms), zb, qb)
+        (zb, qb), (ozb, oqb) = self.degree_bounds, other.degree_bounds
+        bounds = zb + ozb, qb + oqb
+        check_capacity(*bounds)
+        return Poly._wrap(self.k, _k.mul_terms(self._terms, other._terms), bounds)
 
     __rmul__ = __mul__
 
@@ -268,7 +255,8 @@ class Poly:
                 raise InvalidShiftError(f"shift exponents must be nonnegative ints, got {e!r}")
         if not any(exps) or not self._terms:
             return self
-        qb = self._qb + self._zb * sum(exps)
+        zb, qb = self.degree_bounds
+        qb += zb * sum(exps)
         if qb > Q_MASK:
             raise CapacityError(f"q degree bound {qb} exceeds packed-key capacity")
         offs = _zoffsets(self.k)
@@ -277,7 +265,7 @@ class Poly:
         # qb above only guards the packed field.  The result's own q bound
         # is read off its keys, one pass at C speed, because it is often
         # k times smaller and the determinant picks its route by it.
-        return Poly._wrap(self.k, terms, self._zb, max(map(Q_MASK.__and__, terms)))
+        return Poly._wrap(self.k, terms, (zb, max(map(Q_MASK.__and__, terms))))
 
     def times_q(self, e: int) -> "Poly":
         """Multiply by the monomial q^e."""
@@ -285,9 +273,10 @@ class Poly:
             raise InvalidShiftError(f"q power must be a nonnegative int, got {e!r}")
         if e == 0 or not self._terms:
             return self
-        if self._qb + e > Q_MASK:
-            raise CapacityError(f"q degree bound {self._qb + e} exceeds packed-key capacity")
-        return Poly._wrap(self.k, _k.times_q_terms(self._terms, e), self._zb, self._qb + e)
+        zb, qb = self.degree_bounds
+        if qb + e > Q_MASK:
+            raise CapacityError(f"q degree bound {qb + e} exceeds packed-key capacity")
+        return Poly._wrap(self.k, _k.times_q_terms(self._terms, e), (zb, qb + e))
 
     def evaluate(self, z_vals, q_val: int) -> int:
         z_vals = tuple(z_vals)
@@ -308,8 +297,14 @@ class Poly:
 
     @property
     def degree_bounds(self) -> tuple[int, int]:
-        """Upper bounds on any single z exponent and on the q exponent."""
-        return self._zb, self._qb
+        """Upper bounds on any single z exponent and on the q exponent,
+        exact when read off the terms: on first use, for a value given no
+        bounds (Poly(k, terms), parse and q_unpack results, sums with
+        those).  The read is kept; threads that race on it store equal pairs.
+        """
+        if self._bounds is None:
+            self._bounds = _read_bounds(self.k, self._terms)
+        return self._bounds
 
     @property
     def l1_norm(self) -> int:
@@ -420,7 +415,6 @@ class Poly:
         z_decoded: dict[str, tuple[int, int, list]] = {}
         terms: dict[int, int] = {}
         get = terms.get
-        zb = qb = 0
         while True:
             m = match(text, pos)
             if m is None:
@@ -466,14 +460,10 @@ class Poly:
                     sep = text[pos : pos + 1]
                 zkey = _pack(k, z_exps, 0)
                 ze = max(z_exps)
-            if ze > zb:
-                if ze > Z_MASK:
-                    raise CapacityError(f"z exponent {ze} exceeds field capacity {Z_MASK}")
-                zb = ze
-            if qe > qb:
-                if qe > Q_MASK:
-                    raise CapacityError(f"q exponent {qe} exceeds field capacity {Q_MASK}")
-                qb = qe
+            if ze > Z_MASK:
+                raise CapacityError(f"z exponent {ze} exceeds field capacity {Z_MASK}")
+            if qe > Q_MASK:
+                raise CapacityError(f"q exponent {qe} exceeds field capacity {Q_MASK}")
             key = zkey + qe
             terms[key] = get(key, 0) + coeff
             if sep == "+":
@@ -483,7 +473,7 @@ class Poly:
             elif sep:
                 raise PolyParseError(f"expected '+' or '-', found {sep!r}", pos)
             else:
-                return _merged(cls, k, terms, zb, qb)
+                return cls(k, terms)
             pos += 1
 
 
@@ -515,12 +505,18 @@ def _check_term(k: int, z_exps: tuple, q_exp):
         raise CapacityError(f"q exponent {q_exp} exceeds field capacity {Q_MASK}")
 
 
-def _merged(cls, k: int, terms: dict, zb: int, qb: int) -> Poly:
-    # zb and qb bound every key merged; they may bound only a key whose
-    # coefficient cancelled, so then the survivors are rescanned.
-    if 0 in terms.values():
-        return cls(k, {key: c for key, c in terms.items() if c})
-    return cls._wrap(k, terms, zb, qb)
+def _max_bounds(a: Poly, b: Poly):
+    # a sum's bounds: the larger of each, when both summands carry bounds
+    a, b = a._bounds, b._bounds
+    return a and b and (max(a[0], b[0]), max(a[1], b[1]))
+
+
+def _read_bounds(k: int, terms: dict) -> tuple[int, int]:
+    # the exact bounds at C speed, each z field read over the z-monomials;
+    # no terms read (0, 0)
+    zs = set(map(Q_BITS.__rrshift__, terms)) or {0}
+    zb = max(max(map(Z_MASK.__and__, map((i * Z_BITS).__rrshift__, zs))) for i in range(k))
+    return zb, max(map(Q_MASK.__and__, terms), default=0)
 
 
 _decimal = re.compile(r"-?[0-9]+").fullmatch
@@ -626,10 +622,8 @@ def diff_witness(a: Poly, b: Poly) -> str | None:
     if a == b:
         return None
     at, bt = a._terms, b._terms
-    # the keys whose coefficients differ, a stored 0 counting as absent
-    keys = [*map(operator.itemgetter(0), filter(operator.itemgetter(1), at.items() ^ bt.items()))]
-    if not keys:
-        return None
+    # the keys whose coefficients differ
+    keys = [*map(operator.itemgetter(0), at.items() ^ bt.items())]
     zdeg = {z: sum(_z_exps(a.k, z)) for z in {key >> Q_BITS for key in keys}}
     # the first of them in canonical order has the largest (total degree, key)
     key = max(keys, key=lambda key: (zdeg[key >> Q_BITS] + (key & Q_MASK), key))

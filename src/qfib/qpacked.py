@@ -133,11 +133,11 @@ def q_mul_add(acc: dict, a: dict, b: dict, sign: int, width: int) -> dict:
     return acc
 
 
-def q_unpack(k: int, packed: dict, width: int, bounds=None) -> Poly:
+def q_unpack(k: int, packed: dict, width: int) -> Poly:
     """The polynomial whose q-packed form is `packed`, read as balanced
     digits: exact when width >= 2 and every coefficient c has
-    |c| < 2^(width - 1).  `bounds`, when given, are the result's degree
-    bounds (z, q), known to the caller; without them the terms are scanned."""
+    |c| < 2^(width - 1).  Its degree bounds are read off its terms on
+    first use."""
     base = 1 << width
     half = base >> 1
     mask = base - 1
@@ -179,4 +179,4 @@ def q_unpack(k: int, packed: dict, width: int, bounds=None) -> Poly:
                     terms[key] = d
                 chunk >>= width
                 key += 1
-    return Poly(k, terms) if bounds is None else Poly._wrap(k, terms, *bounds)
+    return Poly._wrap(k, terms)

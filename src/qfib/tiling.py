@@ -300,7 +300,7 @@ def weighted_sum_enumerative(n: int, k: int, w: WeightScheme, app=AppendSpec()) 
     deltas, _, qtop = _tile_deltas(n, k, w, app)
     # exact bounds, no re-scan: the all-ones tiling reaches z_1^n, and every
     # coefficient is a positive count, so the largest q exponent qtop is kept
-    return Poly._wrap(w.k, _k.sum_tilings_terms(n, k, deltas), n, qtop)
+    return Poly._wrap(w.k, _k.sum_tilings_terms(n, k, deltas), (n, qtop))
 
 
 # The sums the verifiers use: identities checks its q-identities against
@@ -362,17 +362,14 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
         return Poly.zero(w.k)
     deltas, qlow, qtop = _tile_deltas(n, k, w, app)
     width = qpacked.recursion_width(n, k, qtop - qlow, fibonacci_k(n, k))
-    # exact bounds, as in weighted_sum_enumerative: no scan of the result
-    bounds = (n, qtop)
     if width is None:
         tiles = [[Poly(w.k, {d: 1}) for d in row] for row in deltas]
-        total = _first_tile_sums(
+        return _first_tile_sums(
             tiles, Poly.one(w.k), functools.partial(Poly.zero, w.k), qpacked.poly_mul_add
         )
-        return Poly._wrap(w.k, total._terms, *bounds)
     tiles = [[{d >> Q_BITS: (d & Q_MASK, 1)} for d in row] for row in deltas]
     mul_add = functools.partial(qpacked.q_mul_add, width=width)
-    return qpacked.q_unpack(w.k, _first_tile_sums(tiles, {0: (0, 1)}, dict, mul_add), width, bounds)
+    return qpacked.q_unpack(w.k, _first_tile_sums(tiles, {0: (0, 1)}, dict, mul_add), width)
 
 
 def _first_tile_sums(tiles, one, zero, mul_add):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qfib import identities, lattice, tiling
+from qfib import identities, lattice, polyring, tiling
 from qfib.errors import DomainError
 from qfib.identities import (
     convolution_count,
@@ -14,7 +14,7 @@ from qfib.identities import (
 )
 from qfib.layered import SCHEMED_PAIRS, builtin_scheme
 from qfib.polyring import Poly
-from qfib.tiling import corrupted_scheme, fibonacci_k, random_scheme
+from qfib.tiling import WeightScheme, corrupted_scheme, fibonacci_k, random_scheme
 
 
 def _schemes(k):
@@ -191,6 +191,30 @@ def test_sum_caches_are_bounded(cleared_caches):
     for f in _CACHES:
         info = f.cache_info()
         assert info.currsize <= info.maxsize == size
+
+
+def test_hot_paths_read_no_bounds_off_terms(cleared_caches, monkeypatch):
+    # the sums, shifts, products and determinants of the verifiers all carry
+    # bounds passed on by their operations; only values built from bare
+    # terms read theirs, as the one-term tiles of the Poly window do
+    reads = []
+    read = polyring._read_bounds
+    monkeypatch.setattr(
+        polyring, "_read_bounds", lambda k, terms: reads.append(len(terms)) or read(k, terms)
+    )
+    k = 4
+    for pair in ("maj-rlp", "inv-prlp"):
+        w = builtin_scheme(pair, k)
+        for n in range(1, 6):
+            verify_recursion(n, k, w)
+            verify_k_reduction(n, k, w)
+            for m in range(1, 6):
+                verify_convolution(m, n, k, w)
+            lattice.determinant(lattice.build_minor(lattice.MinorSpec(n, k), w))
+    assert reads == []
+    q_sparse = WeightScheme.from_tables(3, (0, 0, 0), (0, 500, 1000), (1000, 7, 0))
+    tiling.weighted_sum_recursive(30, 3, q_sparse)
+    assert reads and set(reads) == {1}
 
 
 def test_corrupted_scheme_fails_with_witness():

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qfib.errors import (
@@ -338,6 +338,14 @@ def test_readers_check_every_term(text, monos, error):
             Poly.parse(text, 2)
 
 
+def test_stored_zeros_are_dropped():
+    # Poly(k, terms) keeps the canonical form: a zero coefficient is absent
+    for p in (Poly(2, {0: 0}), Poly(2, {0: 0}) + Poly.zero(2)):
+        assert p == Poly.zero(2)
+        assert not p and p.n_terms == 0
+    assert Poly(2, {0: 0, 1: 2}) == P("2*q")
+
+
 def test_diff_witness():
     assert diff_witness(P("z1 + q"), P("z1 + q")) is None
     w = diff_witness(P("z1 + 3*q"), P("z1 + 5*q"))
@@ -390,6 +398,71 @@ def test_diff_witness_is_the_first_canonical_difference(pair):
     a, b = pair
     assert diff_witness(a, b) == _reference_witness(a, b)
     assert diff_witness(b, a) == _reference_witness(b, a)
+
+
+def _exact_bounds(p):
+    # the definition: the largest z and q exponents of the canonical terms
+    monos = list(p.monomials())
+    return (
+        max((e for m in monos for e in m.z_exps), default=0),
+        max((m.q_exp for m in monos), default=0),
+    )
+
+
+# the steps of a chain; each builds a value from the latest one, a, and any
+# earlier one, b
+_STEPS = ("parse", "monomials", "terms", "repack", "add", "sub", "neg", "mul", "scale",
+          "shift", "times_q")
+# the values whose bounds are read off their own terms, so are exact
+_EXACT = {"parse", "terms", "repack"}
+
+
+@seed(2012)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_degree_bounds_never_fall_below_the_terms(data):
+    # Bounds below the terms' would let check_capacity pass a product whose
+    # exponents carry into the next field of the packed key.  Each value is
+    # checked on a copy, so the read is not kept and later sums still meet
+    # values that carry no bounds.
+    k = data.draw(st.integers(1, 3))
+    mono = st.tuples(
+        st.integers(-3, 3), st.lists(st.integers(0, 4), min_size=k, max_size=k), st.integers(0, 6)
+    )
+    pool = [Poly.from_monomials(k, data.draw(st.lists(mono, max_size=5)))]
+    for _ in range(data.draw(st.integers(1, 12))):
+        step = data.draw(st.sampled_from(_STEPS))
+        a, b = pool[-1], data.draw(st.sampled_from(pool))
+        if step == "parse":
+            p = Poly.parse(a.format(), k)
+        elif step == "monomials":
+            p = Poly.from_monomials(k, data.draw(st.lists(mono, max_size=5)))
+        elif step == "terms":
+            # some coefficients zeroed: Poly(k, terms) drops them
+            p = Poly(k, {key: c * data.draw(st.integers(0, 1)) for key, c in a._terms.items()})
+        elif step == "repack":
+            width = a.l1_norm.bit_length() + 2
+            p = q_unpack(k, q_pack(a, width), width)
+        elif step == "add":
+            p = a + b
+        elif step == "sub":
+            p = a - b
+        elif step == "neg":
+            p = -a
+        elif step == "mul" and a.n_terms * b.n_terms <= 300:
+            p = a * b
+        elif step in ("mul", "scale"):
+            p = a * data.draw(st.integers(-2, 2))
+        elif step == "shift":
+            p = a.substitute_z_scale(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+        else:
+            p = a.times_q(data.draw(st.integers(0, 3)))
+        zb, qb = Poly._wrap(k, p._terms, p._bounds).degree_bounds
+        ez, eq = _exact_bounds(p)
+        assert zb >= ez and qb >= eq, (step, p, (zb, qb))
+        if step in _EXACT:
+            assert (zb, qb) == (ez, eq), (step, p)
+        pool.append(p)
 
 
 @settings(max_examples=60, deadline=None)

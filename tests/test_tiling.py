@@ -121,8 +121,9 @@ def test_recursive_equals_enumerative(monkeypatch):
 
 
 def test_recursive_degree_bounds_are_exact(monkeypatch):
-    # both windows return bounds known before any arithmetic (z_1^n and the
-    # largest q); they must equal a fresh scan of the terms
+    # the packed window's result reads its bounds off its terms, the Poly
+    # window's carries the bounds of its products and sums; both must equal
+    # a fresh scan of the terms
     for slots_per_term in (10**9, 0):
         monkeypatch.setattr(qpacked, "_SLOTS_PER_TERM", slots_per_term)
         for k in range(1, 5):
