@@ -252,14 +252,15 @@ def _det_report(n: int, k: int, w: WeightScheme) -> IdentityReport:
 
 
 def _verify_reports(args, schemes):
-    """Every report --identity asks for, scheme by scheme."""
+    """Every report --identity asks for, scheme by scheme, made one at a
+    time as they are drawn."""
     k, ns = args.k, range(1, args.max_n + 1)
-    recursion = lambda w: [identities.verify_recursion(n, k, w) for n in ns]
-    convolution = lambda w: [
+    recursion = lambda w: (identities.verify_recursion(n, k, w) for n in ns)
+    convolution = lambda w: (
         identities.verify_convolution(m, n, k, w) for m in ns for n in ns
-    ]
-    kreduce = lambda w: [identities.verify_k_reduction(n, k, w) for n in ns if k >= 2]
-    det = lambda w: [_det_report(n, k, w) for n in ns]
+    )
+    kreduce = lambda w: (identities.verify_k_reduction(n, k, w) for n in ns if k >= 2)
+    det = lambda w: (_det_report(n, k, w) for n in ns)
     specialized = lambda w: (
         identities.verify_specializations(w.name, args.max_n, k)
         if w.name in _BUILTIN_NAMES
@@ -272,7 +273,7 @@ def _verify_reports(args, schemes):
         "det": (det,),
         "all": (recursion, convolution, kreduce, det, specialized),
     }[args.identity]
-    return [r for w in schemes for verify in verifiers for r in verify(w)]
+    return (r for w in schemes for verify in verifiers for r in verify(w))
 
 
 def _cmd_verify(args) -> int:
@@ -295,20 +296,20 @@ def _cmd_verify(args) -> int:
                 f"determinant grid is desk-scale: need max-n + 2k - 2 <= {board}"
             )
     schemes = _resolve_schemes(args, args.k)
-    reports = _verify_reports(args, schemes)
-    reports.sort(key=lambda r: (r.identity, r.describe()))
-    for r in reports:
-        if args.format == "json":
-            print(json.dumps(r.to_json_dict()))
-        else:
-            print(r.describe())
-    failures = [r for r in reports if not r.passed]
-    if failures:
-        first = failures[0]
-        print(
-            f"verification failed: {first.describe()}",
-            file=sys.stderr,
-        )
+    # Each report is rendered as it is made and its polynomials dropped:
+    # only the sort key (identity, text line), the verdict and the line
+    # printed are kept.
+    lines = []
+    for r in _verify_reports(args, schemes):
+        text = r.describe()
+        line = json.dumps(r.to_json_dict()) if args.format == "json" else text
+        lines.append(((r.identity, text), r.passed, line))
+    lines.sort(key=operator.itemgetter(0))
+    for _, _, line in lines:
+        print(line)
+    failed = next((text for (_, text), passed, _ in lines if not passed), None)
+    if failed is not None:
+        print(f"verification failed: {failed}", file=sys.stderr)
         return 1
     return 0
 

@@ -96,15 +96,18 @@ class Poly:
     where it knows the bounds without looking at its terms (a product, a
     shift, a sum of two values with bounds); otherwise it is None until
     degree_bounds reads the exact bounds off the terms and keeps them.
+    Poly(k, terms) takes a dict from packed key to coefficient: it drops
+    zero coefficients and rejects a key outside range(1 << (Q_BITS +
+    k * Z_BITS)).
     """
 
     __slots__ = ("k", "_terms", "_bounds")
 
     def __init__(self, k: int, terms=None):
         _check_ring_size(k)
-        terms = {} if terms is None else terms
-        if 0 in terms.values():
-            terms = {key: c for key, c in terms.items() if c}
+        terms = _drop_zeros({} if terms is None else terms)
+        if terms:
+            _check_keys(k, terms)
         self.k = k
         self._terms = terms
         self._bounds = None
@@ -165,9 +168,7 @@ class Poly:
             if q_exp > qb:
                 qb = q_exp
         # the bounds cover every term merged, a cancelled one too
-        self = cls(k, terms)
-        self._bounds = zb, qb
-        return self
+        return cls._wrap(k, _drop_zeros(terms), (zb, qb))
 
     # ------------------------------------------------------------------
     # ring operations
@@ -473,7 +474,7 @@ class Poly:
             elif sep:
                 raise PolyParseError(f"expected '+' or '-', found {sep!r}", pos)
             else:
-                return cls(k, terms)
+                return cls._wrap(k, _drop_zeros(terms))
             pos += 1
 
 
@@ -503,6 +504,21 @@ def _check_term(k: int, z_exps: tuple, q_exp):
         raise InvalidShiftError(f"q exponent must be a nonnegative int, got {q_exp!r}")
     if q_exp > Q_MASK:
         raise CapacityError(f"q exponent {q_exp} exceeds field capacity {Q_MASK}")
+
+
+def _drop_zeros(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if c} if 0 in terms.values() else terms
+
+
+def _check_keys(k: int, terms: dict):
+    """Raise the error _check_term raises for a key that is not a packed key
+    of the k-variable ring, reading the keys at C speed."""
+    if not set(map(type, terms)) <= {int} or min(terms) < 0:
+        bad = next(key for key in terms if type(key) is not int or key < 0)
+        raise InvalidShiftError(f"packed keys must be nonnegative ints, got {bad!r}")
+    top = max(terms)
+    if top >> (Q_BITS + k * Z_BITS):
+        raise CapacityError(f"packed key {top} exceeds the capacity of a {k}-variable ring")
 
 
 def _max_bounds(a: Poly, b: Poly):

@@ -13,6 +13,13 @@ homomorphism, so only the coefficients of the final result need to fit in
 W bits for q_unpack to read them back, whatever the size of the
 intermediate x's.
 
+The pair is a tuple where q_pack builds it and a two-item list, a cell,
+where q_mul_add does.  q_mul_add updates acc's cells in place, so a merge
+builds no new pair and stores nothing in the dict; acc must therefore be a
+dict of its own, never a or b.  a and b are only read and may hold either
+form; no cell of theirs ever enters acc, so a result passed back in as a
+or b stays as it was.
+
 Each caller bounds its coefficients and asks its rule below for W; a rule
 returns None where the q exponents are too sparse to pack, and the caller
 runs the same computation on Poly terms.  Both rings take
@@ -20,7 +27,9 @@ mul_add(acc, a, b, sign) = acc + sign * a * b: q_mul_add with the width
 bound, or poly_mul_add.
 """
 
+import itertools
 import operator
+import sys
 
 from ._kernels_py import Q_BITS, Q_MASK
 from .polyring import Poly
@@ -50,11 +59,17 @@ _PACKED_BITS = 1 << 17
 
 def recursion_width(n: int, k: int, span: int, count: int) -> int | None:
     """W for the recursion on an n-board with parts <= k, whose tilings
-    span `span` q exponents and number `count`, or None for Poly terms."""
+    span `span` q exponents and number `count`, or None for Poly terms.
+
+    W is bitlen(count) + 1, rounded up to whole 64-bit words when an x of
+    span + 1 digits would be long enough for q_unpack to read it a word at
+    a time; below that every x is peeled, and narrow digits are cheaper."""
     slots, terms = _q_slots_and_terms(n, k, span, count)
     if slots > _SLOTS_PER_TERM * terms:
         return None
-    return count.bit_length() + 1
+    width = count.bit_length() + 1
+    words = -(-width // 64) * 64
+    return words if span + 1 >= _cast_digits(words) else width
 
 
 def determinant_width(bound: int, qb: int) -> int | None:
@@ -106,8 +121,9 @@ def q_pack(p: Poly, width: int) -> dict[int, tuple[int, int]]:
 
 
 def q_mul_add(acc: dict, a: dict, b: dict, sign: int, width: int) -> dict:
-    """acc + sign * a * b on q-packed forms, updating acc in place; a
-    z-monomial whose x becomes 0 is dropped."""
+    """acc + sign * a * b on q-packed forms, updating acc and its cells in
+    place (acc must not be a or b); a z-monomial whose x becomes 0 is
+    dropped."""
     get = acc.get
     for za, (la, xa) in a.items():
         if sign < 0:
@@ -115,22 +131,31 @@ def q_mul_add(acc: dict, a: dict, b: dict, sign: int, width: int) -> dict:
         for zb, (lb, xb) in b.items():
             z = za + zb
             lo = la + lb
-            x = xa * xb
-            cur = get(z)
-            if cur is not None:
-                l0, x0 = cur
-                if l0 == lo:
-                    x += x0
-                elif l0 < lo:
-                    x = x0 + (x << width * (lo - l0))
-                    lo = l0
-                else:
-                    x += x0 << width * (l0 - lo)
-                if not x:
-                    del acc[z]
-                    continue
-            acc[z] = (lo, x)
+            # every recursion tile has coefficient 1: no copy of xb
+            prod = xb if xa == 1 else xa * xb
+            cell = get(z)
+            if cell is None:
+                acc[z] = [lo, prod]
+                continue
+            l0, x0 = cell
+            if l0 == lo:
+                x = x0 + prod
+            elif l0 < lo:
+                x = x0 + (prod << width * (lo - l0))
+            else:
+                x = prod + (x0 << width * (l0 - lo))
+                cell[0] = lo
+            if x:
+                cell[1] = x
+            else:
+                del acc[z]
     return acc
+
+
+def _cast_digits(width: int) -> int:
+    """Digits from which q_unpack reads an x of word width `width` by a
+    cast rather than peeling it (timed there)."""
+    return 16 if width == 64 else 32
 
 
 def q_unpack(k: int, packed: dict, width: int) -> Poly:
@@ -141,6 +166,21 @@ def q_unpack(k: int, packed: dict, width: int) -> Poly:
     base = 1 << width
     half = base >> 1
     mask = base - 1
+    words = width // 64
+    # machine words hold whole digits: width a multiple of 64, words in
+    # little-endian order as to_bytes writes them
+    cast = width % 64 == 0 and sys.byteorder == "little"
+    # Peeling digits off the low end shifts the whole of x at every step;
+    # the cast and the byte blocks are linear, with a fixed cost per x.
+    # Timed on random balanced digits (best of 5, Python 3.11, 2 vCPUs):
+    # the cast met peeling at 16 digits at width 64 and at 32 at widths
+    # 128-256 (_cast_digits), and was 1.3-3x faster at 64 digits.  The byte
+    # blocks met peeling between 32 digits (width 160) and 128 (width 8),
+    # and were 1.3-4.5x faster at 256.  The recursion's x's that are long
+    # enough to cast have word widths (recursion_width); the determinant's
+    # digits stay as narrow as its bound, so its long x's (generic schemes
+    # with moderate B or C) read byte blocks.
+    short = (_cast_digits(width) if cast else 64) * width
     # Eight digits fill `width` whole bytes.  Adding half to each digit makes
     # them all nonnegative, so the bytes of x + bias split into independent
     # blocks of eight digits; x + bias stays below 2^(width * digits) once
@@ -149,16 +189,7 @@ def q_unpack(k: int, packed: dict, width: int) -> Poly:
     terms = {}
     for z, (lo, x) in packed.items():
         key = (z << Q_BITS) + lo
-        if x.bit_length() < 64 * width:
-            # Short x: peeling digits off the low end is cheaper, although
-            # each step shifts the whole of x.  Timed on random balanced
-            # digits at widths 8, 24, 64 and 160: peeling was 3-4x faster at
-            # 4-8 digits, the two met between 32 digits (width 160) and 128
-            # (width 8), and bytes were 1.3-4.5x faster at 256.  At 64 digits
-            # the slower one was within 1.3x of the faster for widths 8-64.
-            # The verify-grid determinants decode at most 11 digits (widths
-            # 25-44); the long boards average 1 (inv-prlp) to about 500
-            # (maj-lp) digits per z-monomial (widths 29-76).
+        if x.bit_length() < short:
             while x:
                 d = x & mask
                 if d >= half:
@@ -167,16 +198,36 @@ def q_unpack(k: int, packed: dict, width: int) -> Poly:
                     terms[key] = d
                 x = (x - d) >> width
                 key += 1
-            continue
-        blocks = (x.bit_length() // width + 9) // 8
-        y = x + int.from_bytes(block_bias * blocks, "little")
-        data = y.to_bytes(blocks * width, "little")
-        for start in range(0, blocks * width, width):
-            chunk = int.from_bytes(data[start : start + width], "little")
-            for _ in range(8):
-                d = (chunk & mask) - half
-                if d:
-                    terms[key] = d
-                chunk >>= width
-                key += 1
+        elif cast:
+            # Adding half to every digit makes each one a nonnegative W-bit
+            # field of x + bias; flipping the field's top bit back leaves the
+            # digit in W-bit two's complement: its top word reads signed, the
+            # others unsigned.  One field more than bitlen(x) fills keeps
+            # x + bias in [0, 2^(width * n_digits)): |x| < 2^(width *
+            # (n_digits - 1) - 1), and the bias is about 2^(width * n_digits
+            # - 1).  x = 2^(width * j - 1) - 1 does need that field, a digit
+            # -2^(width - 1) below a 1.
+            n_digits = x.bit_length() // width + 2
+            bias = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n_digits, "little")
+            data = memoryview(((x + bias) ^ bias).to_bytes(n_digits * width // 8, "little"))
+            digits = data.cast("q")[words - 1 :: words].tolist()
+            if words > 1:
+                low = data.cast("Q")
+                for t in range(words - 2, -1, -1):
+                    high = map(operator.lshift, digits, itertools.repeat(64))
+                    digits = map(operator.add, high, low[t::words])
+                digits = list(digits)
+            terms.update(itertools.compress(zip(itertools.count(key), digits), digits))
+        else:
+            blocks = (x.bit_length() // width + 9) // 8
+            y = x + int.from_bytes(block_bias * blocks, "little")
+            data = y.to_bytes(blocks * width, "little")
+            for start in range(0, blocks * width, width):
+                chunk = int.from_bytes(data[start : start + width], "little")
+                for _ in range(8):
+                    d = (chunk & mask) - half
+                    if d:
+                        terms[key] = d
+                    chunk >>= width
+                    key += 1
     return Poly._wrap(k, terms)

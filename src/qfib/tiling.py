@@ -348,7 +348,7 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     which is the weighted first-tile recursion with the front shift folded
     into the tile exponent.  It runs bottom-up and holds only the k suffix
     sums G(pos + 1..pos + k).  Each coefficient counts tilings, so it is at
-    most F_n, and q-packed digits of W = bitlen(F_n) + 1 bits decode it
+    most F_n, and q-packed digits of W >= bitlen(F_n) + 1 bits decode it
     (qpacked.recursion_width); boards too q-sparse to pack (generic schemes
     with large B or C) run the same window on Poly terms.
     The tile exponents go through the same capacity check as
@@ -376,12 +376,13 @@ def _first_tile_sums(tiles, one, zero, mul_add):
     """G(1) for G(pos) = sum_i tiles[i-1][pos-1] * G(pos + i), G(n + 1) = one,
     over the ring given by zero() and mul_add (see qpacked), called with
     sign 1.  window[i-1] is G(pos + i); only the k latest suffix sums stay
-    alive."""
+    alive, and the window is read by index, so no name holds the one
+    appendleft evicts."""
     window = collections.deque([one], maxlen=len(tiles))
     for pos in range(len(tiles[0]), 0, -1):
         total = zero()
-        for row, g in zip(tiles, window):
-            total = mul_add(total, row[pos - 1], g, 1)
+        for i in range(len(window)):
+            total = mul_add(total, tiles[i][pos - 1], window[i], 1)
         window.appendleft(total)
     return window[0]
 

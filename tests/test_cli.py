@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from qfib import cli
 from qfib.cli import _parse_scheme, build_parser, main
 from qfib.polyring import Poly
 
@@ -284,6 +285,42 @@ def test_verify_json_stream(capsys):
         record = json.loads(line)
         assert record["verdict"] == "pass"
         assert record["identity"] == "recursion"
+
+
+def _verify_as_reports(argv):
+    # verify as it was when it kept every report with its polynomials,
+    # sorted them, then printed
+    args = build_parser().parse_args(argv)
+    reports = list(cli._verify_reports(args, cli._resolve_schemes(args, args.k)))
+    reports.sort(key=lambda r: (r.identity, r.describe()))
+    if args.format == "json":
+        out = "".join(json.dumps(r.to_json_dict()) + "\n" for r in reports)
+    else:
+        out = "".join(r.describe() + "\n" for r in reports)
+    failures = [r for r in reports if not r.passed]
+    err = f"verification failed: {failures[0].describe()}\n" if failures else ""
+    return out, err, 1 if failures else 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--identity", "all", "--k", "3", "--max-n", "4", "--stat", "maj-rlp"],
+        ["verify", "--identity", "det", "--k", "2", "--max-n", "5", "--stat", "inv-lp"],
+        ["verify", "--identity", "all", "--k", "2", "--max-n", "3", "--random-schemes", "3"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_keeps_lines_not_reports(argv, fmt, capsys):
+    # stdout, stderr and the exit code are those of sorting and printing
+    # the full reports, exit 1 included (inv-lp fails the determinant)
+    argv = argv + ["--format", fmt]
+    expected = _verify_as_reports(argv)
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, code) == expected
+    assert code == 1 or "inv-lp" not in argv
 
 
 def test_enumerate_json(capsys):

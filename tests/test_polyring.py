@@ -1,5 +1,6 @@
 """Polynomial ring: examples with hand-computed values, properties, errors."""
 
+import copy
 import json
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from qfib import polyring
 from qfib.errors import (
     CapacityError,
     InvalidShiftError,
@@ -346,6 +348,37 @@ def test_stored_zeros_are_dropped():
     assert Poly(2, {0: 0, 1: 2}) == P("2*q")
 
 
+def test_terms_keys_must_be_packed_keys_of_the_ring():
+    # a key below 0 or with bits above the k z fields is no monomial of the
+    # ring; it used to print as z1^65535*q^4294967295 or compare unequal to
+    # the monomial it printed as
+    assert Poly(1, {(1 << 47) + 5: 1}) == P("z1^32768*q^5", 1)
+    with pytest.raises(InvalidShiftError):
+        Poly(1, {-1: 1})
+    with pytest.raises(CapacityError):
+        Poly(1, {(1 << 48) + 5: 1})
+    with pytest.raises(CapacityError):
+        Poly(2, {1 << 64: 1})
+    for bad in ({0.5: 1}, {"q": 1}, {1: 1, 2.5: 3}):
+        with pytest.raises(InvalidShiftError):
+            Poly(1, bad)
+    # a stored zero is dropped before the check, so its key is never read
+    assert Poly(1, {-1: 0}) == Poly.zero(1)
+
+
+def test_checked_readers_check_each_term_once(monkeypatch):
+    # parse and from_monomials range-check every term as they read it; they
+    # do not pay for Poly(k, terms)'s key check as well
+    def refuse(*args):
+        raise AssertionError("key check called")
+
+    monkeypatch.setattr(polyring, "_check_keys", refuse)
+    assert P("z1^2*q + 3 - 3").n_terms == 1
+    assert Poly.from_monomials(2, [(1, (1, 0), 2), (2, (0, 0), 0), (-2, (0, 0), 0)]).n_terms == 1
+    with pytest.raises(AssertionError):
+        Poly(2, {5: 1})
+
+
 def test_diff_witness():
     assert diff_witness(P("z1 + q"), P("z1 + q")) is None
     w = diff_witness(P("z1 + 3*q"), P("z1 + 5*q"))
@@ -568,6 +601,73 @@ def test_q_unpack_round_trip(width, groups, seed):
         expected = {q: d for q, d in enumerate(_balanced_digits(x, width)) if d}
         got = q_unpack(1, {0: (0, x)}, width)
         assert {m.q_exp: m.coeff for m in got.monomials()} == expected
+
+
+@pytest.mark.parametrize("width", [64, 128, 192])
+@pytest.mark.parametrize("n_digits", [1, 63, 64, 65, 600])
+def test_q_unpack_word_widths(width, n_digits):
+    # widths of whole 64-bit words read long x's a word at a time and short
+    # ones digit by digit; both give the balanced digits, at the extremes
+    # +-(2^(width-1) - 1) and under a negative leading digit
+    rnd = random.Random(width * 1000 + n_digits)
+    top = (1 << (width - 1)) - 1
+    for lead in (-top, -1):
+        digits = [
+            rnd.choice((top, -top, 0, 1, -1, rnd.randint(-top, top))) for _ in range(n_digits - 1)
+        ]
+        digits.append(lead)
+        x = sum(d << width * j for j, d in enumerate(digits))
+        expected = {j + 7: d for j, d in enumerate(digits) if d}
+        for packed in ({0: (7, x)}, {0: [7, x]}):
+            got = q_unpack(1, packed, width)
+            assert {m.q_exp: m.coeff for m in got.monomials()} == expected
+        p = Poly.from_monomials(2, [(d, (1, 2), q) for q, d in expected.items()])
+        assert q_unpack(2, q_pack(p, width), width) == p
+    # x = 2^(width * j - 1) - 1 needs a digit more than its bit length fills
+    j = n_digits
+    for x in ((1 << width * j - 1) - 1, -(1 << width * j - 1), (1 << width * j) - 1):
+        expected = {q: d for q, d in enumerate(_balanced_digits(x, width)) if d}
+        got = q_unpack(1, {0: (0, x)}, width)
+        assert {m.q_exp: m.coeff for m in got.monomials()} == expected
+
+
+def _packed_forms(rnd, width, cells):
+    # a q-packed form of a random polynomial, its pairs as tuples or cells
+    p = Poly.from_monomials(
+        2,
+        [(rnd.randint(-9, 9), (rnd.randint(0, 3), rnd.randint(0, 3)), rnd.randint(0, 12))
+         for _ in range(rnd.randint(1, 12))],
+    )
+    return {z: list(pair) if cells else pair for z, pair in q_pack(p, width).items()}
+
+
+def test_q_mul_add_changes_only_its_accumulator():
+    # the window and the minors pass earlier results back in as a and b;
+    # updating acc's cells in place must never reach them
+    width = 64
+    for seed in range(30):
+        rnd = random.Random(seed)
+        a, b, c = (_packed_forms(rnd, width, seed % 2) for _ in range(3))
+        saved = copy.deepcopy((a, b, c))
+        pa, pb, pc = (q_unpack(2, f, width) for f in saved)
+        acc = q_mul_add({}, a, b, 1, width)
+        assert (a, b) == saved[:2]
+        again = q_mul_add({}, acc, c, -1, width)
+        # later sums into both accumulators, with their earlier inputs
+        q_mul_add(acc, c, a, 1, width)
+        q_mul_add(acc, b, c, -1, width)
+        q_mul_add(again, a, acc, 1, width)
+        assert (a, b, c) == saved
+        assert q_unpack(2, acc, width) == pa * pb + pc * pa - pb * pc
+        assert q_unpack(2, again, width) == -pa * pb * pc + pa * (pa * pb + pc * pa - pb * pc)
+        # a one-term tile of coefficient 1 times a suffix sum starts a new
+        # sum whose cells share the suffix sum's ints; adding into it leaves
+        # the suffix sum as it was
+        tile = {rnd.randint(0, 5): (rnd.randint(0, 4), 1)}
+        total = q_mul_add({}, tile, a, 1, width)
+        q_mul_add(total, b, c, 1, width)
+        assert a == saved[0]
+        assert q_unpack(2, total, width) == q_unpack(2, tile, width) * pa + pb * pc
 
 
 def _reference_format(k, monos):

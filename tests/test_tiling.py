@@ -326,6 +326,25 @@ def test_recursive_route_choice(monkeypatch):
     assert len(unpacks) == 1
 
 
+def test_recursion_width_is_word_aligned_where_x_can_be_cast():
+    # room for every count of tilings as a balanced digit,
+    # |c| <= F_n < 2^(W - 1); whole 64-bit words per digit once an x of
+    # span + 1 digits can be long enough for q_unpack's cast, else no more
+    # bits than the count needs
+    for k in range(1, 6):
+        for n in list(range(0, 40)) + [63, 64, 65, 80, 200, 400]:
+            count = fibonacci_k(n, k)
+            need = count.bit_length() + 1
+            words = -(-need // 64) * 64
+            cast_from = 16 if words == 64 else 32
+            for span in (0, cast_from - 2, cast_from - 1, 500):
+                width = qpacked.recursion_width(n, k, span, count)
+                if width is None:
+                    continue
+                expected = words if span + 1 >= cast_from else need
+                assert width == expected, (n, k, span, width)
+
+
 def test_slot_estimate_bounds_the_terms():
     # z-monomials counted exactly and terms bounded, on separable schemes whose
     # q exponents are dense (built-in) or as sparse as they get (B and C up to 9e5)
