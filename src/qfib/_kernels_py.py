@@ -66,6 +66,31 @@ def mul_terms(a, b):
     return out
 
 
+def mul_add_terms(acc, a, b, sign):
+    """acc + sign * a * b, updating acc in place (acc must not be a or b);
+    zero coefficients are dropped.  A row of pairs into an empty acc, as
+    the first tile of each recursion step is, lands in one update."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for ka, va in a.items():
+        if sign < 0:
+            va = -va
+        # every recursion tile has coefficient 1: no multiply
+        values = b.values() if va == 1 else map(va.__mul__, b.values())
+        if not acc:
+            acc.update(zip(map(ka.__add__, b), values))
+            continue
+        for kb, vb in zip(b, values):
+            key = ka + kb
+            c = get(key, 0) + vb
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
+    return acc
+
+
 def scalar_mul_terms(a, c):
     if c == 0:
         return {}

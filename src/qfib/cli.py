@@ -37,6 +37,7 @@ import operator
 import os
 import re
 import sys
+import tempfile
 
 from . import identities, lattice
 from .errors import LIMITS, QfibError, SizeLimitError
@@ -297,16 +298,26 @@ def _cmd_verify(args) -> int:
             )
     schemes = _resolve_schemes(args, args.k)
     # Each report is rendered as it is made and its polynomials dropped:
-    # only the sort key (identity, text line), the verdict and the line
-    # printed are kept.
+    # only the sort key (identity, text line) and the verdict stay in
+    # memory.  A JSON line carries both polynomials, so it waits in a
+    # temporary file, found again by its offset and length; it is ASCII
+    # (json.dumps escapes the rest), so its bytes are its characters.
     lines = []
-    for r in _verify_reports(args, schemes):
-        text = r.describe()
-        line = json.dumps(r.to_json_dict()) if args.format == "json" else text
-        lines.append(((r.identity, text), r.passed, line))
-    lines.sort(key=operator.itemgetter(0))
-    for _, _, line in lines:
-        print(line)
+    with tempfile.TemporaryFile() as spool:
+        for r in _verify_reports(args, schemes):
+            text = r.describe()
+            place = None
+            if args.format == "json":
+                data = json.dumps(r.to_json_dict()).encode("ascii")
+                place = spool.tell(), len(data)
+                spool.write(data)
+            lines.append(((r.identity, text), r.passed, place))
+        lines.sort(key=operator.itemgetter(0))
+        for (_, text), _, place in lines:
+            if place is not None:
+                spool.seek(place[0])
+                text = spool.read(place[1]).decode("ascii")
+            print(text)
     failed = next((text for (_, text), passed, _ in lines if not passed), None)
     if failed is not None:
         print(f"verification failed: {failed}", file=sys.stderr)

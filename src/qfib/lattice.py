@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass
 
 from . import qpacked
+from ._backend import kernels as _k
 from .errors import LIMITS, DomainError, RingMismatchError, SizeLimitError
 from .polyring import Poly, check_capacity
 from .report import IdentityReport
@@ -140,28 +141,29 @@ def determinant(mat: PolyMatrix) -> Poly:
     bound = math.factorial(d) * math.prod(max(e.l1_norm for e in col) for col in cols)
     width = qpacked.determinant_width(bound, qb)
     if width is None:
-        return _expand(entries, functools.partial(Poly.zero, k), qpacked.poly_mul_add)
+        terms = [[e._terms for e in row] for row in entries]
+        return Poly._wrap(k, _expand(terms, _k.mul_add_terms))
     packed = [[qpacked.q_pack(e, width) for e in row] for row in entries]
     mul_add = functools.partial(qpacked.q_mul_add, width=width)
-    return qpacked.q_unpack(k, _expand(packed, dict, mul_add), width)
+    return qpacked.q_unpack(k, _expand(packed, mul_add), width)
 
 
-def _expand(entries, zero, mul_add):
+def _expand(entries, mul_add):
     """Last-column cofactor expansion of a square matrix over any ring given
-    by zero() and mul_add (see qpacked), one column at a time: the minors on
-    columns 0..col, keyed by row subset, are built from those on 0..col-1,
-    which are then dropped."""
+    by mul_add (see qpacked), one column at a time: the minors on columns
+    0..col, keyed by row subset, are built from those on 0..col-1, which are
+    then dropped.  Each minor is summed into a fresh {}."""
     d = len(entries)
     minors = {(r,): entries[r][0] for r in range(d)}
     for col in range(1, d):
         wider = {}
         for rows in itertools.combinations(range(d), col + 1):
-            acc = zero()
+            acc = {}
             for idx, r in enumerate(rows):
                 entry = entries[r][col]
                 if entry:
                     sub = minors[rows[:idx] + rows[idx + 1 :]]
-                    acc = mul_add(acc, entry, sub, -1 if (idx + col) % 2 else 1)
+                    mul_add(acc, entry, sub, -1 if (idx + col) % 2 else 1)
             wider[rows] = acc
         minors = wider
     return minors[tuple(range(d))]

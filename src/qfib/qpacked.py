@@ -21,10 +21,13 @@ form; no cell of theirs ever enters acc, so a result passed back in as a
 or b stays as it was.
 
 Each caller bounds its coefficients and asks its rule below for W; a rule
-returns None where the q exponents are too sparse to pack, and the caller
-runs the same computation on Poly terms.  Both rings take
-mul_add(acc, a, b, sign) = acc + sign * a * b: q_mul_add with the width
-bound, or poly_mul_add.
+returns None where packing would cost more than plain terms (q exponents
+too sparse, or one q exponent per z-monomial), and the caller runs the
+same computation on the term dicts of Poly.  Both rings take
+mul_add(acc, a, b, sign) = acc + sign * a * b and update acc in place
+under the same contract (acc a fresh dict, never a or b; zeros dropped):
+q_mul_add with the width bound, or _kernels_py.mul_add_terms.  Each
+caller starts every sum from {} and wraps its result once.
 """
 
 import itertools
@@ -35,36 +38,47 @@ from ._kernels_py import Q_BITS, Q_MASK
 from .polyring import Poly
 
 # The packed window pays for every q slot from a z-monomial's least to its
-# largest exponent, the Poly window for every term, and a Poly term with a
+# largest exponent, the term window for every term, and a term with a
 # W-bit coefficient costs about as much more as a W-bit slot does.  So the
-# choice rests on slots per term (_q_slots_and_terms), not on W.  Timed on
-# 107 boards, each on both windows (built-in schemes at k = 2..4 and n up to
-# 300; generic schemes with B and C up to 10^5 at k = 2..4 and n = 12..60):
-# at up to 14 slots per estimated term the packed window won 44 of 56
-# boards and lost none that took over 10 ms by more than 1.4x.  On 12 of
-# the 17 built-in boards it was 6-32x faster (maj-lp k=2 n=200: 0.94 s
-# against 30 s), on the other 5 0.8-1.1x.  Past 14 the Poly window won 50
-# of 51, by up to 7000x where B and C run in the hundred thousands, and
-# there the packed window also ran out of a 1 GB address space.
-_SLOTS_PER_TERM = 14
+# choice rests on slots per term (_q_slots_and_terms), not on W.  Timed
+# against the in-place term ring (_kernels_py.mul_add_terms) on 141 boards,
+# each on both windows, best of 3 (Python 3.11, 2 vCPUs): the 21 built-in
+# boards (7 schemes at k = 2..4, n = 45..240) and 120 generic schemes with
+# B and C drawn log-uniformly up to 10^5 at k = 2..4 and n = 12..60.  At up
+# to 8 slots per estimated term the packed window won 43 of 46 boards
+# (median 4.4x; the 12 q-dense built-in boards 12-25x) and lost none by more
+# than 1.4x (36 ms).  Past 8 the term window won 54 of the 65 boards run on
+# both (median 3.1x), all 9 inv-* boards (one q per z-monomial) by
+# 1.1-1.5x; the packed window won 11, by up to 7.3x, and ran out of a
+# 1.5 GB address space on 6 more, two at 10 and 12 slots per term whose
+# term window took 2.7 and 15 s.  The old bound of 14, timed against a
+# term ring that copied its sums, sent those two to the packed window.
+_SLOTS_PER_TERM = 8
 
 # Largest packed integer, in bits, that determinant() allows: W times the
 # q degree bound.  Above it (q-sparse entries, as from weights with large B
-# or C values) the expansion runs on Poly terms.  On random generic schemes
+# or C values) the expansion runs on plain terms.  On random generic schemes
 # at k = 2..4 the packed path was up to 10x faster below 2^17 bits and up to
 # 7x slower between 2^17 and 2^19; the built-in schemes need at most 45k
-# bits at k = 6.
+# bits at k = 6.  The inv-* minors pack too, though their sums have one q
+# per z-monomial: the minor's entries do not.  Timed against the in-place
+# term ring, built-in and A-twisted, summed over n = 1..6 at k = 4 and
+# n = 1..3 at k = 6 (Python 3.11, 2 vCPUs): packing was 2.1-2.4x faster for
+# inv-lp and inv-prlp at k = 4 and 10-15x at k = 6; for inv-rlp, whose
+# determinant is one monomial, the term ring was 10% faster at k = 4 and
+# 8-12% slower at k = 6, too little for a rule of its own.
 _PACKED_BITS = 1 << 17
 
 
-def recursion_width(n: int, k: int, span: int, count: int) -> int | None:
+def recursion_width(n: int, k: int, span: int, count: int, one_q: bool) -> int | None:
     """W for the recursion on an n-board with parts <= k, whose tilings
-    span `span` q exponents and number `count`, or None for Poly terms.
+    span `span` q exponents and number `count`, or None for plain terms;
+    one_q says that each z-monomial has one q exponent (one_q_per_z).
 
     W is bitlen(count) + 1, rounded up to whole 64-bit words when an x of
     span + 1 digits would be long enough for q_unpack to read it a word at
     a time; below that every x is peeled, and narrow digits are cheaper."""
-    slots, terms = _q_slots_and_terms(n, k, span, count)
+    slots, terms = _q_slots_and_terms(n, k, span, count, one_q)
     if slots > _SLOTS_PER_TERM * terms:
         return None
     width = count.bit_length() + 1
@@ -74,12 +88,31 @@ def recursion_width(n: int, k: int, span: int, count: int) -> int | None:
 
 def determinant_width(bound: int, qb: int) -> int | None:
     """W for a determinant whose coefficients are at most `bound` in
-    absolute value and whose q degree is at most qb, or None for Poly terms."""
+    absolute value and whose q degree is at most qb, or None for plain terms."""
     width = bound.bit_length() + 2
     return None if width * (qb + 1) > _PACKED_BITS else width
 
 
-def _q_slots_and_terms(n: int, k: int, span: int, count: int) -> tuple[int, int]:
+def one_q_per_z(rows) -> bool:
+    """Whether every z-monomial of a board has one q exponent: rows[i-1]
+    holds the packed keys (or the q exponents) of a tile of length i at
+    starts 1, 2, ..., and each row must step by lam * i per start for one
+    lam; see _q_slots_and_terms.  A row with one start sets no step."""
+    ref = None  # (step, i) of the first row with two starts
+    for i, row in enumerate(rows, 1):
+        if len(row) < 2:
+            continue
+        step = row[1] - row[0]
+        if any(b - a != step for a, b in itertools.pairwise(row)):
+            return False
+        if ref is None:
+            ref = step, i
+        elif step * ref[1] != ref[0] * i:
+            return False
+    return True
+
+
+def _q_slots_and_terms(n: int, k: int, span: int, count: int, one_q: bool) -> tuple[int, int]:
     """The q slots of a packed n-board sum, and a bound on its terms.
 
     The slots are the z-monomials of an n-board, one per multiset of tile
@@ -87,9 +120,17 @@ def _q_slots_and_terms(n: int, k: int, span: int, count: int) -> tuple[int, int]
     the count of tilings, and per z-monomial by
     prod_{i<k} (c_i (n - i c_i) + 1) when it has c_i tiles of length i: in a
     separable scheme its q exponent is affine in the sums S_i of the tile
-    starts over its i-tiles, S_i takes at most c_i (n - i c_i) + 1 values,
-    and sum_i i S_i is fixed.  Both sums over z-monomials run as one
-    knapsack over tile lengths.
+    starts over its i-tiles, with slope B(i) - C(i) in S_i, S_i takes at
+    most c_i (n - i c_i) + 1 values, and sum_i i S_i is fixed.  Both sums
+    over z-monomials run as one knapsack over tile lengths.
+
+    With one_q, a tile of length i at start s has q exponent
+    alpha_i + lam * i * s, so a tiling's exponent is sum_i alpha_i c_i +
+    lam * sum_i i S_i; each tile covers cells s..s+i-1, whose sum is
+    i s + i(i-1)/2, so sum_i i S_i = n(n+1)/2 - sum_i c_i i(i-1)/2 is fixed
+    by the z-monomial, and so is the exponent.  In a separable scheme that
+    is B(i) - C(i) = lam * i, as in inv-lp, inv-rlp and inv-prlp.  The terms
+    are then exactly the z-monomials.
     """
     zmons = [1] + [0] * n
     bound = [1] + [0] * n
@@ -100,12 +141,8 @@ def _q_slots_and_terms(n: int, k: int, span: int, count: int) -> tuple[int, int]
         for m in range(i, n + 1):
             zmons[m] += zmons[m - i]
     # tiles of length k add a factor 1 whatever their count
-    slots = sum(zmons[n::-k]) * (span + 1)
-    return slots, min(count, sum(bound[n::-k]))
-
-
-def poly_mul_add(acc: Poly, a: Poly, b: Poly, sign: int) -> Poly:
-    return acc + a * b if sign > 0 else acc - a * b
+    z_total = sum(zmons[n::-k])
+    return z_total * (span + 1), z_total if one_q else min(count, sum(bound[n::-k]))
 
 
 def q_pack(p: Poly, width: int) -> dict[int, tuple[int, int]]:

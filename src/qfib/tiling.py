@@ -349,8 +349,12 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     into the tile exponent.  It runs bottom-up and holds only the k suffix
     sums G(pos + 1..pos + k).  Each coefficient counts tilings, so it is at
     most F_n, and q-packed digits of W >= bitlen(F_n) + 1 bits decode it
-    (qpacked.recursion_width); boards too q-sparse to pack (generic schemes
-    with large B or C) run the same window on Poly terms.
+    (qpacked.recursion_width).  Boards where packing costs more than terms
+    run the same window on term dicts (_kernels_py.mul_add_terms): those
+    too q-sparse to pack (generic schemes with large B or C), and those
+    with one q exponent per z-monomial (B(i) - C(i) = lam * i, as in the
+    inv-* schemes; qpacked.one_q_per_z) whose span + 1 passes
+    qpacked._SLOTS_PER_TERM.
     The tile exponents go through the same capacity check as
     weighted_sum_enumerative, before any arithmetic.  Agrees with
     weighted_sum_enumerative on every input; the recursion reaches board
@@ -361,28 +365,28 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     if n < 0:
         return Poly.zero(w.k)
     deltas, qlow, qtop = _tile_deltas(n, k, w, app)
-    width = qpacked.recursion_width(n, k, qtop - qlow, fibonacci_k(n, k))
+    count = fibonacci_k(n, k)
+    width = qpacked.recursion_width(n, k, qtop - qlow, count, qpacked.one_q_per_z(deltas))
     if width is None:
-        tiles = [[Poly(w.k, {d: 1}) for d in row] for row in deltas]
-        return _first_tile_sums(
-            tiles, Poly.one(w.k), functools.partial(Poly.zero, w.k), qpacked.poly_mul_add
-        )
+        tiles = [[{d: 1} for d in row] for row in deltas]
+        # the same exact bounds as weighted_sum_enumerative's
+        return Poly._wrap(w.k, _first_tile_sums(tiles, {0: 1}, _k.mul_add_terms), (n, qtop))
     tiles = [[{d >> Q_BITS: (d & Q_MASK, 1)} for d in row] for row in deltas]
     mul_add = functools.partial(qpacked.q_mul_add, width=width)
-    return qpacked.q_unpack(w.k, _first_tile_sums(tiles, {0: (0, 1)}, dict, mul_add), width)
+    return qpacked.q_unpack(w.k, _first_tile_sums(tiles, {0: (0, 1)}, mul_add), width)
 
 
-def _first_tile_sums(tiles, one, zero, mul_add):
+def _first_tile_sums(tiles, one, mul_add):
     """G(1) for G(pos) = sum_i tiles[i-1][pos-1] * G(pos + i), G(n + 1) = one,
-    over the ring given by zero() and mul_add (see qpacked), called with
-    sign 1.  window[i-1] is G(pos + i); only the k latest suffix sums stay
-    alive, and the window is read by index, so no name holds the one
-    appendleft evicts."""
+    over the ring given by mul_add (see qpacked), called with sign 1 on a
+    fresh {} per suffix sum.  window[i-1] is G(pos + i); only the k latest
+    suffix sums stay alive, and the window is read by index, so no name
+    holds the one appendleft evicts."""
     window = collections.deque([one], maxlen=len(tiles))
     for pos in range(len(tiles[0]), 0, -1):
-        total = zero()
+        total = {}
         for i in range(len(window)):
-            total = mul_add(total, tiles[i][pos - 1], window[i], 1)
+            mul_add(total, tiles[i][pos - 1], window[i], 1)
         window.appendleft(total)
     return window[0]
 

@@ -195,8 +195,8 @@ def test_sum_caches_are_bounded(cleared_caches):
 
 def test_hot_paths_read_no_bounds_off_terms(cleared_caches, monkeypatch):
     # the sums, shifts, products and determinants of the verifiers all carry
-    # bounds passed on by their operations; only values built from bare
-    # terms read theirs, as the one-term tiles of the Poly window do
+    # bounds passed on by their operations, and the Poly window's tiles
+    # are bare term dicts, so no value reads bounds off its terms
     reads = []
     read = polyring._read_bounds
     monkeypatch.setattr(
@@ -214,7 +214,7 @@ def test_hot_paths_read_no_bounds_off_terms(cleared_caches, monkeypatch):
     assert reads == []
     q_sparse = WeightScheme.from_tables(3, (0, 0, 0), (0, 500, 1000), (1000, 7, 0))
     tiling.weighted_sum_recursive(30, 3, q_sparse)
-    assert reads and set(reads) == {1}
+    assert reads == []
 
 
 def test_corrupted_scheme_fails_with_witness():

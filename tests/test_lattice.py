@@ -16,7 +16,7 @@ import itertools
 
 import pytest
 
-from qfib import qpacked
+from qfib import _kernels_py, qpacked
 from qfib.errors import (
     LIMITS,
     CapacityError,
@@ -178,7 +178,7 @@ def test_hand_built_determinant_on_packed_form(monkeypatch):
     # balanced and as wide as the bound says for the decode to be right
     m = _hand_built_matrix()
     expected = _permutation_det(m)
-    monkeypatch.setattr(qpacked, "poly_mul_add", _refuse)
+    monkeypatch.setattr(_kernels_py, "mul_add_terms", _refuse)
     det = determinant(m)
     assert det == expected
     assert max(abs(t.coeff) for t in det.monomials()) > 2**140

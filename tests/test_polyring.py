@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qfib import polyring
+from qfib import _kernels_py, polyring
 from qfib.errors import (
     CapacityError,
     InvalidShiftError,
@@ -668,6 +668,41 @@ def test_q_mul_add_changes_only_its_accumulator():
         q_mul_add(total, b, c, 1, width)
         assert a == saved[0]
         assert q_unpack(2, total, width) == q_unpack(2, tile, width) * pa + pb * pc
+
+
+def _random_terms(rnd, size):
+    # a term dict of the 2-variable ring, coefficients other than 1 included
+    coeffs = (1, -1, 2, -3, 7, 10**30, -(10**30))
+    return Poly.from_monomials(
+        2,
+        [(rnd.choice(coeffs), (rnd.randint(0, 3), rnd.randint(0, 3)), rnd.randint(0, 6))
+         for _ in range(size)],
+    )._terms
+
+
+def test_mul_add_terms_is_acc_plus_sign_times_product():
+    # the Poly routes' ring: acc + sign * a * b, acc updated in place and
+    # returned, a and b only read, no zero coefficient kept
+    for seed in range(300):
+        rnd = random.Random(seed)
+        a, b = (_random_terms(rnd, rnd.randint(0, 9)) for _ in range(2))
+        sign = rnd.choice((1, -1))
+        acc = _random_terms(rnd, rnd.choice((0, 0, rnd.randint(1, 12))))
+        if seed % 7 == 0:
+            # a one-term tile of coefficient 1, as the recursion's are
+            a = {rnd.randint(0, 3) << 32 + 16: 1}
+        if seed % 5 == 0:
+            # full cancellation: acc is exactly -sign * a * b
+            acc = (Poly(2, a) * Poly(2, b) * -sign)._terms
+        saved = copy.deepcopy((a, b))
+        expected = Poly(2, acc) + Poly(2, a) * Poly(2, b) * sign
+        got = _kernels_py.mul_add_terms(acc, a, b, sign)
+        assert got is acc
+        assert (a, b) == saved
+        assert 0 not in acc.values()
+        assert Poly(2, acc) == expected, seed
+        if seed % 5 == 0:
+            assert acc == {}
 
 
 def _reference_format(k, monos):

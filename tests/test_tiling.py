@@ -323,6 +323,10 @@ def test_recursive_route_choice(monkeypatch):
     # on terms per z-monomial tells this board from a dense one
     sparse = WeightScheme.from_tables(2, (0, 0), (0, 40), (40, 0))
     assert weighted_sum_recursive(30, 2, sparse).evaluate((1, 1), 1) == fibonacci_k(30, 2)
+    # one q exponent per z-monomial: 4,263 terms over a span of hundreds
+    inv = weighted_sum_recursive(80, 4, builtin_scheme("inv-prlp", 4))
+    assert inv.n_terms == 4263
+    assert inv.evaluate((1, 1, 1, 1), 1) == fibonacci_k(80, 4)
     assert len(unpacks) == 1
 
 
@@ -330,7 +334,7 @@ def test_recursion_width_is_word_aligned_where_x_can_be_cast():
     # room for every count of tilings as a balanced digit,
     # |c| <= F_n < 2^(W - 1); whole 64-bit words per digit once an x of
     # span + 1 digits can be long enough for q_unpack's cast, else no more
-    # bits than the count needs
+    # bits than the count needs (under the general term bound)
     for k in range(1, 6):
         for n in list(range(0, 40)) + [63, 64, 65, 80, 200, 400]:
             count = fibonacci_k(n, k)
@@ -338,11 +342,18 @@ def test_recursion_width_is_word_aligned_where_x_can_be_cast():
             words = -(-need // 64) * 64
             cast_from = 16 if words == 64 else 32
             for span in (0, cast_from - 2, cast_from - 1, 500):
-                width = qpacked.recursion_width(n, k, span, count)
+                width = qpacked.recursion_width(n, k, span, count, False)
                 if width is None:
                     continue
                 expected = words if span + 1 >= cast_from else need
                 assert width == expected, (n, k, span, width)
+
+
+def _estimate(n, k, w, app):
+    deltas, qlow, qtop = tiling._tile_deltas(n, k, w, app)
+    span = qtop - qlow
+    one_q = qpacked.one_q_per_z(deltas)
+    return span, one_q, qpacked._q_slots_and_terms(n, k, span, fibonacci_k(n, k), one_q)
 
 
 def test_slot_estimate_bounds_the_terms():
@@ -354,10 +365,44 @@ def test_slot_estimate_bounds_the_terms():
         for w in (builtin_scheme("maj-rlp", k), random_scheme(k, 4), WeightScheme.from_tables(k, *tables)):
             for n in range(11):
                 p = weighted_sum_enumerative(n, k, w, AppendSpec(1, 2))
-                _, qlow, qtop = tiling._tile_deltas(n, k, w, AppendSpec(1, 2))
-                span = qtop - qlow
-                slots, terms = qpacked._q_slots_and_terms(n, k, span, fibonacci_k(n, k))
+                span, _, (slots, terms) = _estimate(n, k, w, AppendSpec(1, 2))
                 assert slots == len({m.z_exps for m in p.monomials()}) * (span + 1), (w, n)
+                assert p.n_terms <= terms, (w, n)
+    # B(i) - C(i) = lam * i makes a tiling's q exponent a function of its
+    # tile lengths, so the terms are the z-monomials: the three inv-*
+    # schemes, inv-prlp with A twisted, and random tables for lam = -1, 0, 2
+    rng = random.Random(11)
+    schemes = []
+    for k in range(1, 6):
+        schemes += [builtin_scheme(p, k) for p in ("inv-lp", "inv-rlp", "inv-prlp")]
+        inv = builtin_scheme("inv-prlp", k)
+        schemes.append(WeightScheme.from_tables(
+            k, [inv.a(i) + rng.randint(0, 5) for i in range(1, k + 1)],
+            [inv.b(i) for i in range(1, k + 1)], [inv.c(i) for i in range(1, k + 1)],
+        ))
+        for lam in (-1, 0, 2):
+            c = [rng.randint(max(0, -lam * i), 9) for i in range(1, k + 1)]
+            a = [rng.randint(0, 9) for _ in range(k)]
+            schemes.append(WeightScheme.from_tables(k, a, [ci + lam * i for i, ci in enumerate(c, 1)], c))
+    for w in schemes:
+        k = w.k
+        for n in range(13 if k < 5 else 11):
+            for app in (AppendSpec(), AppendSpec(rng.randint(0, 4), rng.randint(0, 4))):
+                p = weighted_sum_enumerative(n, k, w, app)
+                span, one_q, (slots, terms) = _estimate(n, k, w, app)
+                assert one_q, (w, n, app)
+                assert terms == p.n_terms, (w, n, app)
+                assert slots == p.n_terms * (span + 1), (w, n, app)
+    # elsewhere the estimate is the general bound, also for an exponent
+    # override whose rows bend (joint in start and trailing length)
+    for k in range(2, 5):
+        for w in (builtin_scheme("maj-lp", k), corrupted_scheme(k, 3)):
+            for n in range(3, 11):
+                p = weighted_sum_enumerative(n, k, w, AppendSpec(1, 2))
+                span, one_q, (slots, terms) = _estimate(n, k, w, AppendSpec(1, 2))
+                assert not one_q, (w, n)
+                general = qpacked._q_slots_and_terms(n, k, span, fibonacci_k(n, k), False)
+                assert (slots, terms) == general, (w, n)
                 assert p.n_terms <= terms, (w, n)
 
 
