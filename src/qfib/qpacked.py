@@ -1,6 +1,8 @@
 """q-packed arithmetic, and the rules that route the first-tile recursion
 (tiling.weighted_sum_recursive) and the minor determinant
-(lattice.determinant) onto it.
+(lattice.determinant) onto it.  A recursion whose z-monomials each have one
+q exponent (one_q_per_z) needs neither ring: it has a closed form
+(tiling._one_q_sums).
 
 A q-packed polynomial is a Kronecker substitution q -> 2^W in q alone: a
 dict from z-key (packed key >> Q_BITS) to a pair (lo, x) standing for
@@ -22,12 +24,12 @@ or b stays as it was.
 
 Each caller bounds its coefficients and asks its rule below for W; a rule
 returns None where packing would cost more than plain terms (q exponents
-too sparse, or one q exponent per z-monomial), and the caller runs the
-same computation on the term dicts of Poly.  Both rings take
-mul_add(acc, a, b, sign) = acc + sign * a * b and update acc in place
-under the same contract (acc a fresh dict, never a or b; zeros dropped):
-q_mul_add with the width bound, or _kernels_py.mul_add_terms.  Each
-caller starts every sum from {} and wraps its result once.
+too sparse), and the caller runs the same computation on the term dicts
+of Poly.  Both rings take mul_add(acc, a, b, sign) = acc + sign * a * b
+and update acc in place under the same contract (acc a fresh dict, never
+a or b; zeros dropped): q_mul_add with the width bound, or
+_kernels_py.mul_add_terms.  Each caller starts every sum from {} and
+wraps its result once.
 """
 
 import itertools
@@ -41,18 +43,19 @@ from .polyring import Poly
 # largest exponent, the term window for every term, and a term with a
 # W-bit coefficient costs about as much more as a W-bit slot does.  So the
 # choice rests on slots per term (_q_slots_and_terms), not on W.  Timed
-# against the in-place term ring (_kernels_py.mul_add_terms) on 141 boards,
-# each on both windows, best of 3 (Python 3.11, 2 vCPUs): the 21 built-in
-# boards (7 schemes at k = 2..4, n = 45..240) and 120 generic schemes with
-# B and C drawn log-uniformly up to 10^5 at k = 2..4 and n = 12..60.  At up
-# to 8 slots per estimated term the packed window won 43 of 46 boards
-# (median 4.4x; the 12 q-dense built-in boards 12-25x) and lost none by more
-# than 1.4x (36 ms).  Past 8 the term window won 54 of the 65 boards run on
-# both (median 3.1x), all 9 inv-* boards (one q per z-monomial) by
-# 1.1-1.5x; the packed window won 11, by up to 7.3x, and ran out of a
-# 1.5 GB address space on 6 more, two at 10 and 12 slots per term whose
-# term window took 2.7 and 15 s.  The old bound of 14, timed against a
-# term ring that copied its sums, sent those two to the packed window.
+# against the in-place term ring (_kernels_py.mul_add_terms), each board on
+# both windows, best of 3 (Python 3.11, 2 vCPUs): the 12 built-in boards of
+# maj-lp, maj-rlp, maj-prlp and rb-lpi at k = 2..4 (n = 45..240) and 120
+# generic schemes with B and C drawn log-uniformly up to 10^5 at k = 2..4
+# and n = 12..60.  (The inv-* boards, one q per z-monomial, take the closed
+# form and never reach this rule.)  At up to 8 slots per estimated term the
+# packed window won 43 of 46 boards (median 4.4x; the 12 q-dense built-in
+# boards 12-25x) and lost none by more than 1.4x (36 ms).  Past 8 the term
+# window won 45 of the 56 boards run on both (median above 3.1x); the
+# packed window won 11, by up to 7.3x, and ran out of a 1.5 GB address
+# space on 6 more, two at 10 and 12 slots per term whose term window took
+# 2.7 and 15 s.  The old bound of 14, timed against a term ring that copied
+# its sums, sent those two to the packed window.
 _SLOTS_PER_TERM = 8
 
 # Largest packed integer, in bits, that determinant() allows: W times the
@@ -70,15 +73,14 @@ _SLOTS_PER_TERM = 8
 _PACKED_BITS = 1 << 17
 
 
-def recursion_width(n: int, k: int, span: int, count: int, one_q: bool) -> int | None:
+def recursion_width(n: int, k: int, span: int, count: int) -> int | None:
     """W for the recursion on an n-board with parts <= k, whose tilings
-    span `span` q exponents and number `count`, or None for plain terms;
-    one_q says that each z-monomial has one q exponent (one_q_per_z).
+    span `span` q exponents and number `count`, or None for plain terms.
 
     W is bitlen(count) + 1, rounded up to whole 64-bit words when an x of
     span + 1 digits would be long enough for q_unpack to read it a word at
     a time; below that every x is peeled, and narrow digits are cheaper."""
-    slots, terms = _q_slots_and_terms(n, k, span, count, one_q)
+    slots, terms = _q_slots_and_terms(n, k, span, count)
     if slots > _SLOTS_PER_TERM * terms:
         return None
     width = count.bit_length() + 1
@@ -97,7 +99,7 @@ def one_q_per_z(rows) -> bool:
     """Whether every z-monomial of a board has one q exponent: rows[i-1]
     holds the packed keys (or the q exponents) of a tile of length i at
     starts 1, 2, ..., and each row must step by lam * i per start for one
-    lam; see _q_slots_and_terms.  A row with one start sets no step."""
+    lam; see tiling._one_q_sums.  A row with one start sets no step."""
     ref = None  # (step, i) of the first row with two starts
     for i, row in enumerate(rows, 1):
         if len(row) < 2:
@@ -112,7 +114,7 @@ def one_q_per_z(rows) -> bool:
     return True
 
 
-def _q_slots_and_terms(n: int, k: int, span: int, count: int, one_q: bool) -> tuple[int, int]:
+def _q_slots_and_terms(n: int, k: int, span: int, count: int) -> tuple[int, int]:
     """The q slots of a packed n-board sum, and a bound on its terms.
 
     The slots are the z-monomials of an n-board, one per multiset of tile
@@ -123,14 +125,6 @@ def _q_slots_and_terms(n: int, k: int, span: int, count: int, one_q: bool) -> tu
     starts over its i-tiles, with slope B(i) - C(i) in S_i, S_i takes at
     most c_i (n - i c_i) + 1 values, and sum_i i S_i is fixed.  Both sums
     over z-monomials run as one knapsack over tile lengths.
-
-    With one_q, a tile of length i at start s has q exponent
-    alpha_i + lam * i * s, so a tiling's exponent is sum_i alpha_i c_i +
-    lam * sum_i i S_i; each tile covers cells s..s+i-1, whose sum is
-    i s + i(i-1)/2, so sum_i i S_i = n(n+1)/2 - sum_i c_i i(i-1)/2 is fixed
-    by the z-monomial, and so is the exponent.  In a separable scheme that
-    is B(i) - C(i) = lam * i, as in inv-lp, inv-rlp and inv-prlp.  The terms
-    are then exactly the z-monomials.
     """
     zmons = [1] + [0] * n
     bound = [1] + [0] * n
@@ -142,7 +136,7 @@ def _q_slots_and_terms(n: int, k: int, span: int, count: int, one_q: bool) -> tu
             zmons[m] += zmons[m - i]
     # tiles of length k add a factor 1 whatever their count
     z_total = sum(zmons[n::-k])
-    return z_total * (span + 1), z_total if one_q else min(count, sum(bound[n::-k]))
+    return z_total * (span + 1), min(count, sum(bound[n::-k]))
 
 
 def q_pack(p: Poly, width: int) -> dict[int, tuple[int, int]]:

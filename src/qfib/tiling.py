@@ -18,7 +18,9 @@ is computed here by two independent routes: literal enumeration of every
 tiling, and the first-tile recursion G(pos) = sum_i weight(i, pos) G(pos + i)
 over the suffix sums G of the board, run bottom-up over a rolling window of
 the k latest suffix sums, in q-packed form where the board allows (see
-qpacked).
+qpacked).  Where the multiset of tile lengths fixes a tiling's q exponent
+(B(i) - C(i) = lam * i, as in the inv-* schemes) the recursion is solved in
+closed form: one multinomial term per z-monomial.
 """
 
 import collections
@@ -349,12 +351,12 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     into the tile exponent.  It runs bottom-up and holds only the k suffix
     sums G(pos + 1..pos + k).  Each coefficient counts tilings, so it is at
     most F_n, and q-packed digits of W >= bitlen(F_n) + 1 bits decode it
-    (qpacked.recursion_width).  Boards where packing costs more than terms
-    run the same window on term dicts (_kernels_py.mul_add_terms): those
-    too q-sparse to pack (generic schemes with large B or C), and those
-    with one q exponent per z-monomial (B(i) - C(i) = lam * i, as in the
-    inv-* schemes; qpacked.one_q_per_z) whose span + 1 passes
-    qpacked._SLOTS_PER_TERM.
+    (qpacked.recursion_width).  Boards too q-sparse to pack (generic
+    schemes with large B or C) run the same window on term dicts
+    (_kernels_py.mul_add_terms).  Boards with one q exponent per
+    z-monomial (qpacked.one_q_per_z: B(i) - C(i) = lam * i, as in the
+    inv-* schemes) skip the window: their recursion is solved in closed
+    form, one multinomial term per z-monomial (_one_q_sums).
     The tile exponents go through the same capacity check as
     weighted_sum_enumerative, before any arithmetic.  Agrees with
     weighted_sum_enumerative on every input; the recursion reaches board
@@ -365,11 +367,13 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     if n < 0:
         return Poly.zero(w.k)
     deltas, qlow, qtop = _tile_deltas(n, k, w, app)
+    # the same exact bounds as weighted_sum_enumerative's on both term routes
+    if qpacked.one_q_per_z(deltas):
+        return Poly._wrap(w.k, _one_q_sums(n, deltas), (n, qtop))
     count = fibonacci_k(n, k)
-    width = qpacked.recursion_width(n, k, qtop - qlow, count, qpacked.one_q_per_z(deltas))
+    width = qpacked.recursion_width(n, k, qtop - qlow, count)
     if width is None:
         tiles = [[{d: 1} for d in row] for row in deltas]
-        # the same exact bounds as weighted_sum_enumerative's
         return Poly._wrap(w.k, _first_tile_sums(tiles, {0: 1}, _k.mul_add_terms), (n, qtop))
     tiles = [[{d >> Q_BITS: (d & Q_MASK, 1)} for d in row] for row in deltas]
     mul_add = functools.partial(qpacked.q_mul_add, width=width)
@@ -389,6 +393,48 @@ def _first_tile_sums(tiles, one, mul_add):
             mul_add(total, tiles[i][pos - 1], window[i], 1)
         window.appendleft(total)
     return window[0]
+
+
+def _one_q_sums(n, deltas):
+    """The terms of G(1) when every z-monomial has one q exponent
+    (qpacked.one_q_per_z): one term per multiset of tile lengths, c_i tiles
+    of length i with sum_i i c_i = n, whose coefficient (sum_i c_i)! /
+    prod_i c_i! counts the tilings that order it.
+
+    Each row_i = deltas[i-1] steps by lam * i per start, so a tile of
+    length i at start s has packed key row_i[0] + lam * i * (s - 1), and a
+    tiling with S_i the sum of its i-tiles' starts has key
+    sum_i c_i row_i[0] + lam (sum_i i S_i - sum_i i c_i).  Each tile covers
+    cells s..s+i-1, whose sum is i s + i(i-1)/2, so
+    sum_i i S_i = n(n+1)/2 - sum_i c_i i(i-1)/2, and the key is
+    lam n(n+1)/2 + sum_i c_i (row_i[0] - lam i(i+1)/2): fixed by the
+    z-monomial.  In a separable scheme that is B(i) - C(i) = lam * i, as
+    in inv-lp, inv-rlp and inv-prlp.
+
+    The multisets are enumerated a tile length at a time, longest first,
+    as (cells left, tiles so far, key, prod c_i!) states; the cells that
+    the longer tiles leave are ones.
+    """
+    if n == 0:
+        return {0: 1}
+    # rows of lengths 1..min(k, n); a length-1 row has n starts
+    rows = [row for row in deltas if row]
+    lam = rows[0][1] - rows[0][0] if n > 1 else 0
+    offs = [row[0] - lam * (i * (i + 1) // 2) for i, row in enumerate(rows, 1)]
+    fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
+    states = [(n, 0, lam * (n * (n + 1) // 2), 1)]
+    for i in range(len(rows), 1, -1):
+        off = offs[i - 1]
+        states = [
+            (rest - i * c, tiles + c, key + c * off, denom * fact[c])
+            for rest, tiles, key, denom in states
+            for c in range(rest // i + 1)
+        ]
+    off = offs[0]
+    return {
+        key + rest * off: fact[tiles + rest] // (denom * fact[rest])
+        for rest, tiles, key, denom in states
+    }
 
 
 class SchemeValidation(NamedTuple):

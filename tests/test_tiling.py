@@ -95,16 +95,25 @@ def test_weighted_sum_single_cell():
         assert weighted_sum_recursive(1, 3, w) == expected
 
 
+def _spy(monkeypatch, module, name):
+    """Record the calls of module.name in the list returned."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 def test_recursive_equals_enumerative(monkeypatch):
     # each window forced on every board, over built-in, random and incoherent
-    # schemes: the packed one decodes every board, the Poly one none
-    unpacks = []
-    unpack = qpacked.q_unpack
-    monkeypatch.setattr(qpacked, "q_unpack", lambda *args: unpacks.append(args) or unpack(*args))
+    # schemes: the packed one decodes every board that runs the window, the
+    # Poly one none; boards with one q per z-monomial take the closed form
+    unpacks = _spy(monkeypatch, qpacked, "q_unpack")
+    windows = _spy(monkeypatch, tiling, "_first_tile_sums")
     pairs = ("inv-lp", "inv-rlp", "inv-prlp", "maj-lp", "maj-rlp", "maj-prlp", "rb-lpi")
     for slots_per_term, decodes in ((10**9, True), (0, False)):
         monkeypatch.setattr(qpacked, "_SLOTS_PER_TERM", slots_per_term)
         unpacks.clear()
+        windows.clear()
         boards = 0
         for k in range(1, 5):
             schemes = [builtin_scheme(p, k) for p in pairs]
@@ -116,7 +125,10 @@ def test_recursive_equals_enumerative(monkeypatch):
                         assert weighted_sum_enumerative(n, k, w, app) == weighted_sum_recursive(
                             n, k, w, app
                         ), (w.name, k, n, app, slots_per_term)
-                        boards += n >= 0
+                        if n >= 0:
+                            deltas = tiling._tile_deltas(n, k, w, app)[0]
+                            boards += not qpacked.one_q_per_z(deltas)
+        assert len(windows) == boards >= 1000
         assert len(unpacks) == (boards if decodes else 0)
 
 
@@ -310,10 +322,10 @@ def test_recursive_evaluator_reaches_large_boards():
 
 
 def test_recursive_route_choice(monkeypatch):
-    # q-dense built-in boards pack at any length; q-sparse boards run on Poly terms
-    unpacks = []
-    unpack = qpacked.q_unpack
-    monkeypatch.setattr(qpacked, "q_unpack", lambda *args: unpacks.append(args) or unpack(*args))
+    # q-dense built-in boards pack at any length; q-sparse boards run on Poly
+    # terms; boards with one q per z-monomial run no window at all
+    unpacks = _spy(monkeypatch, qpacked, "q_unpack")
+    windows = _spy(monkeypatch, tiling, "_first_tile_sums")
     maj = weighted_sum_recursive(100, 2, builtin_scheme("maj-lp", 2))
     assert len(unpacks) == 1
     assert maj.evaluate((1, 1), 1) == fibonacci_k(100, 2)
@@ -323,10 +335,12 @@ def test_recursive_route_choice(monkeypatch):
     # on terms per z-monomial tells this board from a dense one
     sparse = WeightScheme.from_tables(2, (0, 0), (0, 40), (40, 0))
     assert weighted_sum_recursive(30, 2, sparse).evaluate((1, 1), 1) == fibonacci_k(30, 2)
+    assert len(windows) == 3
     # one q exponent per z-monomial: 4,263 terms over a span of hundreds
     inv = weighted_sum_recursive(80, 4, builtin_scheme("inv-prlp", 4))
     assert inv.n_terms == 4263
     assert inv.evaluate((1, 1, 1, 1), 1) == fibonacci_k(80, 4)
+    assert len(windows) == 3
     assert len(unpacks) == 1
 
 
@@ -342,7 +356,7 @@ def test_recursion_width_is_word_aligned_where_x_can_be_cast():
             words = -(-need // 64) * 64
             cast_from = 16 if words == 64 else 32
             for span in (0, cast_from - 2, cast_from - 1, 500):
-                width = qpacked.recursion_width(n, k, span, count, False)
+                width = qpacked.recursion_width(n, k, span, count)
                 if width is None:
                     continue
                 expected = words if span + 1 >= cast_from else need
@@ -353,7 +367,7 @@ def _estimate(n, k, w, app):
     deltas, qlow, qtop = tiling._tile_deltas(n, k, w, app)
     span = qtop - qlow
     one_q = qpacked.one_q_per_z(deltas)
-    return span, one_q, qpacked._q_slots_and_terms(n, k, span, fibonacci_k(n, k), one_q)
+    return span, one_q, qpacked._q_slots_and_terms(n, k, span, fibonacci_k(n, k))
 
 
 def test_slot_estimate_bounds_the_terms():
@@ -368,32 +382,7 @@ def test_slot_estimate_bounds_the_terms():
                 span, _, (slots, terms) = _estimate(n, k, w, AppendSpec(1, 2))
                 assert slots == len({m.z_exps for m in p.monomials()}) * (span + 1), (w, n)
                 assert p.n_terms <= terms, (w, n)
-    # B(i) - C(i) = lam * i makes a tiling's q exponent a function of its
-    # tile lengths, so the terms are the z-monomials: the three inv-*
-    # schemes, inv-prlp with A twisted, and random tables for lam = -1, 0, 2
-    rng = random.Random(11)
-    schemes = []
-    for k in range(1, 6):
-        schemes += [builtin_scheme(p, k) for p in ("inv-lp", "inv-rlp", "inv-prlp")]
-        inv = builtin_scheme("inv-prlp", k)
-        schemes.append(WeightScheme.from_tables(
-            k, [inv.a(i) + rng.randint(0, 5) for i in range(1, k + 1)],
-            [inv.b(i) for i in range(1, k + 1)], [inv.c(i) for i in range(1, k + 1)],
-        ))
-        for lam in (-1, 0, 2):
-            c = [rng.randint(max(0, -lam * i), 9) for i in range(1, k + 1)]
-            a = [rng.randint(0, 9) for _ in range(k)]
-            schemes.append(WeightScheme.from_tables(k, a, [ci + lam * i for i, ci in enumerate(c, 1)], c))
-    for w in schemes:
-        k = w.k
-        for n in range(13 if k < 5 else 11):
-            for app in (AppendSpec(), AppendSpec(rng.randint(0, 4), rng.randint(0, 4))):
-                p = weighted_sum_enumerative(n, k, w, app)
-                span, one_q, (slots, terms) = _estimate(n, k, w, app)
-                assert one_q, (w, n, app)
-                assert terms == p.n_terms, (w, n, app)
-                assert slots == p.n_terms * (span + 1), (w, n, app)
-    # elsewhere the estimate is the general bound, also for an exponent
+    # elsewhere too the estimate bounds the terms, also for an exponent
     # override whose rows bend (joint in start and trailing length)
     for k in range(2, 5):
         for w in (builtin_scheme("maj-lp", k), corrupted_scheme(k, 3)):
@@ -401,9 +390,90 @@ def test_slot_estimate_bounds_the_terms():
                 p = weighted_sum_enumerative(n, k, w, AppendSpec(1, 2))
                 span, one_q, (slots, terms) = _estimate(n, k, w, AppendSpec(1, 2))
                 assert not one_q, (w, n)
-                general = qpacked._q_slots_and_terms(n, k, span, fibonacci_k(n, k), False)
-                assert (slots, terms) == general, (w, n)
                 assert p.n_terms <= terms, (w, n)
+
+
+def _one_q_schemes(k, rng):
+    """The three inv-* schemes, inv-prlp with A twisted, and random tables
+    with B(i) - C(i) = lam * i for lam = -2..2."""
+    schemes = [builtin_scheme(p, k) for p in ("inv-lp", "inv-rlp", "inv-prlp")]
+    inv = builtin_scheme("inv-prlp", k)
+    schemes.append(WeightScheme.from_tables(
+        k, [inv.a(i) + rng.randint(0, 5) for i in range(1, k + 1)],
+        [inv.b(i) for i in range(1, k + 1)], [inv.c(i) for i in range(1, k + 1)],
+    ))
+    for lam in range(-2, 3):
+        c = [max(0, -lam * i) + rng.randint(0, 9) for i in range(1, k + 1)]
+        a = [rng.randint(0, 9) for _ in range(k)]
+        schemes.append(WeightScheme.from_tables(k, a, [ci + lam * i for i, ci in enumerate(c, 1)], c))
+    return schemes
+
+
+def test_closed_form_equals_enumerative(monkeypatch):
+    # B(i) - C(i) = lam * i makes a tiling's q exponent a function of its
+    # tile lengths: the recursion runs no window, and its terms are the
+    # z-monomials, one each, as many as the slot estimate counts
+    monkeypatch.setattr(tiling, "_first_tile_sums", None)
+    rng = random.Random(11)
+    boards = [(k, w, range(13 if k < 5 else 11)) for k in range(1, 6) for w in _one_q_schemes(k, rng)]
+    # tile lengths past the board: k > n on every board
+    boards += [(13, w, range(13)) for w in _one_q_schemes(13, rng)[:4]]
+    for k, w, ns in boards:
+        for n in ns:
+            for app in (AppendSpec(), AppendSpec(rng.randint(0, 4), rng.randint(0, 4))):
+                p = weighted_sum_enumerative(n, k, w, app)
+                assert weighted_sum_recursive(n, k, w, app) == p, (w, n, app)
+                span, one_q, (slots, terms) = _estimate(n, k, w, app)
+                assert one_q, (w, n, app)
+                assert p.n_terms == len({m.z_exps for m in p.monomials()}), (w, n, app)
+                assert slots == p.n_terms * (span + 1), (w, n, app)
+
+
+def test_closed_form_follows_the_tile_rows(monkeypatch):
+    # the route reads the tile rows, not the declared tables: an override
+    # joint in start and trailing length whose rows still step by -i per
+    # start (sigma + tau is fixed along a row) takes the closed form, and a
+    # corrupted scheme, whose rows bend, runs the window
+    windows = _spy(monkeypatch, tiling, "_first_tile_sums")
+    linear = WeightScheme(3, lambda i: 0, lambda i: 0, lambda i: 0, name="linear-rows",
+                          exponent=lambda i, sigma, tau: i * (sigma + 2 * tau) + (sigma + tau) ** 2)
+    assert not validate_weight_scheme(linear, 4).ok
+    for n in range(0, 11):
+        for app in (AppendSpec(), AppendSpec(2, 1)):
+            assert weighted_sum_recursive(n, 3, linear, app) == weighted_sum_enumerative(n, 3, linear, app)
+    assert windows == []
+    corrupt = corrupted_scheme(3, 1)
+    for n in range(4, 11):
+        assert weighted_sum_recursive(n, 3, corrupt) == weighted_sum_enumerative(n, 3, corrupt)
+    assert len(windows) == 7
+
+
+def test_closed_form_beyond_enumeration():
+    # boards no enumeration reaches, checked at a seeded point modulo a prime
+    # against a numeric first-tile DP over the same tile rows, and at
+    # z = q = 1 against F_n
+    prime = 2**61 - 1
+    rng = random.Random(17)
+    for pair, k, n, app in (("inv-lp", 2, 1000, AppendSpec()), ("inv-prlp", 4, 160, AppendSpec(1, 2))):
+        w = builtin_scheme(pair, k)
+        p = weighted_sum_recursive(n, k, w, app)
+        assert p.evaluate((1,) * k, 1) == fibonacci_k(n, k)
+        zs, q = [rng.randrange(2, prime) for _ in range(k)], rng.randrange(2, prime)
+        rows = tiling._tile_deltas(n, k, w, app)[0]
+        g = [0] * (n + 1 + k)
+        g[n + 1] = 1
+        for pos in range(n, 0, -1):
+            g[pos] = sum(
+                zs[i - 1] * pow(q, rows[i - 1][pos - 1] & _kernels_py.Q_MASK, prime) * g[pos + i]
+                for i in range(1, min(k, n - pos + 1) + 1)
+            ) % prime
+        value = 0
+        for m in p.monomials():
+            term = m.coeff * pow(q, m.q_exp, prime)
+            for z, e in zip(zs, m.z_exps):
+                term = term * pow(z, e, prime) % prime
+            value += term
+        assert value % prime == g[1], (pair, k, n)
 
 
 def test_random_scheme_is_deterministic():
