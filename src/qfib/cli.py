@@ -20,13 +20,14 @@ characters:
     unary := "-" unary | "(" expr ")" | "i" | digits
 
 Spaces may separate tokens, literals may have leading zeros, and division
-must be exact.  The size guards, all in qfib.errors.LIMITS: --k <= 20 on
-every verb; table and enumerate --n <= 20; verify --max-n <= 20 (10 for the
-convolution grid); det and verify det k <= 6 with n + 2k - 2 <= 20;
-validate-scheme --max-n <= 20; --random-schemes <= 1000.  QFIB_SEED
-overrides --seed, and setting QFIB_CORRUPT_SCHEMES=1 deliberately breaks
-the shift coherence of the --random-schemes schemes (a falsifiability hook
-for testing the verifiers themselves).
+must be exact.  The size guards, all in qfib.errors.LIMITS and checked by
+_check_limit: --k <= 20; the largest board a verb enumerates (--n, --max-n,
+2 * --max-n on the convolution grid, n + 2k - 2 for a minor) <= 20; a
+minor's k <= 6; validate-scheme --max-n <= 20; --random-schemes <= 1000.
+A value below a flag's domain is a DomainError.  QFIB_SEED overrides
+--seed, and setting QFIB_CORRUPT_SCHEMES=1 deliberately breaks the shift
+coherence of the --random-schemes schemes (a falsifiability hook for
+testing the verifiers themselves).
 """
 
 import argparse
@@ -40,7 +41,7 @@ import sys
 import tempfile
 
 from . import identities, lattice
-from .errors import LIMITS, QfibError, SizeLimitError
+from .errors import LIMITS, DomainError, QfibError, SizeLimitError
 from .layered import (
     FAMILIES,
     SCHEMED_PAIRS,
@@ -92,13 +93,22 @@ def _eval_expr(node, i: int, text: str) -> int:
     raise QfibError(f"bad scheme expression {text!r}: {type(node).__name__} not allowed")
 
 
+def _check_limit(value: int, limit: str, expr: str, low: int = 0):
+    """Refuse a value of the flags expr that is below low (DomainError) or
+    past LIMITS[limit] (SizeLimitError).  A board's value is the largest
+    board the verb enumerates."""
+    if value < low:
+        raise DomainError(f"need {expr} >= {low}, got {value}")
+    if value > LIMITS[limit]:
+        raise SizeLimitError(
+            f"{expr} is limited to {LIMITS[limit]} (LIMITS[{limit!r}]), got {value}"
+        )
+
+
 def _compile_expr(text: str):
     """Check an integer expression in the variable i; return it as a callable."""
     s = text.strip()
-    if len(s) > LIMITS["expr_len"]:
-        raise SizeLimitError(
-            f"scheme expression longer than {LIMITS['expr_len']} characters"
-        )
+    _check_limit(len(s), "expr_len", "the length of a scheme expression")
     if not set(s) <= _EXPR_CHARS:
         raise QfibError(f"bad scheme expression {text!r}: use 0-9, i, + - * / ( )")
     # The grammar allows leading zeros (007); Python literals do not.
@@ -174,10 +184,7 @@ def _resolve_schemes(args, k: int) -> list[WeightScheme]:
     if getattr(args, "stat", None):
         schemes.append(_parse_scheme(args.stat, k))
     count = getattr(args, "random_schemes", 0) or 0
-    if not 0 <= count <= LIMITS["random_schemes"]:
-        raise SizeLimitError(
-            f"need 0 <= --random-schemes <= {LIMITS['random_schemes']}"
-        )
+    _check_limit(count, "random_schemes", "--random-schemes")
     if count:
         try:
             seed = int(os.environ.get("QFIB_SEED", args.seed))
@@ -201,6 +208,14 @@ def _resolve_schemes(args, k: int) -> list[WeightScheme]:
 # verbs
 
 
+def _check_minor(n: int, k: int, flag: str):
+    """Refuse the k x k minor of n (read from flag) below n = 1, past
+    LIMITS["det_dim"] or with a board n + 2k - 2 past LIMITS["board"]."""
+    _check_limit(n, "board", flag, 1)
+    _check_limit(k, "det_dim", "--k of a minor")
+    _check_limit(n + 2 * k - 2, "board", f"{flag} + 2 * --k - 2")
+
+
 def _print_poly(p: Poly, fmt: str):
     if fmt == "json":
         print(json.dumps(p.to_json_dict()))
@@ -209,8 +224,7 @@ def _print_poly(p: Poly, fmt: str):
 
 
 def _cmd_table(args) -> int:
-    if args.n < 0 or args.n > LIMITS["board"]:
-        raise SizeLimitError(f"table is desk-scale: need 0 <= n <= {LIMITS['board']}")
+    _check_limit(args.n, "board", "--n")
     before, after = args.append
     scheme = _parse_scheme(args.stat, args.k)
     poly = weighted_sum_enumerative(args.n, args.k, scheme, (before, after))
@@ -219,8 +233,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n < 0 or args.n > LIMITS["board"]:
-        raise SizeLimitError(f"enumerate is desk-scale: need 0 <= n <= {LIMITS['board']}")
+    _check_limit(args.n, "board", "--n")
     pair = StatPair(args.with_stat, args.object) if args.with_stat else None
     rows = []
     if args.object == "tilings":
@@ -278,24 +291,13 @@ def _verify_reports(args, schemes):
 
 
 def _cmd_verify(args) -> int:
-    if args.max_n < 1:
-        raise QfibError("need --max-n >= 1")
+    _check_limit(args.max_n, "board", "--max-n", 1)
     if args.identity == "kreduce" and args.k < 2:
-        raise QfibError("kreduce needs --k >= 2")
-    board = LIMITS["board"]
-    if args.identity in ("convolution", "all") and 2 * args.max_n > board:
-        raise SizeLimitError(
-            f"convolution grid is desk-scale: need --max-n <= {board // 2}"
-        )
-    if args.max_n > board:
-        raise SizeLimitError(f"verify is desk-scale: need --max-n <= {board}")
+        raise DomainError("kreduce needs --k >= 2")
+    if args.identity in ("convolution", "all"):
+        _check_limit(2 * args.max_n, "board", "2 * --max-n (the convolution grid)")
     if args.identity in ("det", "all"):
-        if args.k > LIMITS["det_dim"]:
-            raise SizeLimitError(f"determinants are limited to k <= {LIMITS['det_dim']}")
-        if args.max_n + 2 * args.k - 2 > board:
-            raise SizeLimitError(
-                f"determinant grid is desk-scale: need max-n + 2k - 2 <= {board}"
-            )
+        _check_minor(args.max_n, args.k, "--max-n")
     schemes = _resolve_schemes(args, args.k)
     # Each report is rendered as it is made and its polynomials dropped:
     # only the sort key (identity, text line) and the verdict stay in
@@ -326,12 +328,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    if args.k < 1 or args.k > LIMITS["det_dim"]:
-        raise SizeLimitError(f"det is limited to 1 <= k <= {LIMITS['det_dim']}")
-    if args.n < 1 or args.n + 2 * args.k - 2 > LIMITS["board"]:
-        raise SizeLimitError(
-            f"det is desk-scale: need n >= 1 and n + 2k - 2 <= {LIMITS['board']}"
-        )
+    _check_minor(args.n, args.k, "--n")
     scheme = _parse_scheme(args.stat, args.k)
     spec = lattice.MinorSpec(args.n, args.k)
     exact = closed = None
@@ -360,8 +357,7 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_validate_scheme(args) -> int:
-    if not 1 <= args.max_n <= LIMITS["validate_max_n"]:
-        raise SizeLimitError(f"need 1 <= --max-n <= {LIMITS['validate_max_n']}")
+    _check_limit(args.max_n, "validate_max_n", "--max-n", 1)
     schemes = _resolve_schemes(args, args.k)
     bad = False
     for w in schemes:
@@ -475,8 +471,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.k > LIMITS["k"]:
-            raise SizeLimitError(f"need --k <= {LIMITS['k']}")
+        _check_limit(args.k, "k", "--k", 1)
         return args.fn(args)
     except QfibError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,7 +41,8 @@ the front shift stays a substitution.
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
-from .layered import StatPair, builtin_scheme
+from .lattice import MinorSpec, _noncrossing_weight, closed_form_det
+from .layered import StatPair, _ch2, builtin_scheme
 from .polyring import Poly
 from .report import IdentityReport
 # _plain, _front and _back are tiling's shared sum caches, bound here under
@@ -159,10 +160,6 @@ def k_reduction_count(n: int, k: int) -> tuple[int, int]:
 # statistic-specific closed forms
 
 
-def _ch2(m: int) -> int:
-    return m * (m - 1) // 2
-
-
 class _Forms(NamedTuple):
     """The closed forms of one built-in scheme, every value hard-coded."""
 
@@ -215,9 +212,7 @@ def _specialized_det(row: _Forms, n: int, k: int) -> Poly:
     closed form directly in the arc count N = n + k - 1 = p k + r, k, p, r."""
     N = n + k - 1
     p, r = divmod(N, k)
-    sign = 1 if (k % 2 == 1 or (n - 1) % 2 == 0) else -1
-    counts = tuple(0 if j < k else N for j in range(1, k + 1))
-    return Poly.monomial(k, sign, counts, row.det(N, k, p, r))
+    return _noncrossing_weight(k, n, k, row.det(N, k, p, r))
 
 
 def verify_specializations(pair, n_max: int, k: int) -> list[IdentityReport]:
@@ -227,8 +222,6 @@ def verify_specializations(pair, n_max: int, k: int) -> list[IdentityReport]:
     the generic closed-form product for the determinant rows); the right side
     is the general identity with the pair's _SPECIAL row put in.
     """
-    from .lattice import MinorSpec, closed_form_det
-
     pair = StatPair.parse(pair)
     w = builtin_scheme(pair, k)
     row = _SPECIAL.get(str(pair))

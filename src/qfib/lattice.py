@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 from . import qpacked
 from ._backend import kernels as _k
-from .errors import LIMITS, DomainError, RingMismatchError, SizeLimitError
+from .errors import LIMITS, DomainError, SizeLimitError
+from .layered import inv
 from .polyring import Poly, check_capacity
 from .report import IdentityReport
 from .tiling import WeightScheme, _front
@@ -72,7 +73,7 @@ class MinorSpec:
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
-            raise SizeLimitError(f"minor needs n >= 1 and k >= 1, got {self}")
+            raise DomainError(f"minor needs n >= 1 and k >= 1, got {self}")
 
     @property
     def u(self) -> tuple[int, ...]:
@@ -126,15 +127,13 @@ def determinant(mat: PolyMatrix) -> Poly:
     if d > LIMITS["det_dim"]:
         raise SizeLimitError(f"determinant limited to dim <= {LIMITS['det_dim']}, got {d}")
     if d == 0:
-        raise SizeLimitError("determinant of an empty matrix")
+        raise DomainError("determinant of an empty matrix")
     entries = mat.entries
     if len(entries) != d or any(len(row) != d for row in entries):
         raise DomainError(f"determinant needs {d} x {d} entries")
+    for e in itertools.chain.from_iterable(entries):
+        entries[0][0]._check_ring(e)
     k = entries[0][0].k
-    for row in entries:
-        for e in row:
-            if e.k != k:
-                raise RingMismatchError(f"mixed rings: k={k} vs k={e.k}")
     cols = list(zip(*entries))
     qb = sum(max(e.degree_bounds[1] for e in col) for col in cols)
     check_capacity(sum(max(e.degree_bounds[0] for e in col) for col in cols), qb)
@@ -179,9 +178,20 @@ def closed_form_det(spec: MinorSpec, w: WeightScheme) -> Poly:
     for j in range(p):
         for a in range(1, k + 1):
             q_exp += w.qexp(k, r + j * k + a, (p - j - 1) * k)
-    sign = 1 if (k % 2 == 1 or (n - 1) % 2 == 0) else -1
+    return _noncrossing_weight(w.k, n, k, q_exp)
+
+
+def _minor_sign(n: int, k: int) -> int:
+    """Sign of the minor's noncrossing tuple: 1 for odd k, (-1)^(n-1) for even k."""
+    return 1 if (k % 2 == 1 or (n - 1) % 2 == 0) else -1
+
+
+def _noncrossing_weight(ring: int, n: int, k: int, q_exp: int) -> Poly:
+    """+/- z_k^(n+k-1) q^q_exp in the ring-variable ring: the signed weight of
+    the noncrossing tuple of the (n, k) minor whose arcs' q exponents sum to
+    q_exp."""
     counts = tuple(0 if i < k else n + k - 1 for i in range(1, k + 1))
-    return Poly.monomial(w.k, sign, counts, q_exp)
+    return Poly.monomial(ring, _minor_sign(n, k), counts, q_exp)
 
 
 @dataclass(frozen=True)
@@ -193,13 +203,7 @@ class PathTuple:
     alpha: tuple[int, ...]
 
     def sign(self) -> int:
-        inversions = sum(
-            1
-            for i in range(len(self.alpha))
-            for j in range(i + 1, len(self.alpha))
-            if self.alpha[i] > self.alpha[j]
-        )
-        return -1 if inversions % 2 else 1
+        return -1 if inv(self.alpha) % 2 else 1
 
     def weight(self, w: WeightScheme) -> Poly:
         """Product of arc weights; an arc v0 -> v1 on a path ending at b is a
@@ -259,17 +263,14 @@ def enumerate_noncrossing_tuples(spec: MinorSpec) -> list[PathTuple]:
 def miles_sign_check(n: int, k: int) -> IdentityReport:
     """The unweighted minor determinant: 1 for odd k, (-1)^(n-1) for even k,
     checked by evaluating the exact cofactor determinant at z = q = 1."""
-    if n < 1 or k < 1 or k > LIMITS["sign_k"]:
-        raise SizeLimitError(
-            f"sign check needs n >= 1 and 1 <= k <= {LIMITS['sign_k']}, got n={n}, k={k}"
-        )
-    counting = WeightScheme(k, lambda i: 0, lambda i: 0, lambda i: 0, name="counting")
     spec = MinorSpec(n, k)
+    if k > LIMITS["sign_k"]:
+        raise SizeLimitError(f"sign check needs k <= {LIMITS['sign_k']}, got k={k}")
+    counting = WeightScheme(k, lambda i: 0, lambda i: 0, lambda i: 0, name="counting")
     det_value = determinant(build_minor(spec, counting)).evaluate((1,) * k, 1)
-    expected = 1 if (k % 2 == 1 or (n - 1) % 2 == 0) else -1
     return IdentityReport.compare(
         "det-sign",
         {"n": n, "k": k, "scheme": "counting"},
         Poly.constant(k, det_value),
-        Poly.constant(k, expected),
+        Poly.constant(k, _minor_sign(n, k)),
     )

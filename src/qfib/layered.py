@@ -157,18 +157,6 @@ def _increasing_runs(word):
     return runs
 
 
-def _decreasing_runs(word):
-    runs = []
-    start = 0
-    for i in range(1, len(word)):
-        if word[i] > word[i - 1]:
-            runs.append(i - start)
-            start = i
-    if word:
-        runs.append(len(word) - start)
-    return runs
-
-
 def _prlp_runs(word):
     # Each layer ends at its maximum, and the first layer holds the top
     # values, so the first layer ends where the running maximum sits.
@@ -187,7 +175,7 @@ def layer_lengths(family: str, obj) -> list[int]:
     if family == "lp":
         return _increasing_runs(obj)
     if family == "rlp":
-        return _decreasing_runs(obj)
+        return _increasing_runs([-x for x in obj])  # the decreasing runs
     if family == "prlp":
         return _prlp_runs(obj)
     if family == "lpi":

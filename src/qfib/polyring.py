@@ -45,7 +45,7 @@ coefficient that long, which no CLI output comes near.
 import operator
 import re
 import struct
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ._backend import kernels as _k
 from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
@@ -56,6 +56,10 @@ from .errors import (
     PolyParseError,
     RingMismatchError,
 )
+
+
+# from_monomials packs keys with these struct codes; other widths fail here
+_Z_CODE, _Q_CODE = ({8: "B", 16: "H", 32: "I", 64: "Q"}[bits] for bits in (Z_BITS, Q_BITS))
 
 
 class Monomial(NamedTuple):
@@ -72,12 +76,7 @@ def _zoffsets(k: int) -> tuple[int, ...]:
 
 
 def _pack(k: int, z_exps, q_exp: int) -> int:
-    key = q_exp
-    off = Q_BITS + (k - 1) * Z_BITS
-    for e in z_exps:
-        key += e << off
-        off -= Z_BITS
-    return key
+    return q_exp + sum(map(operator.lshift, z_exps, _zoffsets(k)))
 
 
 def _z_exps(k: int, z: int) -> tuple[int, ...]:
@@ -85,6 +84,17 @@ def _z_exps(k: int, z: int) -> tuple[int, ...]:
     # tuple() of a list, not of a generator: that one over-allocates and
     # shrinks, and raised cli-session's peak RSS by 0.3 MB
     return tuple([(z >> (k - i) * Z_BITS) & Z_MASK for i in range(1, k + 1)])
+
+
+def _term_order(k: int, keys) -> tuple[dict, Callable[[int], int]]:
+    """The exponents of each z-monomial among keys, each decoded once, and
+    the sort key of the canonical term order (graded lex on (e1, ..., ek,
+    eq)), which runs from the largest sort key down: the total degree above
+    the key's own bits, one int per term where a sort would hold a tuple."""
+    exps = {z: _z_exps(k, z) for z in set(map(Q_BITS.__rrshift__, keys))}
+    zdeg = {z: sum(es) for z, es in exps.items()}
+    width = Q_BITS + k * Z_BITS
+    return exps, lambda key: (zdeg[key >> Q_BITS] + (key & Q_MASK)) << width | key
 
 
 class Poly:
@@ -149,7 +159,7 @@ class Poly:
         # The big-endian fields of one struct record are the packed key's
         # fields, and struct range-checks them in C; its error is then
         # turned into the error class the per-field checks name.
-        pack = struct.Struct(f">{k}HI").pack
+        pack = struct.Struct(f">{k}{_Z_CODE}{_Q_CODE}").pack
         from_bytes = int.from_bytes
         terms: dict[int, int] = {}
         get = terms.get
@@ -258,8 +268,7 @@ class Poly:
             return self
         zb, qb = self.degree_bounds
         qb += zb * sum(exps)
-        if qb > Q_MASK:
-            raise CapacityError(f"q degree bound {qb} exceeds packed-key capacity")
+        check_capacity(zb, qb)
         offs = _zoffsets(self.k)
         shifts = tuple((offs[i], e) for i, e in enumerate(exps) if e)
         terms = _k.shift_q_terms(self._terms, shifts)
@@ -275,8 +284,7 @@ class Poly:
         if e == 0 or not self._terms:
             return self
         zb, qb = self.degree_bounds
-        if qb + e > Q_MASK:
-            raise CapacityError(f"q degree bound {qb + e} exceeds packed-key capacity")
+        check_capacity(zb, qb + e)
         return Poly._wrap(self.k, _k.times_q_terms(self._terms, e), (zb, qb + e))
 
     def evaluate(self, z_vals, q_val: int) -> int:
@@ -312,44 +320,32 @@ class Poly:
         """Sum of the absolute values of the coefficients."""
         return sum(abs(c) for c in self._terms.values())
 
-    def _canonical_keys(self) -> list:
-        # Graded lex, highest first, with each z-monomial's degree summed once.
-        offs = _zoffsets(self.k)
-        zdeg: dict[int, int] = {}
-        for key in self._terms:
-            z = key >> Q_BITS
-            if z not in zdeg:
-                zdeg[z] = sum((key >> off) & Z_MASK for off in offs)
-        return sorted(
-            self._terms,
-            key=lambda key: (zdeg[key >> Q_BITS] + (key & Q_MASK), key),
-            reverse=True,
-        )
+    def _canonical(self) -> tuple[list, dict]:
+        # the keys in canonical order and each z-monomial's exponents
+        exps, order = _term_order(self.k, self._terms)
+        return sorted(self._terms, key=order, reverse=True), exps
 
     def monomials(self) -> Iterator[Monomial]:
         """Terms in canonical order (graded lex, highest first)."""
-        z_exps: dict[int, tuple[int, ...]] = {}
-        for key in self._canonical_keys():
-            zs = z_exps.get(key >> Q_BITS)
-            if zs is None:
-                zs = z_exps[key >> Q_BITS] = _z_exps(self.k, key >> Q_BITS)
-            yield Monomial(self._terms[key], zs, key & Q_MASK)
+        keys, exps = self._canonical()
+        for key in keys:
+            yield Monomial(self._terms[key], exps[key >> Q_BITS], key & Q_MASK)
 
     def format(self) -> str:
         if not self._terms:
             return "0"
+        keys, exps = self._canonical()
         # The z factors are rendered once per z-monomial; per term only the
         # q factor and the coefficient are.
-        z_text: dict[int, str] = {}
+        z_text = {
+            z: "*".join(
+                f"z{i}" if e == 1 else f"z{i}^{e}" for i, e in enumerate(es, start=1) if e
+            )
+            for z, es in exps.items()
+        }
         out = []
-        for key in self._canonical_keys():
-            body = z_text.get(key >> Q_BITS)
-            if body is None:
-                body = z_text[key >> Q_BITS] = "*".join(
-                    f"z{i}" if e == 1 else f"z{i}^{e}"
-                    for i, e in enumerate(_z_exps(self.k, key >> Q_BITS), start=1)
-                    if e
-                )
+        for key in keys:
+            body = z_text[key >> Q_BITS]
             q = key & Q_MASK
             if q:
                 q_part = "q" if q == 1 else f"q^{q}"
@@ -371,9 +367,8 @@ class Poly:
 
     def to_json_dict(self) -> dict:
         terms = self._terms
-        keys = self._canonical_keys()
-        # each z-monomial is decoded once; every term gets its own z list
-        exps = {z: _z_exps(self.k, z) for z in set(map(Q_BITS.__rrshift__, keys))}
+        keys, exps = self._canonical()
+        # every term gets its own z list
         return {
             "k": self.k,
             "terms": [
@@ -623,7 +618,7 @@ def check_capacity(zb: int, qb: int):
     qb fit their fields of the packed key."""
     if zb > Z_MASK or qb > Q_MASK:
         raise CapacityError(
-            f"product degree bounds (z<= {zb}, q<= {qb}) exceed packed-key capacity"
+            f"degree bounds (z<= {zb}, q<= {qb}) exceed packed-key capacity"
         )
 
 
@@ -633,15 +628,13 @@ def diff_witness(a: Poly, b: Poly) -> str | None:
     The witness names the monomial (in canonical order over the union of
     supports) together with both coefficients.
     """
-    if a.k != b.k:
-        raise RingMismatchError(f"mixed rings: k={a.k} vs k={b.k}")
+    a._check_ring(b)
     if a == b:
         return None
     at, bt = a._terms, b._terms
-    # the keys whose coefficients differ
+    # the keys whose coefficients differ; the first of them in canonical order
     keys = [*map(operator.itemgetter(0), at.items() ^ bt.items())]
-    zdeg = {z: sum(_z_exps(a.k, z)) for z in {key >> Q_BITS for key in keys}}
-    # the first of them in canonical order has the largest (total degree, key)
-    key = max(keys, key=lambda key: (zdeg[key >> Q_BITS] + (key & Q_MASK), key))
-    name = Poly.monomial(a.k, 1, _z_exps(a.k, key >> Q_BITS), key & Q_MASK).format()
+    exps, order = _term_order(a.k, keys)
+    key = max(keys, key=order)
+    name = Poly.monomial(a.k, 1, exps[key >> Q_BITS], key & Q_MASK).format()
     return f"coefficient of {name}: {at.get(key, 0)} != {bt.get(key, 0)}"

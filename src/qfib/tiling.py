@@ -32,9 +32,9 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import qpacked
 from ._backend import kernels as _k
-from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
-from .errors import CapacityError, DomainError, InvalidShiftError
-from .polyring import Poly
+from ._kernels_py import Q_BITS, Q_MASK, Z_BITS
+from .errors import DomainError, InvalidShiftError
+from .polyring import Poly, check_capacity
 
 __all__ = [
     "AppendSpec",
@@ -123,8 +123,7 @@ class WeightScheme:
         name: str = "scheme",
         exponent: Callable[[int, int, int], int] | None = None,
     ):
-        if not isinstance(k, int) or k < 1:
-            raise DomainError(f"scheme needs a positive max tile length, got {k!r}")
+        _check_k(k)
         self.k = k
         self.name = name
         self._a = self._freeze(a, "A")
@@ -197,8 +196,7 @@ class WeightScheme:
 
 def fibonacci_k(n: int, k: int) -> int:
     """F_n with F_0 = 1, F_{n<0} = 0 and F_n = F_{n-1} + ... + F_{n-k}."""
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive int, got {k!r}")
+    _check_k(k)
     if n < 0:
         return 0
     window = [0] * k  # F_{n-k}, ..., F_{n-1}
@@ -216,8 +214,7 @@ def enumerate_tilings(n: int, k: int) -> Iterator[Tiling]:
     Iterative, by the successor rule: grow the last part below k that has
     parts after it, and refill what follows it with ones.
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive int, got {k!r}")
+    _check_k(k)
     if n < 0:
         return
     parts = [1] * n
@@ -271,8 +268,7 @@ def _tile_deltas(n: int, maxpart: int, w: WeightScheme, app: AppendSpec):
         firsts = [row[s - 1] for row in qs[: n - s + 1]]
         low[s] = min(map(operator.add, firsts, low[s + 1 : s + 1 + maxpart]))
         top[s] = max(map(operator.add, firsts, top[s + 1 : s + 1 + maxpart]))
-    if n > Z_MASK or top[1] > Q_MASK:
-        raise CapacityError(f"{n}-board tilings reach z^{n}, q^{top[1]}: beyond key capacity")
+    check_capacity(n, top[1])  # the all-ones tiling reaches z_1^n
     deltas = [
         [(1 << (Q_BITS + (w.k - i) * Z_BITS)) + q for q in row]
         for i, row in enumerate(qs, 1)
@@ -280,9 +276,13 @@ def _tile_deltas(n: int, maxpart: int, w: WeightScheme, app: AppendSpec):
     return deltas, low[1], top[1]
 
 
-def _check_cap(n, k, w):
+def _check_k(k):
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive int, got {k!r}")
+
+
+def _check_cap(n, k, w):
+    _check_k(k)
     if k > w.k:
         raise DomainError(
             f"tile length cap {k} exceeds the scheme's declared maximum {w.k}"

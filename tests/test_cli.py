@@ -11,6 +11,8 @@ import pytest
 
 from qfib import cli
 from qfib.cli import _parse_scheme, build_parser, main
+from qfib.errors import LIMITS, DomainError
+from qfib.lattice import MinorSpec, PolyMatrix, determinant, miles_sign_check
 from qfib.polyring import Poly
 
 
@@ -386,10 +388,6 @@ def test_det_k1(capsys):
     assert capsys.readouterr().out.splitlines() == ["z1", "z1"]
 
 
-def test_det_size_guard(capsys):
-    assert main(["det", "--n", "3", "--k", "7", "--stat", "maj-lp"]) == 2
-
-
 def test_validate_scheme_pass(capsys):
     assert main(["validate-scheme", "--k", "3", "--stat", "maj-prlp", "--max-n", "6"]) == 0
     assert "coherent" in capsys.readouterr().out
@@ -427,13 +425,86 @@ def test_bad_flags_exit_2():
     assert overflow.returncode == 2 and overflow.stdout == ""
 
 
-def test_verify_desk_scale_guard():
-    assert (
-        run_cli(
-            "verify", "--identity", "convolution", "--k", "2", "--max-n", "11"
-        ).returncode
-        == 2
-    )
+# Each guard the CLI checks, called at its LIMITS value and one past it: the
+# first call runs (0 or 1), the second is refused (2) with a message naming
+# the limit.  The value is the largest board a verb enumerates: n, max-n,
+# 2 max-n on the convolution grid and n + 2k - 2 for a minor.
+@pytest.mark.parametrize(
+    "limit, at, past",
+    [
+        pytest.param("k", "table --n 3 --k 20 --stat maj-lp",
+                     "table --n 3 --k 21 --stat maj-lp", id="k"),
+        pytest.param("board", "table --n 20 --k 2 --stat maj-lp",
+                     "table --n 21 --k 2 --stat maj-lp", id="board-table"),
+        pytest.param("board", "enumerate --n 20 --k 1 --object lp",
+                     "enumerate --n 21 --k 1 --object lp", id="board-enumerate"),
+        pytest.param("board", "verify --identity recursion --k 1 --max-n 20 --stat maj-lp",
+                     "verify --identity recursion --k 1 --max-n 21 --stat maj-lp",
+                     id="board-verify"),
+        pytest.param("board", "verify --identity convolution --k 1 --max-n 10 --stat maj-lp",
+                     "verify --identity convolution --k 1 --max-n 11 --stat maj-lp",
+                     id="convolution-grid"),
+        pytest.param("det_dim", "det --k 6 --n 1 --stat generic:0,0,0",
+                     "det --k 7 --n 1 --stat generic:0,0,0", id="det_dim-det"),
+        pytest.param("det_dim", "verify --identity det --k 6 --max-n 1 --stat generic:0,0,0",
+                     "verify --identity det --k 7 --max-n 1 --stat generic:0,0,0",
+                     id="det_dim-verify"),
+        pytest.param("board", "det --n 18 --k 2 --stat maj-lp",
+                     "det --n 19 --k 2 --stat maj-lp", id="minor-grid-det"),
+        pytest.param("board", "verify --identity det --k 2 --max-n 18 --stat maj-lp",
+                     "verify --identity det --k 2 --max-n 19 --stat maj-lp",
+                     id="minor-grid-verify"),
+        pytest.param("validate_max_n", "validate-scheme --k 1 --max-n 20 --stat maj-lp",
+                     "validate-scheme --k 1 --max-n 21 --stat maj-lp", id="validate_max_n"),
+        pytest.param("random_schemes", "validate-scheme --k 1 --max-n 1 --random-schemes 1000",
+                     "validate-scheme --k 1 --max-n 1 --random-schemes 1001",
+                     id="random_schemes"),
+        pytest.param("expr_len", f"table --n 1 --k 1 --stat generic:{'0' * 200},0,0",
+                     f"table --n 1 --k 1 --stat generic:{'0' * 201},0,0", id="expr_len"),
+    ],
+)
+def test_cli_guard_boundary(limit, at, past, capsys):
+    assert main(at.split()) in (0, 1)
+    capsys.readouterr()
+    assert main(past.split()) == 2
+    assert f"limited to {LIMITS[limit]} (LIMITS[{limit!r}])" in capsys.readouterr().err
+
+
+# Arguments outside an operation's domain raise DomainError, not the
+# SizeLimitError of a LIMITS guard, from the library and from the CLI.
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: MinorSpec(0, 2), id="MinorSpec-n0"),
+        pytest.param(lambda: MinorSpec(2, 0), id="MinorSpec-k0"),
+        pytest.param(lambda: determinant(PolyMatrix(0, ())), id="determinant-empty"),
+        pytest.param(lambda: miles_sign_check(0, 2), id="miles_sign_check-n0"),
+        pytest.param(lambda: miles_sign_check(2, 0), id="miles_sign_check-k0"),
+        *(
+            pytest.param(argv, id=argv)
+            for argv in (
+                "det --k 0 --n 3 --stat maj-lp",
+                "det --n 0 --k 2 --stat maj-lp",
+                "table --n -1 --k 2 --stat maj-lp",
+                "enumerate --n -1 --k 2 --object tilings",
+                "verify --identity recursion --k 2 --max-n 0",
+                "verify --identity kreduce --k 1 --max-n 3",
+                "validate-scheme --k 2 --stat maj-lp --max-n 0",
+                "validate-scheme --k 2 --random-schemes -1",
+            )
+        ),
+    ],
+)
+def test_domain_errors_are_not_size_errors(call, capsys, monkeypatch):
+    if callable(call):
+        with pytest.raises(DomainError):
+            call()
+        return
+    # main maps the errors it catches to exit 2; let it catch DomainError only
+    monkeypatch.setattr(cli, "QfibError", DomainError)
+    assert main(call.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -366,6 +366,20 @@ def test_terms_keys_must_be_packed_keys_of_the_ring():
     assert Poly(1, {-1: 0}) == Poly.zero(1)
 
 
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_struct_packer_matches_the_key_layout(k):
+    # from_monomials packs each key as one struct record, _pack shifts each
+    # field into place and monomials decodes the key: all three must agree
+    # on the edge values of every field
+    z_mask, q_mask = _kernels_py.Z_MASK, _kernels_py.Q_MASK
+    for e in (0, 1, z_mask):
+        for z in ((e,) * k, (e,) + (0,) * (k - 1), (0,) * (k - 1) + (e,)):
+            for q in (0, 1, z_mask, q_mask):
+                key = polyring._pack(k, z, q)
+                assert Poly.from_monomials(k, [(1, z, q)])._terms == {key: 1}
+                assert [*Poly(k, {key: 1}).monomials()] == [Monomial(1, z, q)]
+
+
 def test_checked_readers_check_each_term_once(monkeypatch):
     # parse and from_monomials range-check every term as they read it; they
     # do not pay for Poly(k, terms)'s key check as well
