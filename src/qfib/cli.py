@@ -33,7 +33,6 @@ testing the verifiers themselves).
 import argparse
 import ast
 import functools
-import json
 import operator
 import os
 import re
@@ -52,8 +51,7 @@ from .layered import (
     format_object,
     object_statistic,
 )
-from .polyring import Poly
-from .report import IdentityReport
+from .report import IdentityReport, json_object
 from .tiling import (
     WeightScheme,
     corrupted_scheme,
@@ -216,42 +214,41 @@ def _check_minor(n: int, k: int, flag: str):
     _check_limit(n + 2 * k - 2, "board", f"{flag} + 2 * --k - 2")
 
 
-def _print_poly(p: Poly, fmt: str):
-    if fmt == "json":
-        print(json.dumps(p.to_json_dict()))
-    else:
-        print(p.format())
-
-
 def _cmd_table(args) -> int:
     _check_limit(args.n, "board", "--n")
     before, after = args.append
     scheme = _parse_scheme(args.stat, args.k)
     poly = weighted_sum_enumerative(args.n, args.k, scheme, (before, after))
-    _print_poly(poly, args.format)
+    print(poly.to_json() if args.format == "json" else poly.format())
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     _check_limit(args.n, "board", "--n")
     pair = StatPair(args.with_stat, args.object) if args.with_stat else None
-    rows = []
     if args.object == "tilings":
-        for t in enumerate_tilings(args.n, args.k):
-            rows.append((",".join(str(p) for p in t.parts), None))
+        rows = ((",".join(map(str, t.parts)), None) for t in enumerate_tilings(args.n, args.k))
     else:
-        for obj in enumerate_family(args.object, args.n, args.k):
-            value = object_statistic(pair, obj) if pair else None
-            rows.append((format_object(args.object, obj), value))
+        rows = (
+            (format_object(args.object, obj), object_statistic(pair, obj) if pair else None)
+            for obj in enumerate_family(args.object, args.n, args.k)
+        )
+    # Every check is above, so a refused run writes nothing; from here each
+    # row is written as it is made, and nothing grows with F_n.  An object's
+    # text holds only digits, ",", "/" and " ", which a JSON string takes as
+    # they are.
+    out = sys.stdout
     if args.format == "json":
-        payload = [
-            {"object": text} if value is None else {"object": text, "stat": value}
-            for text, value in rows
-        ]
-        print(json.dumps(payload))
+        out.write("[")
+        sep = ""
+        for text, value in rows:
+            stat = "" if value is None else f', "stat": {value}'
+            out.write(f'{sep}{{"object": "{text}"{stat}}}')
+            sep = ", "
+        out.write("]\n")
     else:
         for text, value in rows:
-            print(text if value is None else f"{text} {value}")
+            out.write(f"{text}\n" if value is None else f"{text} {value}\n")
     return 0
 
 
@@ -310,7 +307,7 @@ def _cmd_verify(args) -> int:
             text = r.describe()
             place = None
             if args.format == "json":
-                data = json.dumps(r.to_json_dict()).encode("ascii")
+                data = r.to_json().encode("ascii")
                 place = spool.tell(), len(data)
                 spool.write(data)
             lines.append(((r.identity, text), r.passed, place))
@@ -339,12 +336,12 @@ def _cmd_det(args) -> int:
     if args.format == "json":
         payload = {"n": args.n, "k": args.k, "scheme": scheme.name}
         if exact is not None:
-            payload["exact"] = exact.to_json_dict()
+            payload["exact"] = exact
         if closed is not None:
-            payload["closed"] = closed.to_json_dict()
+            payload["closed"] = closed
         if exact is not None and closed is not None:
             payload["match"] = exact == closed
-        print(json.dumps(payload))
+        print(json_object(payload))
     else:
         if exact is not None:
             print(exact.format())

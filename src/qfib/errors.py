@@ -30,7 +30,7 @@ class PolyParseError(QfibError, ValueError):
 
 
 class PolyJsonError(QfibError, ValueError):
-    """A JSON polynomial that is not in the term form Poly.to_json_dict writes."""
+    """A JSON polynomial that is not in the term form Poly.to_json writes."""
 
 
 class DomainError(QfibError, ValueError):

@@ -110,10 +110,19 @@ def verify_recursion(n: int, k: int, w: WeightScheme) -> IdentityReport:
     )
 
 
-def verify_convolution(m: int, n: int, k: int, w: WeightScheme) -> IdentityReport:
-    """Break-at-m convolution: split tilings of an (m+n)-board at cell m."""
+def _check_convolution(m: int, n: int):
     if m < 1 or n < 1:
         raise DomainError(f"convolution needs m, n >= 1, got m={m}, n={n}")
+
+
+def _check_k_reduction(n: int, k: int):
+    if n < 1 or k < 2:
+        raise DomainError(f"k-reduction needs n >= 1 and k >= 2, got n={n}, k={k}")
+
+
+def verify_convolution(m: int, n: int, k: int, w: WeightScheme) -> IdentityReport:
+    """Break-at-m convolution: split tilings of an (m+n)-board at cell m."""
+    _check_convolution(m, n)
     rhs = _convolution_rhs(w, m, n, k, w.qexp, _front, _back)
     params = {"m": m, "n": n, "k": k, "scheme": w.name}
     return IdentityReport.compare("convolution", params, _plain(m + n, k, w), rhs)
@@ -121,10 +130,7 @@ def verify_convolution(m: int, n: int, k: int, w: WeightScheme) -> IdentityRepor
 
 def verify_k_reduction(n: int, k: int, w: WeightScheme) -> IdentityReport:
     """Split tilings at the first tile of length exactly k."""
-    if n < 1:
-        raise DomainError(f"k-reduction needs n >= 1, got {n}")
-    if k < 2:
-        raise DomainError(f"k-reduction needs k >= 2, got {k}")
+    _check_k_reduction(n, k)
     rhs = _k_reduction_rhs(w, n, k, w.qexp, _front, _back)
     return IdentityReport.compare(
         "kreduce", {"n": n, "k": k, "scheme": w.name}, _plain(n, k, w), rhs
@@ -137,8 +143,7 @@ def verify_k_reduction(n: int, k: int, w: WeightScheme) -> IdentityReport:
 
 def convolution_count(m: int, n: int, k: int) -> tuple[int, int]:
     """Both sides of F_{m+n} = F_m F_n + sum_{i,j} F_{m-j} F_{n-i+j}."""
-    if m < 1 or n < 1:
-        raise DomainError(f"convolution needs m, n >= 1, got m={m}, n={n}")
+    _check_convolution(m, n)
     rhs = fibonacci_k(m, k) * fibonacci_k(n, k)
     for i in range(2, k + 1):
         for j in range(1, i):
@@ -148,8 +153,7 @@ def convolution_count(m: int, n: int, k: int) -> tuple[int, int]:
 
 def k_reduction_count(n: int, k: int) -> tuple[int, int]:
     """Both sides of F_n^(k) = F_n^(k-1) + sum_j F_j^(k-1) F_{n-k-j}^(k)."""
-    if n < 1 or k < 2:
-        raise DomainError(f"k-reduction needs n >= 1 and k >= 2, got n={n}, k={k}")
+    _check_k_reduction(n, k)
     rhs = fibonacci_k(n, k - 1)
     for j in range(0, n - k + 1):
         rhs += fibonacci_k(j, k - 1) * fibonacci_k(n - k - j, k)

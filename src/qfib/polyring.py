@@ -26,22 +26,25 @@ implicit, exponent-0 factors omitted and the factors in the order z1, ...,
 zk, q.  parse also reads factors in any order and a variable named more than
 once, whose exponents add up; every term is range-checked as a whole.
 
-JSON form (produced by to_json_dict, accepted by from_json_dict):
+JSON form (written by to_json, accepted by from_json_dict):
 
     {"k": k, "terms": [{"coeff": "-3", "z": [e1, ..., ek], "q": eq}, ...]}
 
-coeff is written as a decimal string so that any size survives a JSON
-reader; it is read as an int or a string of ASCII digits with an optional
-leading "-".  z is a list of k ints and q an int.  Terms are written in
-canonical order and read in any order, repeats adding up.
+to_json writes this text with the separators of json.dumps, and
+to_json_dict is that text read back by json.loads.  coeff is written as a
+decimal string so that any size survives a JSON reader; it is read as an
+int or a string of ASCII digits with an optional leading "-".  z is a list
+of k ints and q an int.  Terms are written in canonical order and read in
+any order, repeats adding up.
 
 Python limits int/str conversion to sys.get_int_max_str_digits() digits
 (4300 by default).  parse raises PolyParseError at the first digit of a
 longer number and from_json_dict raises PolyJsonError on a longer
-coefficient string; format and to_json_dict keep Python's ValueError for a
+coefficient string; format and to_json keep Python's ValueError for a
 coefficient that long, which no CLI output comes near.
 """
 
+import json
 import operator
 import re
 import struct
@@ -365,17 +368,22 @@ class Poly:
     def __repr__(self):
         return f"Poly.parse({self.format()!r}, k={self.k})"
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
+        """The JSON form as text (module docstring), written straight from
+        the sorted keys: no dict or list is built per term."""
         terms = self._terms
         keys, exps = self._canonical()
-        # every term gets its own z list
-        return {
-            "k": self.k,
-            "terms": [
-                {"coeff": str(terms[key]), "z": [*exps[key >> Q_BITS]], "q": key & Q_MASK}
-                for key in keys
-            ],
-        }
+        # Each z list is rendered once per z-monomial, with the JSON text
+        # around it; per term only the coefficient and q are.
+        z_json = {z: f'", "z": [{", ".join(map(str, es))}], "q": ' for z, es in exps.items()}
+        body = ", ".join(
+            [f'{{"coeff": "{terms[key]}{z_json[key >> Q_BITS]}{key & Q_MASK}}}' for key in keys]
+        )
+        return f'{{"k": {self.k}, "terms": [{body}]}}'
+
+    def to_json_dict(self) -> dict:
+        """The JSON form as Python values, read back from to_json."""
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Poly":

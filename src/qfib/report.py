@@ -1,5 +1,6 @@
 """Pass/fail reports for symbolic identity checks."""
 
+import json
 from dataclasses import dataclass
 
 from .polyring import Poly, diff_witness
@@ -30,12 +31,27 @@ class IdentityReport:
         tail = "pass" if self.passed else f"FAIL ({self.witness})"
         return f"{self.identity} {bits}: {tail}"
 
+    def to_json(self) -> str:
+        return json_object(
+            {
+                "identity": self.identity,
+                "params": {k: self.params[k] for k in sorted(self.params)},
+                "verdict": "pass" if self.passed else "fail",
+                "witness": self.witness,
+                "lhs": self.lhs,
+                "rhs": self.rhs,
+            }
+        )
+
     def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "verdict": "pass" if self.passed else "fail",
-            "witness": self.witness,
-            "lhs": self.lhs.to_json_dict(),
-            "rhs": self.rhs.to_json_dict(),
-        }
+        return json.loads(self.to_json())
+
+
+def json_object(fields: dict) -> str:
+    """fields as one JSON object, in the text json.dumps writes: Poly
+    values through Poly.to_json, the others through json.dumps."""
+    items = ", ".join(
+        f"{json.dumps(key)}: {v.to_json() if isinstance(v, Poly) else json.dumps(v)}"
+        for key, v in fields.items()
+    )
+    return f"{{{items}}}"

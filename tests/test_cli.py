@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, JSON forms, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -161,6 +162,23 @@ def test_enumerate_stat_must_be_a_catalog_pair(capsys, obj, stat):
     argv = ["enumerate", "--n", "4", "--k", "2", "--object", obj, "--with-stat", stat]
     assert main(argv) == 2
     assert f"unsupported statistic/family pair {stat}-{obj}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "enumerate --n 21 --k 2 --object tilings",
+        "enumerate --n -1 --k 2 --object lp",
+        "enumerate --n 4 --k 21 --object lp",
+        "enumerate --n 4 --k 2 --object lpi --with-stat inv",
+    ],
+)
+def test_refused_enumerate_writes_nothing(argv, fmt, capsys):
+    # rows are written as they are made, so every check comes first
+    assert main([*argv.split(), "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_verify_all_passes_for_maj_rlp(capsys):
@@ -531,6 +549,61 @@ def test_byte_identical_runs():
     second = run_cli(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+# sha256 of stdout and the exit code of each call: the canonical outputs,
+# which a change to how they are written must keep byte for byte
+_PINNED_OUTPUTS = {
+    "table --n 8 --k 3 --stat maj-rlp --append 0,0 --format text":
+        (0, "ed1983daf8f0fd678a85d932f9f2de891b4dd9b6c2e8b8fe28fcf31aa3ca60ac"),
+    "table --n 8 --k 3 --stat maj-rlp --append 2,1 --format text":
+        (0, "02b4a01df012b8ffc1ff8fc28a3672e565f76a80854c25feca036755834f4c4d"),
+    "det --n 3 --k 2 --stat maj-rlp --show closed --format text":
+        (0, "299e210c5bf396015704aef2ed30cb101c36bc2c5566e51a04843f574fde20fb"),
+    "det --n 3 --k 2 --stat maj-rlp --show exact --format text":
+        (0, "299e210c5bf396015704aef2ed30cb101c36bc2c5566e51a04843f574fde20fb"),
+    "det --n 3 --k 2 --stat maj-rlp --show both --format text":
+        (0, "ec4fd872dc55f7bb2183c4ac9c1a24a23659ee27a8881220a7b1edb93f30d5b8"),
+    "verify --identity all --k 3 --max-n 4 --format text":
+        (1, "d0bbc8e2900cf094d6f182c4431b547563e1aa208913ab57f74d923e0215aa09"),
+    "enumerate --n 6 --k 3 --object tilings --format text":
+        (0, "0c5feef4730a59322510530a445e7d48355873cdbe9517eb6997dbc2da69193a"),
+    "enumerate --n 6 --k 3 --object lp --with-stat maj --format text":
+        (0, "379722609decfa58980b9d86bce9f74c674b5f0d2c72ab92299a6fc3747ef432"),
+    "enumerate --n 6 --k 3 --object lpi --with-stat rb --format text":
+        (0, "5081cc177b34765b542d7ab2ba8cd2a2a9483275cad0e3a67f9b32d4c1cb3e86"),
+    "enumerate --n 0 --k 3 --object lp --with-stat inv --format text":
+        (0, "082f1b30dfd690d2eb56f15099a07810daa4555b553e0f0a8f7cb61e5f0aff94"),
+    "table --n 8 --k 3 --stat maj-rlp --append 0,0 --format json":
+        (0, "b757bde4818ff58716a6b4156142f9f136483601d40bd839cc1907ccaddc0c85"),
+    "table --n 8 --k 3 --stat maj-rlp --append 2,1 --format json":
+        (0, "b546d965a64ce24e2a61a587ce39943f51d583c5c684496783edd51616269bad"),
+    "det --n 3 --k 2 --stat maj-rlp --show closed --format json":
+        (0, "a221ae2aa1716b226a1c873d90fc8e799fb76c75edd9738806026655a33e9c11"),
+    "det --n 3 --k 2 --stat maj-rlp --show exact --format json":
+        (0, "2afe47422e30c042c866d4d5d9ba1cd296d693eb0b1671b5d935cf7407d2e96d"),
+    "det --n 3 --k 2 --stat maj-rlp --show both --format json":
+        (0, "7570a8e3ff1cc416562328cb06cf888daa8b8caedd77fbc820d79794e04bc548"),
+    "verify --identity all --k 3 --max-n 4 --format json":
+        (1, "91b31a28af789c79d51c3e653dd61e3d6bb0dd5498fe29f09f446c8577ae54d4"),
+    "enumerate --n 6 --k 3 --object tilings --format json":
+        (0, "ca1aa7450259aed91ae4d606ef087037823206fc5c123085a12f950a74f92afb"),
+    "enumerate --n 6 --k 3 --object lp --with-stat maj --format json":
+        (0, "b32cdd89e90d2845de6a38d74f78145565a965e6bd9477aef2559d6b78ec0cb9"),
+    "enumerate --n 6 --k 3 --object lpi --with-stat rb --format json":
+        (0, "a6e5e4f6bc9a0398be66a2c9840739b8c04734f176d16710bbeafb70a82cf542"),
+    "enumerate --n 0 --k 3 --object lp --with-stat inv --format json":
+        (0, "49b1b2dcc4a7c9f518574609c7516d35ca92c8e677304e0797530dc727b99416"),
+    "det --n 2 --k 2 --stat inv-lp --format json":
+        (1, "d343c10322980291a5d9ef1c763572b5b5803f6a1d0720478b40b31f0e6f0813"),
+}
+
+
+def test_outputs_match_pinned_digests(capsys):
+    for argv, pinned in _PINNED_OUTPUTS.items():
+        code = main(argv.split())
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned, argv
 
 
 def test_console_script_installed():

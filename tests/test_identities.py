@@ -70,6 +70,24 @@ def test_domain_errors():
         verify_recursion(0, 2, w)
 
 
+@pytest.mark.parametrize(
+    "verify, count, args",
+    [
+        *((verify_convolution, convolution_count, (m, n, 2)) for m, n in ((0, 3), (3, 0), (-1, 1))),
+        *((verify_k_reduction, k_reduction_count, (n, k)) for n, k in ((0, 2), (4, 1), (0, 1))),
+    ],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v.__name__,
+)
+def test_verifier_and_count_share_one_domain_check(verify, count, args):
+    # the polynomial verifier and its integer specialization refuse the
+    # same arguments with the same message
+    with pytest.raises(DomainError) as by_verify:
+        verify(*args, builtin_scheme("inv-lp", args[-1]))
+    with pytest.raises(DomainError) as by_count:
+        count(*args)
+    assert str(by_verify.value) == str(by_count.value)
+
+
 def test_identity_grid_all_schemes():
     # the exhaustive acceptance grid runs m, n <= 8; keep a denser core here
     for k in (2, 3, 4):

@@ -1,12 +1,14 @@
 """Tilings, k-Fibonacci counts, weighted sums, and scheme validation."""
 
+import contextlib
+import io
 import json
 import random
 import tracemalloc
 
 import pytest
 
-from qfib import _kernels_py, qpacked, tiling
+from qfib import _kernels_py, cli, qpacked, tiling
 from qfib.errors import CapacityError, DomainError, InvalidShiftError
 from qfib.layered import builtin_scheme
 from qfib.polyring import Poly
@@ -236,6 +238,56 @@ def test_poly_readers_memory_is_bounded():
     result, peak = _traced_peak(lambda: Poly.parse(long_term, 2))
     assert result == Poly.monomial(2, 1, (20_000, 20_000), 20_000)
     assert peak < 2**18, peak
+
+
+class _CharCounter(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, s):
+        self.chars += len(s)
+        return len(s)
+
+
+def _cli_peak(argv):
+    """Exit code, characters written and traced peak of one in-process
+    cli.main call whose stdout holds nothing."""
+    def call():
+        out = _CharCounter()
+        with contextlib.redirect_stdout(out):
+            return cli.main(argv), out.chars
+    return _traced_peak(call)
+
+
+def test_poly_json_writer_memory_is_bounded():
+    # maj-rlp k=4 n=20 as JSON: a dict and a z list per term, walked by
+    # json.dumps, peaked near 4.7 MB; written as text, near 1.1 MB
+    k = 4
+    p = weighted_sum_recursive(20, k, builtin_scheme("maj-rlp", k))
+    (code, chars), peak = _cli_peak(
+        ["table", "--n", "20", "--k", "4", "--stat", "maj-rlp", "--format", "json"]
+    )
+    assert code == 0 and chars == len(json.dumps(p.to_json_dict())) + 1
+    assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_streams_its_rows(fmt):
+    # 32,768 tilings of a 16-board: rows collected before printing peaked
+    # near 3.9 MB as text and 13.9 MB as JSON; streamed, under 0.01 MB
+    n = k = 16
+    rows = [",".join(map(str, t.parts)) for t in enumerate_tilings(n, k)]
+    expected = (
+        json.dumps([{"object": r} for r in rows]) + "\n"
+        if fmt == "json"
+        else "".join(r + "\n" for r in rows)
+    )
+    (code, chars), peak = _cli_peak(
+        ["enumerate", "--n", str(n), "--k", str(k), "--object", "tilings", "--format", fmt]
+    )
+    assert code == 0 and chars == len(expected)
+    assert peak < 2**20, peak
 
 
 def test_specialization_to_counts():
