@@ -234,26 +234,29 @@ def verify_specializations(pair, n_max: int, k: int) -> list[IdentityReport]:
     tile, front, back = _special_sides(row)
     base = {"k": k, "scheme": w.name}
     ns = range(1, n_max + 1)
-    checks = [
-        ("recursion", {"n": n}, _plain(n, k, w), _recursion_rhs(w, n, k, tile, front))
+
+    # each right side is built and compared in turn, so a passing one is
+    # dropped before the next is built
+    def check(name, params, lhs, rhs):
+        return IdentityReport.compare(f"{name}-specialized", {**base, **params}, lhs, rhs)
+
+    reports = [
+        check("recursion", {"n": n}, _plain(n, k, w), _recursion_rhs(w, n, k, tile, front))
         for n in ns
     ] + [
-        ("convolution", {"m": m, "n": n}, _plain(m + n, k, w),
-         _convolution_rhs(w, m, n, k, tile, front, back))
+        check("convolution", {"m": m, "n": n}, _plain(m + n, k, w),
+              _convolution_rhs(w, m, n, k, tile, front, back))
         for m in ns
         for n in ns
     ]
     if k >= 2:
-        checks += [
-            ("kreduce", {"n": n}, _plain(n, k, w),
-             _k_reduction_rhs(w, n, k, tile, front, back))
+        reports += [
+            check("kreduce", {"n": n}, _plain(n, k, w),
+                  _k_reduction_rhs(w, n, k, tile, front, back))
             for n in ns
         ] + [
-            ("det", {"n": n}, closed_form_det(MinorSpec(n, k), w),
-             _specialized_det(row, n, k))
+            check("det", {"n": n}, closed_form_det(MinorSpec(n, k), w),
+                  _specialized_det(row, n, k))
             for n in ns
         ]
-    return [
-        IdentityReport.compare(f"{name}-specialized", {**base, **params}, lhs, rhs)
-        for name, params, lhs, rhs in checks
-    ]
+    return reports

@@ -54,6 +54,7 @@ from ._backend import kernels as _k
 from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
 from .errors import (
     CapacityError,
+    DomainError,
     InvalidShiftError,
     PolyJsonError,
     PolyParseError,
@@ -117,7 +118,7 @@ class Poly:
     __slots__ = ("k", "_terms", "_bounds")
 
     def __init__(self, k: int, terms=None):
-        _check_ring_size(k)
+        check_k(k)
         terms = _drop_zeros({} if terms is None else terms)
         if terms:
             _check_keys(k, terms)
@@ -147,7 +148,7 @@ class Poly:
 
     @classmethod
     def constant(cls, k: int, c: int) -> "Poly":
-        _check_ring_size(k)
+        check_k(k)
         return cls._wrap(k, {0: c} if c else {}, (0, 0))
 
     @classmethod
@@ -158,7 +159,7 @@ class Poly:
     def from_monomials(cls, k: int, monomials: Iterable) -> "Poly":
         """Sum of (coeff, z_exps, q_exp) terms in one pass; every term is
         checked before it merges, even one that later cancels."""
-        _check_ring_size(k)
+        check_k(k)
         # The big-endian fields of one struct record are the packed key's
         # fields, and struct range-checks them in C; its error is then
         # turned into the error class the per-field checks name.
@@ -406,7 +407,7 @@ class Poly:
         per distinct text, and its key is packed and range-checked before the
         next term is read, so errors come in text order.
         """
-        _check_ring_size(k)
+        check_k(k)
         n = len(text)
         pos = _SPACES.match(text).end()
         if pos == n:
@@ -488,9 +489,11 @@ def _too_long(digits: str, pos: int) -> PolyParseError:
     return PolyParseError(f"a number of {len(digits)} digits is too long", pos)
 
 
-def _check_ring_size(k):
-    if not isinstance(k, int) or k < 1:
-        raise RingMismatchError(f"ring needs a positive variable count, got {k!r}")
+def check_k(k):
+    """The one rule for k, a ring's variable count and a maximum tile length.
+    A bool is refused: True would pass as 1 and be written as "True"."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise DomainError(f"k must be a positive int, got {k!r}")
 
 
 def _check_term(k: int, z_exps: tuple, q_exp):

@@ -11,7 +11,9 @@ class IdentityReport:
     """Outcome of one exact polynomial identity check.
 
     passed is True iff lhs == rhs exactly; otherwise witness names the first
-    differing monomial (in canonical term order) with both coefficients.
+    differing monomial (in canonical term order) with both coefficients.  A
+    passing report holds one polynomial for both sides (rhs is lhs), so a
+    verified identity keeps no second copy; a failing one keeps both.
     """
 
     identity: str
@@ -24,6 +26,8 @@ class IdentityReport:
     @classmethod
     def compare(cls, identity: str, params: dict, lhs: Poly, rhs: Poly) -> "IdentityReport":
         witness = diff_witness(lhs, rhs)
+        if witness is None:
+            rhs = lhs  # equal, and Poly is immutable
         return cls(identity, dict(params), lhs, rhs, witness is None, witness)
 
     def describe(self) -> str:

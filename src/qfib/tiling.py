@@ -34,7 +34,7 @@ from . import qpacked
 from ._backend import kernels as _k
 from ._kernels_py import Q_BITS, Q_MASK, Z_BITS
 from .errors import DomainError, InvalidShiftError
-from .polyring import Poly, check_capacity
+from .polyring import Poly, check_capacity, check_k
 
 __all__ = [
     "AppendSpec",
@@ -123,7 +123,7 @@ class WeightScheme:
         name: str = "scheme",
         exponent: Callable[[int, int, int], int] | None = None,
     ):
-        _check_k(k)
+        check_k(k)
         self.k = k
         self.name = name
         self._a = self._freeze(a, "A")
@@ -196,7 +196,7 @@ class WeightScheme:
 
 def fibonacci_k(n: int, k: int) -> int:
     """F_n with F_0 = 1, F_{n<0} = 0 and F_n = F_{n-1} + ... + F_{n-k}."""
-    _check_k(k)
+    check_k(k)
     if n < 0:
         return 0
     window = [0] * k  # F_{n-k}, ..., F_{n-1}
@@ -214,7 +214,7 @@ def enumerate_tilings(n: int, k: int) -> Iterator[Tiling]:
     Iterative, by the successor rule: grow the last part below k that has
     parts after it, and refill what follows it with ones.
     """
-    _check_k(k)
+    check_k(k)
     if n < 0:
         return
     parts = [1] * n
@@ -276,13 +276,8 @@ def _tile_deltas(n: int, maxpart: int, w: WeightScheme, app: AppendSpec):
     return deltas, low[1], top[1]
 
 
-def _check_k(k):
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive int, got {k!r}")
-
-
 def _check_cap(n, k, w):
-    _check_k(k)
+    check_k(k)
     if k > w.k:
         raise DomainError(
             f"tile length cap {k} exceeds the scheme's declared maximum {w.k}"

@@ -596,6 +596,11 @@ _PINNED_OUTPUTS = {
         (0, "49b1b2dcc4a7c9f518574609c7516d35ca92c8e677304e0797530dc727b99416"),
     "det --n 2 --k 2 --stat inv-lp --format json":
         (1, "d343c10322980291a5d9ef1c763572b5b5803f6a1d0720478b40b31f0e6f0813"),
+    # k = 4: the failing inv-* determinants and the k = 4 specializations
+    "verify --identity all --k 4 --max-n 6 --format text":
+        (1, "5abef1179c9e7d8952e8c21547cbb0f77207d4019129e97590b6c3f77df50a0d"),
+    "verify --identity all --k 4 --max-n 6 --format json":
+        (1, "57b00ee1e674c886639632e098d91282bdd108429d715a13821006f5454445b9"),
 }
 
 

@@ -1,8 +1,11 @@
 """Identity verifiers: generic grid, integer specializations, falsifiability."""
 
+import hashlib
+
 import pytest
 
 from qfib import identities, lattice, polyring, tiling
+from qfib.cli import _det_report
 from qfib.errors import DomainError
 from qfib.identities import (
     convolution_count,
@@ -244,6 +247,65 @@ def test_corrupted_scheme_fails_with_witness():
     assert failures, "verifiers accepted an incoherent scheme"
     assert all(r.witness for r in failures)
     assert "coefficient of" in failures[0].witness
+
+
+def test_passing_reports_hold_one_polynomial():
+    # a passing report keeps its left side for both sides; equal and
+    # immutable, so lhs == rhs and every rendering are unchanged
+    w = builtin_scheme("maj-rlp", 3)
+    assert w.c(1) == w.c(2) == w.c(3) == 0
+    reports = [verify_recursion(n, 3, w) for n in range(1, 6)]
+    reports += [verify_convolution(m, n, 3, w) for m in (1, 2, 3) for n in (1, 2, 3)]
+    reports += [verify_k_reduction(n, 3, w) for n in range(1, 6)]
+    reports += [_det_report(n, 3, w) for n in (1, 2, 3)]
+    reports += [r for pair in SCHEMED_PAIRS for r in verify_specializations(pair, 4, 3)]
+    assert all(r.passed for r in reports)
+    assert all(r.rhs is r.lhs for r in reports)
+
+
+@pytest.mark.parametrize(
+    "make, witness",
+    [
+        (lambda: verify_convolution(1, 2, 3, corrupted_scheme(3, 0)),
+         "coefficient of z1^3*q^22: 1 != 0"),
+        (lambda: _det_report(1, 2, builtin_scheme("inv-lp", 2)),
+         "coefficient of z1^4*q^3: -1 != 0"),
+    ],
+    ids=["convolution-corrupted", "det-inv-lp"],
+)
+def test_failing_reports_keep_both_polynomials(make, witness):
+    report = make()
+    assert not report.passed
+    assert report.witness == witness
+    assert report.rhs is not report.lhs
+    assert report.lhs != report.rhs
+    assert f"FAIL ({witness})" in report.describe()
+
+
+def test_specializations_keep_their_order_and_sides():
+    # built and compared in turn, the reports come back as they did when
+    # every right side was built first; the digest of the sides was taken
+    # from that earlier build
+    reports = verify_specializations("maj-rlp", 4, 4)
+    ns = range(1, 5)
+    expected = (
+        [("recursion", {"n": n}) for n in ns]
+        + [("convolution", {"m": m, "n": n}) for m in ns for n in ns]
+        + [("kreduce", {"n": n}) for n in ns]
+        + [("det", {"n": n}) for n in ns]
+    )
+    assert [(r.identity, r.params) for r in reports] == [
+        (f"{name}-specialized", {"k": 4, "scheme": "maj-rlp", **params})
+        for name, params in expected
+    ]
+    text = "\n".join(
+        f"{r.identity} {sorted(r.params.items())} {r.passed} {r.witness} "
+        f"{r.lhs.to_json()} {r.rhs.to_json()}"
+        for r in reports
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c946deb204c36058c176652ae0b8d76743b3d88a9f123144c147a1041fc155b5"
+    )
 
 
 def test_report_json_shape():

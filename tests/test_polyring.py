@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qfib import _kernels_py, polyring
 from qfib.errors import (
     CapacityError,
+    DomainError,
     InvalidShiftError,
     PolyJsonError,
     PolyParseError,
@@ -19,6 +20,7 @@ from qfib.errors import (
 )
 from qfib.polyring import Monomial, Poly, diff_witness
 from qfib.qpacked import q_mul_add, q_pack, q_unpack
+from qfib.tiling import fibonacci_k
 
 
 def P(text, k=2):
@@ -275,7 +277,7 @@ def test_json_roundtrip():
         ({"k": 2}, PolyJsonError),
         ({"terms": []}, PolyJsonError),
         ([], PolyJsonError),
-        ({"k": 0, "terms": []}, RingMismatchError),
+        ({"k": 0, "terms": []}, DomainError),
     ],
 )
 def test_json_reader_is_strict(data, error):
@@ -284,6 +286,25 @@ def test_json_reader_is_strict(data, error):
     with pytest.raises(error) as info:
         Poly.from_json_dict(data)
     assert isinstance(info.value, QfibError)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.0, None, True])
+def test_one_k_rule(k):
+    # a ring's variable count and a maximum tile length are checked by one
+    # rule, so each entry point refuses a bad k with the same error; True
+    # used to pass as 1, and to_json then wrote it as the non-JSON "True"
+    calls = [
+        lambda: Poly.zero(k),
+        lambda: Poly.parse("1", k),
+        lambda: Poly.from_json_dict({"k": k, "terms": []}),
+        lambda: fibonacci_k(1, k),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(DomainError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {f"k must be a positive int, got {k!r}"}
 
 
 def test_json_reader_coefficient_forms():
