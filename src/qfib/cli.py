@@ -21,9 +21,9 @@ characters:
 
 Spaces may separate tokens, literals may have leading zeros, and division
 must be exact.  The size guards, all in qfib.errors.LIMITS and checked by
-_check_limit: --k <= 20; the largest board a verb enumerates (--n, --max-n,
-2 * --max-n on the convolution grid, n + 2k - 2 for a minor) <= 20; a
-minor's k <= 6; validate-scheme --max-n <= 20; --random-schemes <= 1000.
+_check_limit: --k <= 20; the largest board a verb sums or lists (--n,
+--max-n, 2 * --max-n on the convolution grid, n + 2k - 2 for a minor) <= 20;
+a minor's k <= 6; validate-scheme --max-n <= 20; --random-schemes <= 1000.
 A value below a flag's domain is a DomainError.  QFIB_SEED overrides
 --seed, and setting QFIB_CORRUPT_SCHEMES=1 deliberately breaks the shift
 coherence of the --random-schemes schemes (a falsifiability hook for
@@ -58,7 +58,7 @@ from .tiling import (
     enumerate_tilings,
     random_scheme,
     validate_weight_scheme,
-    weighted_sum_enumerative,
+    weighted_sum_recursive,
 )
 
 _BUILTIN_NAMES = tuple(str(p) for p in SCHEMED_PAIRS)
@@ -94,7 +94,7 @@ def _eval_expr(node, i: int, text: str) -> int:
 def _check_limit(value: int, limit: str, expr: str, low: int = 0):
     """Refuse a value of the flags expr that is below low (DomainError) or
     past LIMITS[limit] (SizeLimitError).  A board's value is the largest
-    board the verb enumerates."""
+    board the verb sums or lists."""
     if value < low:
         raise DomainError(f"need {expr} >= {low}, got {value}")
     if value > LIMITS[limit]:
@@ -218,7 +218,7 @@ def _cmd_table(args) -> int:
     _check_limit(args.n, "board", "--n")
     before, after = args.append
     scheme = _parse_scheme(args.stat, args.k)
-    poly = weighted_sum_enumerative(args.n, args.k, scheme, (before, after))
+    poly = weighted_sum_recursive(args.n, args.k, scheme, (before, after))
     print(poly.to_json() if args.format == "json" else poly.format())
     return 0
 

@@ -48,9 +48,10 @@ class SizeLimitError(QfibError, ValueError):
 # Every desk-scale guard; exceeding one raises SizeLimitError (CLI exit 2).
 # Costs are single calls on a 2-vCPU host.
 LIMITS = {
-    # table/enumerate --n, verify --max-n, det's n + 2k - 2: enumeration
-    # visits all F_n tilings (table --n 20 --k 20 takes 0.17-0.22 s in-process
-    # for maj-lp, maj-rlp and generic:0,1,0).
+    # table/enumerate --n, verify --max-n, det's n + 2k - 2: enumerate and
+    # the verifiers visit all F_n tilings.  table, on the recursion (0.04 s
+    # in-process at --n 20 --k 20 for maj-lp, maj-rlp and generic:0,1,0),
+    # keeps the cap until a guard on predicted cost replaces it.
     "board": 20,
     # --k on every verb.  No accepted board holds a longer tile; table --n 10
     # gives the same polynomial in 6 ms at k = 20 and 0.47 s at k = 1000.

@@ -53,9 +53,14 @@ class IdentityReport:
 
 def json_object(fields: dict) -> str:
     """fields as one JSON object, in the text json.dumps writes: Poly
-    values through Poly.to_json, the others through json.dumps."""
+    values through Poly.to_json, once per object (a passing report's lhs is
+    its rhs), the others through json.dumps."""
+    texts = {}
+    for v in fields.values():
+        if isinstance(v, Poly) and id(v) not in texts:
+            texts[id(v)] = v.to_json()
     items = ", ".join(
-        f"{json.dumps(key)}: {v.to_json() if isinstance(v, Poly) else json.dumps(v)}"
+        f"{json.dumps(key)}: {texts[id(v)] if isinstance(v, Poly) else json.dumps(v)}"
         for key, v in fields.items()
     )
     return f"{{{items}}}"

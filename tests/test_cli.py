@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,9 @@ from qfib import cli
 from qfib.cli import _parse_scheme, build_parser, main
 from qfib.errors import LIMITS, DomainError
 from qfib.lattice import MinorSpec, PolyMatrix, determinant, miles_sign_check
+from qfib.layered import SCHEMED_PAIRS, builtin_scheme
 from qfib.polyring import Poly
+from qfib.tiling import WeightScheme, weighted_sum_enumerative
 
 
 def run_cli(*args, env=None):
@@ -601,14 +605,116 @@ _PINNED_OUTPUTS = {
         (1, "5abef1179c9e7d8952e8c21547cbb0f77207d4019129e97590b6c3f77df50a0d"),
     "verify --identity all --k 4 --max-n 6 --format json":
         (1, "57b00ee1e674c886639632e098d91282bdd108429d715a13821006f5454445b9"),
+    # the largest tables, one per route of the recursion that prints them:
+    # the packed window, the term-dict window (q-sparse), the closed form
+    # (inv-*) and a long append; digests taken from the enumerative route
+    "table --n 20 --k 4 --stat maj-rlp --format text":
+        (0, "01ad6cd08d2e27d05cacbbad0a96f1161b0b4f6a4bc555931886f87752b07cad"),
+    "table --n 18 --k 4 --stat rb-lpi --format text":
+        (0, "036ed8f7d0799bc84c3ab0f7dcf5edd0cf26ac584f24ee254db00c846a1dcd58"),
+    "table --n 20 --k 4 --stat 'generic:0,[0 1000000 7 9],[5 0 300000 2]' --format text":
+        (0, "9710542c0b2b57af4b128e585c7272d0d79d1905ee72ec7c8fe7e212fc2d4d5a"),
+    "table --n 20 --k 20 --stat inv-prlp --format text":
+        (0, "74776e173f0ae7aab2fd8c57bc7faa6d2581877c8b054630c227bf914158b50b"),
+    "table --n 20 --k 6 --stat maj-prlp --append 50,50 --format text":
+        (0, "5146740e0b921a0fb9c6fe3e2aaf01c72efb40c0fea01245679917e6e6e2770c"),
+    "table --n 20 --k 4 --stat maj-rlp --format json":
+        (0, "39be11d2ed88fd930c5a319974622e3068fc3c6bccceee2b00e02bc72f797701"),
+    "table --n 18 --k 4 --stat rb-lpi --format json":
+        (0, "d3ca44d3e549bf8359c513b74adf22670b731b88d51f79827a23589ee8dadbc2"),
+    "table --n 20 --k 4 --stat 'generic:0,[0 1000000 7 9],[5 0 300000 2]' --format json":
+        (0, "e2e094064ba891d9e39dfe8613dc12aa173624bc5deebff746bd27f16d97360d"),
+    "table --n 20 --k 20 --stat inv-prlp --format json":
+        (0, "a6caba7091d187b874ae2a717aa2f460a3803850ab78b1295904c769f4c4ccde"),
+    "table --n 20 --k 6 --stat maj-prlp --append 50,50 --format json":
+        (0, "cea4f488a34dd58b4ce9eb039d362142dda325df976dbebc2e9160ab53e8796f"),
 }
 
 
 def test_outputs_match_pinned_digests(capsys):
     for argv, pinned in _PINNED_OUTPUTS.items():
-        code = main(argv.split())
+        code = main(shlex.split(argv))
         out = capsys.readouterr().out
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == pinned, argv
+
+
+def _table_shapes():
+    """(argv scheme, scheme built apart from the CLI's parser, k, n, append)
+    for each table shape the cli-session benchmark prints: every built-in,
+    three expression and three value-table generic: schemes at k = 3 with
+    appends, and the two k = 4 boards."""
+    rng = random.Random(19)
+    app = lambda: (rng.randint(0, 3), rng.randint(0, 3))
+    shapes = [(str(p), builtin_scheme(p, 3), 3, 14, app()) for p in SCHEMED_PAIRS]
+    c0, c1, c2 = 2, 3, 1
+    for text, fns in (
+        (f"{c0}+{c1}*(i-1),i-1,0", (lambda i: c0 + c1 * (i - 1), lambda i: i - 1, lambda i: 0)),
+        (f"{c2}*i*(i-1)/2,1,0", (lambda i: c2 * i * (i - 1) // 2, lambda i: 1, lambda i: 0)),
+        (f"({c0}+i)*{c1},1,i-1", (lambda i: (c0 + i) * c1, lambda i: 1, lambda i: i - 1)),
+    ):
+        shapes.append((f"generic:{text}", WeightScheme(3, *fns), 3, 14, app()))
+    for b, c in (((0, 1, 2), (0, 0, 0)), ((1, 1, 1), (0, 0, 0)), ((0, 0, 0), (1, 2, 3))):
+        a = tuple(rng.randint(0, 3) for _ in range(3))
+        text = ",".join("[" + " ".join(map(str, t)) + "]" for t in (a, b, c))
+        shapes.append((f"generic:{text}", WeightScheme.from_tables(3, a, b, c), 3, 14, app()))
+    shapes += [
+        ("maj-rlp", builtin_scheme("maj-rlp", 4), 4, 20, (0, 0)),
+        ("rb-lpi", builtin_scheme("rb-lpi", 4), 4, 18, (0, 0)),
+    ]
+    return shapes
+
+
+_TABLE_SHAPES = _table_shapes()
+_PRIME = 2**61 - 1
+
+
+def _board_dp(w, n, before, after, zs, q):
+    """F_n(zs; q) mod _PRIME by the board-position DP
+    G(pos) = sum_i zs[i-1] q^e G(pos + i), G(n + 1) = 1, where e is the
+    tile's WeightScheme.qexp plus the shift the appended boards give it."""
+    g = [0] * (n + w.k + 1)
+    g[n + 1] = 1
+    for pos in range(n, 0, -1):
+        g[pos] = sum(
+            zs[i - 1] * g[pos + i]
+            * pow(q, w.qexp(i, pos, n - pos - i + 1) + w.b(i) * before + w.c(i) * after, _PRIME)
+            for i in range(1, min(w.k, n - pos + 1) + 1)
+        ) % _PRIME
+    return g[1]
+
+
+def _eval_mod(p, zs, q):
+    total = 0
+    for m in p.monomials():
+        term = m.coeff * pow(q, m.q_exp, _PRIME)
+        for z, e in zip(zs, m.z_exps):
+            term = term * pow(z, e, _PRIME) % _PRIME
+        total += term
+    return total % _PRIME
+
+
+@pytest.mark.parametrize(
+    "stat, w, k, n, append",
+    _TABLE_SHAPES,
+    ids=[f"{s}-k{k}-n{n}-append{b},{a}" for s, _, k, n, (b, a) in _TABLE_SHAPES],
+)
+def test_table_prints_the_tiling_sum(stat, w, k, n, append, capsys):
+    # table's stdout, read back, is the enumerative oracle's sum, and at a
+    # seeded point it is the value of a board DP written here from the
+    # scheme's exponents, so neither check leans on the route table takes
+    rng = random.Random(f"{stat} {append}")
+    zs, q = [rng.randrange(2, _PRIME) for _ in range(k)], rng.randrange(2, _PRIME)
+    expected = weighted_sum_enumerative(n, k, w, append)
+    value = _board_dp(w, n, *append, zs, q)
+    for fmt in ("text", "json"):
+        argv = ["table", "--n", str(n), "--k", str(k), "--stat", stat,
+                "--append", f"{append[0]},{append[1]}", "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("}\n" if fmt == "json" else "\n") and out.count("\n") == 1
+        poly = Poly.from_json_dict(json.loads(out)) if fmt == "json" else Poly.parse(out[:-1], k)
+        assert poly == expected, (stat, fmt)
+        assert _eval_mod(poly, zs, q) == value, (stat, fmt)
 
 
 def test_console_script_installed():

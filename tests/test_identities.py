@@ -1,6 +1,7 @@
 """Identity verifiers: generic grid, integer specializations, falsifiability."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -280,6 +281,22 @@ def test_failing_reports_keep_both_polynomials(make, witness):
     assert report.rhs is not report.lhs
     assert report.lhs != report.rhs
     assert f"FAIL ({witness})" in report.describe()
+
+
+def test_a_report_renders_each_polynomial_once(monkeypatch):
+    # a passing report holds one polynomial, so its JSON line renders it
+    # once and writes the text on both sides; a failing one renders two
+    calls = []
+    to_json = Poly.to_json
+    monkeypatch.setattr(Poly, "to_json", lambda p: calls.append(p) or to_json(p))
+    passing = verify_recursion(6, 3, builtin_scheme("maj-rlp", 3))
+    failing = _det_report(1, 2, builtin_scheme("inv-lp", 2))
+    for report, renders in ((passing, 1), (failing, 2)):
+        calls.clear()
+        line = json.loads(report.to_json())
+        assert len(calls) == renders
+        assert Poly.from_json_dict(line["lhs"]) == report.lhs
+        assert Poly.from_json_dict(line["rhs"]) == report.rhs
 
 
 def test_specializations_keep_their_order_and_sides():
