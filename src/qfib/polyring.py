@@ -34,8 +34,18 @@ to_json writes this text with the separators of json.dumps, and
 to_json_dict is that text read back by json.loads.  coeff is written as a
 decimal string so that any size survives a JSON reader; it is read as an
 int or a string of ASCII digits with an optional leading "-".  z is a list
-of k ints and q an int.  Terms are written in canonical order and read in
-any order, repeats adding up.
+of k ints and q an int, neither a bool.  Terms are written in canonical
+order and read in any order, repeats adding up.
+
+Each reader has two paths, and the input picks one.  Input exactly in the
+writer's form (format's text, where a coefficient may also carry leading
+zeros or an explicit 1 and q may be q^1; to_json's form as json.loads
+returns it) is read at C speed: str methods and C-level maps over the
+input, each distinct z-part, q exponent or z list decoded once.  Anything
+else (other spacing, factors in another order or named twice, repeated
+terms, int coefficients, anything malformed) goes to the full reader, one
+term at a time, which is the only source of errors.  Where both paths read
+an input they give the same value.
 
 Python limits int/str conversion to sys.get_int_max_str_digits() digits
 (4300 by default).  parse raises PolyParseError at the first digit of a
@@ -44,12 +54,14 @@ coefficient string; format and to_json keep Python's ValueError for a
 coefficient that long, which no CLI output comes near.
 """
 
+import itertools
 import json
 import operator
 import re
 import struct
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from . import _fastread
 from ._backend import kernels as _k
 from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
 from .errors import (
@@ -341,12 +353,7 @@ class Poly:
         keys, exps = self._canonical()
         # The z factors are rendered once per z-monomial; per term only the
         # q factor and the coefficient are.
-        z_text = {
-            z: "*".join(
-                f"z{i}" if e == 1 else f"z{i}^{e}" for i, e in enumerate(es, start=1) if e
-            )
-            for z, es in exps.items()
-        }
+        z_text = {z: _z_text(es) for z, es in exps.items()}
         out = []
         for key in keys:
             body = z_text[key >> Q_BITS]
@@ -388,13 +395,24 @@ class Poly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Poly":
+        """The polynomial in the JSON form (module docstring), as Python
+        values.
+
+        Data exactly as to_json writes it is read by _fastread.read_json at
+        C speed.  Anything else goes through from_monomials one term at a
+        time, which checks each term before it merges, and is the only
+        source of errors.
+        """
+        read = _fastread.read_json(data)
+        if read is not None:
+            return cls._wrap(*read)
         try:
             k, rows = data["k"], data["terms"]
         except (KeyError, TypeError):
             raise PolyJsonError('a JSON polynomial is an object with "k" and "terms"') from None
         if not isinstance(rows, list):
             raise PolyJsonError(f'"terms" must be a list, got {type(rows).__name__}')
-        return cls.from_monomials(k, map(_json_term, rows))
+        return cls.from_monomials(k, map(_json_term, rows, itertools.repeat(k)))
 
     # ------------------------------------------------------------------
     # parsing
@@ -403,11 +421,17 @@ class Poly:
     def parse(cls, text: str, k: int) -> "Poly":
         """The polynomial written in the text grammar (module docstring).
 
-        One regex match reads each term.  A term's z factors are decoded once
-        per distinct text, and its key is packed and range-checked before the
-        next term is read, so errors come in text order.
+        Text exactly in format's form is read by _fastread.read_text at C
+        speed.  Anything else goes to the full reader below, which is the
+        only source of errors: one regex match reads each term, a term's z
+        factors are decoded once per distinct text, and its key is packed
+        and range-checked before the next term is read, so errors come in
+        text order.
         """
         check_k(k)
+        terms = _fastread.read_text(text, k)
+        if terms is not None:
+            return cls._wrap(k, terms)
         n = len(text)
         pos = _SPACES.match(text).end()
         if pos == n:
@@ -502,11 +526,11 @@ def _check_term(k: int, z_exps: tuple, q_exp):
     if len(z_exps) != k:
         raise RingMismatchError(f"expected {k} z exponents, got {len(z_exps)}")
     for e in z_exps:
-        if not isinstance(e, int) or e < 0:
+        if type(e) is bool or not isinstance(e, int) or e < 0:
             raise InvalidShiftError(f"z exponents must be nonnegative ints, got {e!r}")
         if e > Z_MASK:
             raise CapacityError(f"z exponent {e} exceeds field capacity {Z_MASK}")
-    if not isinstance(q_exp, int) or q_exp < 0:
+    if type(q_exp) is bool or not isinstance(q_exp, int) or q_exp < 0:
         raise InvalidShiftError(f"q exponent must be a nonnegative int, got {q_exp!r}")
     if q_exp > Q_MASK:
         raise CapacityError(f"q exponent {q_exp} exceeds field capacity {Q_MASK}")
@@ -544,7 +568,7 @@ def _read_bounds(k: int, terms: dict) -> tuple[int, int]:
 _decimal = re.compile(r"-?[0-9]+").fullmatch
 
 
-def _json_term(t) -> tuple:
+def _json_term(t, k: int) -> tuple:
     """(coeff, z, q) of one JSON term; z and q are checked as they pack."""
     try:
         coeff, z, q = t["coeff"], t["z"], t["q"]
@@ -559,6 +583,9 @@ def _json_term(t) -> tuple:
         raise PolyJsonError(f"a coefficient must be an int or a decimal string, got {coeff!r}")
     if type(z) is not list:
         raise PolyJsonError(f"z exponents must be a list, got {type(z).__name__}")
+    if type(q) is bool or bool in map(type, z):
+        # struct would pack a bool as 0 or 1
+        _check_term(k, z, q)
     return coeff, z, q
 
 
@@ -622,6 +649,11 @@ def _factor_error(text: str, pos: int, at_end: str) -> PolyParseError:
     if text[pos] == "z":
         return PolyParseError("expected a number", pos + 1)
     return PolyParseError(f"expected a factor, found {text[pos]!r}", pos)
+
+
+def _z_text(z_exps) -> str:
+    # a z-monomial as format writes it: "z1^2*z3", "" for no z factor
+    return "*".join(f"z{i}" if e == 1 else f"z{i}^{e}" for i, e in enumerate(z_exps, start=1) if e)
 
 
 def check_capacity(zb: int, qb: int):

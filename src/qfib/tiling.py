@@ -454,25 +454,30 @@ def validate_weight_scheme(w: WeightScheme, n_max: int) -> SchemeValidation:
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     failures = []
-    checked = 0
-    rng = range(1, n_max + 1)
+    rng, wide = range(1, n_max + 1), range(1, 2 * n_max + 1)
     for i in range(1, w.k + 1):
+        b, c = w.b(i), w.c(i)
+        # f[sigma][tau] at exactly the points the checks read, each once:
+        # tau <= 2 n_max for sigma <= n_max, tau <= n_max above; index 0 unused
+        f = [None] + [
+            [None] + [w.qexp(i, sigma, tau) for tau in (wide if sigma <= n_max else rng)]
+            for sigma in wide
+        ]
         for sigma, tau, m in itertools.product(rng, rng, rng):
-            base = w.qexp(i, sigma, tau)
-            checked += 2
-            front = w.qexp(i, sigma + m, tau)
-            if front != base + w.b(i) * m:
+            base = f[sigma][tau]
+            front = f[sigma + m][tau]
+            if front != base + b * m:
                 failures.append(
                     f"front shift: f({i},{sigma}+{m},{tau})={front} but "
-                    f"f({i},{sigma},{tau})+B({i})*{m}={base + w.b(i) * m}"
+                    f"f({i},{sigma},{tau})+B({i})*{m}={base + b * m}"
                 )
-            back = w.qexp(i, sigma, tau + m)
-            if back != base + w.c(i) * m:
+            back = f[sigma][tau + m]
+            if back != base + c * m:
                 failures.append(
                     f"back shift: f({i},{sigma},{tau}+{m})={back} but "
-                    f"f({i},{sigma},{tau})+C({i})*{m}={base + w.c(i) * m}"
+                    f"f({i},{sigma},{tau})+C({i})*{m}={base + c * m}"
                 )
-    return SchemeValidation(not failures, checked, tuple(failures))
+    return SchemeValidation(not failures, 2 * w.k * n_max**3, tuple(failures))
 
 
 def random_scheme(k: int, seed: int, name: str | None = None) -> WeightScheme:

@@ -3,12 +3,13 @@
 import copy
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qfib import _kernels_py, polyring
+from qfib import _fastread, _kernels_py, polyring
 from qfib.errors import (
     CapacityError,
     DomainError,
@@ -18,9 +19,10 @@ from qfib.errors import (
     QfibError,
     RingMismatchError,
 )
+from qfib.layered import builtin_scheme
 from qfib.polyring import Monomial, Poly, diff_witness
 from qfib.qpacked import q_mul_add, q_pack, q_unpack
-from qfib.tiling import fibonacci_k
+from qfib.tiling import fibonacci_k, weighted_sum_recursive
 
 
 def P(text, k=2):
@@ -227,6 +229,117 @@ def test_json_reader_reports_coefficients_too_long_to_read(sign):
         Poly.from_json_dict({"k": 1, "terms": [term]})
 
 
+# ----------------------------------------------------------------------
+# the two reader paths: the writers' own form at C speed, the rest in full
+
+
+def _outcome(read):
+    # everything a reader's caller can see: the terms in order and the
+    # bounds, or the error class, message and position
+    try:
+        p = read()
+    except QfibError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    return p.k, list(p._terms.items()), p._bounds
+
+
+def _full_parse(text, k):
+    with mock.patch.object(_fastread, "read_text", lambda text, k: None):
+        return _outcome(lambda: Poly.parse(text, k))
+
+
+def _full_json(data):
+    with mock.patch.object(_fastread, "read_json", lambda data: None):
+        return _outcome(lambda: Poly.from_json_dict(data))
+
+
+@pytest.mark.parametrize("pair, k, n", [("maj-rlp", 4, 20), ("inv-lp", 3, 12), ("maj-lp", 1, 9)])
+def test_fast_readers_take_the_writers_form(pair, k, n):
+    p = weighted_sum_recursive(n, k, builtin_scheme(pair, k))
+    for q in (p, Poly.constant(k, 7) - p.times_q(3), Poly.zero(k), Poly.constant(k, -2)):
+        assert _fastread.read_text(q.format(), k) == q._terms
+        read = _fastread.read_json(json.loads(q.to_json()))
+        assert read == (k, q._terms, q.degree_bounds)
+        assert _outcome(lambda: Poly.parse(q.format(), k)) == _full_parse(q.format(), k)
+
+
+def _mono(k):
+    return st.tuples(
+        st.integers(-300, 300), st.lists(st.integers(0, 3), min_size=k, max_size=k),
+        st.integers(0, 12),
+    )
+
+
+# characters a mutation may insert: the grammar's own, a space, a
+# superscript two and an Arabic-Indic three (str.isdigit takes both), and
+# characters that int() skips or reads
+_TEXT_NOISE = "0123456789zq^*+- \u00b2\u0663_."
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_parse_paths_agree(data):
+    # a text in format's form, with up to three characters inserted, deleted
+    # or replaced: the fast reader either declines or gives exactly what the
+    # full reader gives, and parse gives what the full reader gives
+    k = data.draw(st.integers(1, 3))
+    text = Poly.from_monomials(k, data.draw(st.lists(_mono(k), max_size=8))).format()
+    mutations = data.draw(st.integers(0, 3))
+    for _ in range(mutations):
+        i = data.draw(st.integers(0, len(text)))
+        noise = data.draw(st.sampled_from(_TEXT_NOISE))
+        cut = data.draw(st.sampled_from((0, 1)))
+        text = text[:i] + noise * data.draw(st.integers(0, 1)) + text[i + cut :]
+    # slices that cut these texts in several places; every term is shorter
+    chunk = data.draw(st.sampled_from((32, 64, _fastread.TEXT_CHUNK)))
+    with mock.patch.object(_fastread, "TEXT_CHUNK", chunk):
+        fast = _fastread.read_text(text, k)
+        full = _full_parse(text, k)
+        assert _outcome(lambda: Poly.parse(text, k)) == full
+    if fast is not None:
+        assert full == (k, list(fast.items()), None)
+    elif not mutations:
+        raise AssertionError(f"the fast reader declined format's own {text!r}")
+
+
+# values a mutation may put in place of a coefficient, a z entry or q
+_JSON_NOISE = (True, False, 1.0, 2.5, "+5", "\u0663", " 1", "07", "-0", "0", "1_0", -1, None,
+               1 << 40, 5, "5", [], (1, 0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_json_paths_agree(data):
+    # to_json's form read back, with up to three values changed or terms
+    # repeated: the fast reader either declines or gives exactly what the
+    # full reader gives (bounds included), and from_json_dict gives what
+    # the full reader gives
+    k = data.draw(st.integers(1, 3))
+    p = Poly.from_monomials(k, data.draw(st.lists(_mono(k), max_size=8)))
+    form = json.loads(p.to_json())
+    rows = form["terms"]
+    mutations = data.draw(st.integers(0, 3)) if rows else 0
+    for _ in range(mutations):
+        row = data.draw(st.sampled_from(rows))
+        field = data.draw(st.sampled_from(("coeff", "z", "q", "z entry", "repeat", "drop")))
+        noise = data.draw(st.sampled_from(_JSON_NOISE))
+        if field == "z entry" and type(row.get("z")) is list and row["z"]:
+            row["z"][data.draw(st.integers(0, len(row["z"]) - 1))] = noise
+        elif field == "repeat":
+            rows.append(copy.deepcopy(row))
+        elif field == "drop":
+            row.pop(data.draw(st.sampled_from(("coeff", "z", "q"))), None)
+        elif field in row:
+            row[field] = noise
+    fast = _fastread.read_json(form)
+    full = _full_json(form)
+    assert _outcome(lambda: Poly.from_json_dict(form)) == full
+    if fast is not None:
+        assert full == (fast[0], list(fast[1].items()), fast[2])
+    elif not mutations:
+        raise AssertionError(f"the fast reader declined to_json's own {form!r}")
+
+
 def test_ring_mismatch_raises():
     with pytest.raises(RingMismatchError):
         P("z1", 2) + P("z1", 3)
@@ -278,11 +391,17 @@ def test_json_roundtrip():
         ({"terms": []}, PolyJsonError),
         ([], PolyJsonError),
         ({"k": 0, "terms": []}, DomainError),
+        ({"k": 2, "terms": [{"coeff": "3", "z": [True, 0], "q": True}]}, InvalidShiftError),
+        ({"k": 2, "terms": [{"coeff": "3", "z": [1, False], "q": 0}]}, InvalidShiftError),
+        ({"k": 2, "terms": [{"coeff": "3", "z": [1, 0], "q": True}]}, InvalidShiftError),
+        ({"k": 2, "terms": [{"coeff": "3", "z": [1, 0], "q": 0}] * 2 + [
+            {"coeff": "3", "z": [True, 0], "q": 0}]}, InvalidShiftError),
     ],
 )
 def test_json_reader_is_strict(data, error):
     # the reader used to truncate a float q or coefficient, read "1_0" as
-    # 10 and raise KeyError or TypeError on a malformed object
+    # 10, read a bool exponent as 0 or 1 and raise KeyError or TypeError on
+    # a malformed object
     with pytest.raises(error) as info:
         Poly.from_json_dict(data)
     assert isinstance(info.value, QfibError)

@@ -1,6 +1,7 @@
 """Tilings, k-Fibonacci counts, weighted sums, and scheme validation."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -223,17 +224,25 @@ def _traced_peak(fn):
 
 
 def test_poly_readers_memory_is_bounded():
-    # maj-rlp k=4 n=20: 4,562 terms, 110 kB of text.  Both readers peaked
-    # near 0.37 MB, about the result dict; a term regex whose repeats keep
-    # their backtracking state grows with the factors of one term (a
+    # maj-rlp k=4 n=20: 4,562 terms, 110 kB of text.  Each reader peaks
+    # within 64 kB of the result it holds (about 0.34 MB): one regex
+    # repeated over the whole text held about 0.6 MB more, and so would a
+    # list of every term's text.  A term regex whose repeats keep their
+    # backtracking state grows with the factors of one term (a
     # 60,000-factor term took 42 MB that way; capped repeats, 0.03 MB).
     k = 4
     p = weighted_sum_recursive(20, k, builtin_scheme("maj-rlp", k))
     text, data = p.format(), json.loads(json.dumps(p.to_json_dict()))
     for read in (lambda: Poly.parse(text, k), lambda: Poly.from_json_dict(data)):
-        result, peak = _traced_peak(read)
+        read()
+        tracemalloc.start()
+        try:
+            result = read()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert result == p
-        assert peak < 2**20, peak
+        assert peak - held <= 64 * 1024, (peak, held)
     long_term = "*".join(["z1", "z2", "q"] * 20_000)
     result, peak = _traced_peak(lambda: Poly.parse(long_term, 2))
     assert result == Poly.monomial(2, 1, (20_000, 20_000), 20_000)
@@ -360,6 +369,37 @@ def test_validate_flags_joint_dependence():
 def test_corrupted_scheme_is_flagged():
     result = validate_weight_scheme(corrupted_scheme(3, seed=2), 8)
     assert not result.ok
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "a2f9e2380f8058a35468827c5077b52d71c1d13a83a2341d88cfaefb9870ca38"),
+        (1, "3053c7eba6c31b6708157e6c0239950c88785fac926978664dc5ee1f817d6c89"),
+        (2, "0202d3d398559362e1b6d530c1dfb962677ee3b031276af4ba40529d1c16ccd5"),
+        (7, "e3553dc0af0c4ac27323902d1ec028bef6ed88434ebe0641aff69d879b53e222"),
+    ],
+)
+def test_validate_failures_are_pinned(seed, digest):
+    # the failures, their order and the count of the per-call qexp checker
+    # that the grid table replaced
+    result = validate_weight_scheme(corrupted_scheme(3, seed), 6)
+    assert (result.checked, len(result.failures)) == (1296, 1188)
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == digest
+
+
+def test_validate_reads_each_point_once():
+    # exactly the points of the shift checks: sigma <= 2n with tau <= n, or
+    # sigma <= n with tau <= 2n, for every tile length
+    seen = []
+    base = builtin_scheme("maj-rlp", 2)
+    w = WeightScheme(
+        2, base.a, base.b, base.c, exponent=lambda *point: seen.append(point) or base.qexp(*point)
+    )
+    assert validate_weight_scheme(w, 3).ok
+    grid = range(1, 7)
+    expected = {(i, s, t) for i in (1, 2) for s in grid for t in grid if s <= 3 or t <= 3}
+    assert len(seen) == len(set(seen)) and set(seen) == expected
 
 
 def test_recursive_evaluator_reaches_large_boards():
