@@ -24,13 +24,26 @@ length p*k and each later group of k arcs drops the trailing length by k.
 
 The determinant itself is computed by exact cofactor expansion (no
 division), expanding along the highest column so the shared minors span
-the small low-column entries.  The expansion runs on q-packed entries where
-they allow (see qpacked): the entries of the shifted minor cancel from
-about 10k terms down to one monomial, and the packed form does that
-cancellation inside big-int arithmetic instead of term by term.  Every
-coefficient of a dim x dim determinant is at most
-dim! * prod_j max_i L1(E[i][j]) in absolute value (L1 is an entry's sum of
-|coefficients|); qpacked.determinant_width turns that bound into W.
+the small low-column entries.  Before it expands a minor, determinant()
+thins it along its own paths, as the Lindstrom-Gessel-Viennot proof does:
+row i less z_l q^(A(l) + B(l) u_i) times row i + l, for l = 1..k-1-i,
+removes the paths whose first arc lands on another row vertex (the
+first-arc recursion), and then column j less z_l q^(A(l) + B(l)(v_j - l))
+times column j - l, for l = 1..j, those whose last arc starts at another
+column vertex (the last-arc recursion).  Adding a multiple of another row
+or column never changes a determinant, so the result is exact for any
+matrix and any multipliers; the scheme only decides how much cancels.
+build_minor gives these arcs only when every C(i) is 0: with
+trailing-length weights an arc's weight depends on where its path ends, so
+the first-arc multiplier would differ from column to column.
+
+The expansion runs on q-packed entries where they allow (see qpacked): the
+entries of the shifted minor cancel from about 10k terms down to one
+monomial, and the packed form does that cancellation inside big-int
+arithmetic instead of term by term.  Every coefficient of a dim x dim
+determinant is at most dim! * prod_j max_i L1(E[i][j]) in absolute value
+(L1 is an entry's sum of |coefficients|); qpacked.determinant_width turns
+that bound into W.
 
 The closed form equals that determinant exactly when the tile weight
 ignores the trailing length (C = 0, so arc weights are per-edge quantities
@@ -46,6 +59,7 @@ from dataclasses import dataclass
 
 from . import qpacked
 from ._backend import kernels as _k
+from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
 from .errors import LIMITS, DomainError, SizeLimitError
 from .layered import inv
 from .polyring import Poly, check_capacity
@@ -91,8 +105,16 @@ class MinorSpec:
 
 @dataclass(frozen=True)
 class PolyMatrix:
+    """A square matrix of Polys.  arcs, when given, are the q exponents of
+    the monomials determinant() thins the matrix with before it expands it:
+    e = arcs[0][i][l-1] takes z_l q^e times row i + l from row i, and then
+    e = arcs[1][j][l-1] takes z_l q^e times column j - l from column j (see
+    the module docstring).  They decide how much work the expansion does,
+    never the determinant."""
+
     dim: int
     entries: tuple[tuple[Poly, ...], ...]
+    arcs: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None = None
 
     def to_json_dict(self) -> dict:
         flat = [e.to_json_dict() for row in self.entries for e in row]
@@ -104,11 +126,22 @@ def build_minor(spec: MinorSpec, w: WeightScheme) -> PolyMatrix:
     tilings of the (v_j - u_i)-board with a u_i-board appended in front.
     Entries come from the verifiers' shared sum cache (tiling._front), whose
     shift is the declared B, as enumeration with AppendSpec(u_i, 0) applies
-    it, so the two agree for incoherent schemes too."""
-    rows = tuple(
-        tuple(_front(vj - ui, spec.k, w, ui) for vj in spec.v) for ui in spec.u
+    it, so the two agree for incoherent schemes too.
+
+    When every C(i) is 0 the minor carries its arcs (see PolyMatrix): an arc
+    of length l from vertex x weighs z_l q^(A(l) + B(l) x) by the declared
+    tables, the first arcs leave the row vertices and the last arcs enter
+    the column vertices."""
+    k = spec.k
+    rows = tuple(tuple(_front(vj - ui, k, w, ui) for vj in spec.v) for ui in spec.u)
+    if any(map(w.c, range(1, k + 1))):
+        return PolyMatrix(k, rows)
+    arc = lambda l, x: w.a(l) + w.b(l) * x
+    arcs = (
+        tuple(tuple(arc(l, ui) for l in range(1, k - ui)) for ui in spec.u),
+        tuple(tuple(arc(l, vj - l) for l in range(1, j + 1)) for j, vj in enumerate(spec.v)),
     )
-    return PolyMatrix(spec.k, rows)
+    return PolyMatrix(k, rows, arcs)
 
 
 def determinant(mat: PolyMatrix) -> Poly:
@@ -117,11 +150,19 @@ def determinant(mat: PolyMatrix) -> Poly:
     Expansion runs along the last column at every level, so the shared
     subproblems are minors over the leading columns (the entries of
     smallest degree in the shifted Fibonacci minor), on q-packed entries
-    unless they are too q-sparse to pack (see qpacked).  Guarded by
-    LIMITS["det_dim"]: the expansion builds 2^dim minors.  Mixed rings raise
-    RingMismatchError and a determinant whose degree bounds (the sums of
-    the column maxima) overflow the packed key raises CapacityError, both
-    before any arithmetic.
+    unless they are too q-sparse to pack (see qpacked).  A matrix with arcs
+    is first thinned by them in the same ring (_thin): those are row and
+    column operations, which leave every determinant as it was, so the
+    width of the packed digits still comes from the original entries.  On
+    a C = 0 minor they cancel every path that another row or column
+    vertex accounts for; on a scheme whose entries do not follow its
+    tables (an exponent override) they cancel less, and the result is the
+    same.  Arcs that do not fit the entries (_arcs_fit) are left out.
+
+    Guarded by LIMITS["det_dim"]: the expansion builds 2^dim minors.  Mixed
+    rings raise RingMismatchError and a determinant whose degree bounds
+    (the sums of the column maxima) overflow the packed key raises
+    CapacityError, both before any arithmetic.
     """
     d = mat.dim
     if d > LIMITS["det_dim"]:
@@ -135,16 +176,80 @@ def determinant(mat: PolyMatrix) -> Poly:
         entries[0][0]._check_ring(e)
     k = entries[0][0].k
     cols = list(zip(*entries))
-    qb = sum(max(e.degree_bounds[1] for e in col) for col in cols)
-    check_capacity(sum(max(e.degree_bounds[0] for e in col) for col in cols), qb)
+    zcols = [max(e.degree_bounds[0] for e in col) for col in cols]
+    qcols = [max(e.degree_bounds[1] for e in col) for col in cols]
+    qb = sum(qcols)
+    check_capacity(sum(zcols), qb)
     bound = math.factorial(d) * math.prod(max(e.l1_norm for e in col) for col in cols)
     width = qpacked.determinant_width(bound, qb)
     if width is None:
-        terms = [[e._terms for e in row] for row in entries]
-        return Poly._wrap(k, _expand(terms, _k.mul_add_terms))
-    packed = [[qpacked.q_pack(e, width) for e in row] for row in entries]
-    mul_add = functools.partial(qpacked.q_mul_add, width=width)
-    return qpacked.q_unpack(k, _expand(packed, mul_add), width)
+        ring = [[e._terms for e in row] for row in entries]
+        mul_add = _k.mul_add_terms
+        mono = lambda z, e: {(z << Q_BITS) + e: 1}
+    else:
+        ring = [[qpacked.q_pack(e, width) for e in row] for row in entries]
+        mul_add = functools.partial(qpacked.q_mul_add, width=width)
+        mono = lambda z, e: {z: (e, 1)}
+    if mat.arcs and _arcs_fit(mat.arcs, k, zcols, qcols):
+        ring = _thin(ring, mat.arcs, k, mono, mul_add)
+    det = _expand(ring, mul_add)
+    return Poly._wrap(k, det) if width is None else qpacked.q_unpack(k, det, width)
+
+
+def _arcs_fit(arcs, k: int, zcols: list[int], qcols: list[int]) -> bool:
+    """Whether arcs fit a matrix over the k-variable ring whose columns' z
+    and q exponents are at most zcols and qcols: row arcs reach only rows
+    below, column arcs only columns before, none is longer than k, and no
+    exponent passes the largest q exponent (no arc of a minor's own paths
+    does).  A thinned entry of column j gains at most two z_l factors and
+    one row and one column arc over the entries of columns 0..j; those
+    bounds, summed over the columns as check_capacity sums the original
+    ones, must fit the key fields, so that no sum of keys carries."""
+    d = len(zcols)
+    rows, cols = arcs
+    if len(rows) != d or len(cols) != d or d > k + 1:
+        return False
+    if any(len(rows[i]) >= d - i or len(cols[i]) > i for i in range(d)):
+        return False
+    top = max(qcols)
+    if not all(type(e) is int and 0 <= e <= top for part in arcs for line in part for e in line):
+        return False
+    reach = max(map(max, filter(None, rows)), default=0) + max(map(max, filter(None, cols)), default=0)
+    zb = sum(itertools.accumulate(zcols, max)) + 2 * d
+    qb = sum(itertools.accumulate(qcols, max)) + d * reach
+    return zb <= Z_MASK and qb <= Q_MASK
+
+
+def _thin(ring, arcs, k: int, mono, mul_add):
+    """The matrix less its arcs' multiples of other rows, then of other
+    columns (see PolyMatrix), in the ring given by mono(z-key, q exponent)
+    and mul_add; each step reads the lines as they were before it."""
+    rows = _subtract_lines(ring, arcs[0], 1, k, mono, mul_add)
+    return list(zip(*_subtract_lines(list(zip(*rows)), arcs[1], -1, k, mono, mul_add)))
+
+
+def _subtract_lines(lines, arcs, step: int, k: int, mono, mul_add):
+    """Line i less z_l q^e times line i + step * l for each e = arcs[i][l-1];
+    a line with no arcs is kept as it is, every other one built in fresh
+    dicts."""
+    unit = mono(0, 0)
+    out = []
+    for i, (line, exps) in enumerate(zip(lines, arcs)):
+        if exps:
+            pairs = [
+                (mono(1 << (k - l) * Z_BITS, e), lines[i + step * l])
+                for l, e in enumerate(exps, 1)
+            ]
+            thinned = []
+            for j, entry in enumerate(line):
+                acc = {}
+                mul_add(acc, unit, entry, 1)
+                for arc, other in pairs:
+                    mul_add(acc, arc, other[j], -1)
+                thinned.append(acc)
+            line = thinned
+        out.append(line)
+    return out
 
 
 def _expand(entries, mul_add):

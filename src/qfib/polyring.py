@@ -54,7 +54,6 @@ coefficient string; format and to_json keep Python's ValueError for a
 coefficient that long, which no CLI output comes near.
 """
 
-import itertools
 import json
 import operator
 import re
@@ -182,6 +181,9 @@ class Poly:
         zb = qb = 0
         for coeff, z_exps, q_exp in monomials:
             z_exps = tuple(z_exps)
+            if type(q_exp) is bool or bool in map(type, z_exps):
+                # struct would pack a bool as 0 or 1
+                _check_term(k, z_exps, q_exp)
             try:
                 key = from_bytes(pack(*z_exps, q_exp), "big")
             except struct.error:
@@ -334,7 +336,7 @@ class Poly:
     @property
     def l1_norm(self) -> int:
         """Sum of the absolute values of the coefficients."""
-        return sum(abs(c) for c in self._terms.values())
+        return sum(map(abs, self._terms.values()))
 
     def _canonical(self) -> tuple[list, dict]:
         # the keys in canonical order and each z-monomial's exponents
@@ -412,7 +414,7 @@ class Poly:
             raise PolyJsonError('a JSON polynomial is an object with "k" and "terms"') from None
         if not isinstance(rows, list):
             raise PolyJsonError(f'"terms" must be a list, got {type(rows).__name__}')
-        return cls.from_monomials(k, map(_json_term, rows, itertools.repeat(k)))
+        return cls.from_monomials(k, map(_json_term, rows))
 
     # ------------------------------------------------------------------
     # parsing
@@ -568,7 +570,7 @@ def _read_bounds(k: int, terms: dict) -> tuple[int, int]:
 _decimal = re.compile(r"-?[0-9]+").fullmatch
 
 
-def _json_term(t, k: int) -> tuple:
+def _json_term(t) -> tuple:
     """(coeff, z, q) of one JSON term; z and q are checked as they pack."""
     try:
         coeff, z, q = t["coeff"], t["z"], t["q"]
@@ -583,9 +585,6 @@ def _json_term(t, k: int) -> tuple:
         raise PolyJsonError(f"a coefficient must be an int or a decimal string, got {coeff!r}")
     if type(z) is not list:
         raise PolyJsonError(f"z exponents must be a list, got {type(z).__name__}")
-    if type(q) is bool or bool in map(type, z):
-        # struct would pack a bool as 0 or 1
-        _check_term(k, z, q)
     return coeff, z, q
 
 

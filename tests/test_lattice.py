@@ -13,10 +13,11 @@ failed.
 
 import gc
 import itertools
+import random
 
 import pytest
 
-from qfib import _kernels_py, qpacked
+from qfib import _kernels_py, lattice, qpacked
 from qfib.errors import (
     LIMITS,
     CapacityError,
@@ -26,6 +27,7 @@ from qfib.errors import (
 )
 from qfib.lattice import (
     MinorSpec,
+    PathTuple,
     PolyMatrix,
     build_minor,
     closed_form_det,
@@ -235,6 +237,145 @@ def test_determinant_route_choice(monkeypatch):
         with pytest.raises(_Routed):
             determinant(m)
         assert widths.pop() is None
+
+
+def _twisted(pair, k, seed):
+    # the built-in B and C tables with a seeded A
+    rng = random.Random(seed)
+    w = builtin_scheme(pair, k)
+    lengths = range(1, k + 1)
+    a = [rng.randint(0, 3) for _ in lengths]
+    return WeightScheme.from_tables(k, a, map(w.b, lengths), map(w.c, lengths), name=f"{pair}~A")
+
+
+def _corrupted_c0(k, seed):
+    # C = 0 declared, but the actual exponent reads the trailing length too:
+    # the minor carries arcs that its entries do not follow
+    rng = random.Random(seed)
+    a, b = ([rng.randint(0, 3) for _ in range(k)] for _ in "ab")
+    return WeightScheme.from_tables(
+        k, a, b, (0,) * k, name=f"corrupted-c0-{seed}",
+        exponent=lambda i, sigma, tau: a[i - 1] + b[i - 1] * (sigma - 1) + (sigma - 1) * tau,
+    )
+
+
+def _thinning_cases():
+    cases = []
+    for k in range(1, 6):
+        for pair in SCHEMED_PAIRS:
+            for w in (builtin_scheme(pair, k), _twisted(pair, k, k)):
+                cases += [(w, k, n) for n in (1, 2, 3)]
+    for seed in range(8):
+        k = 2 + seed % 3
+        for w in (random_scheme(k, seed), corrupted_scheme(k, seed), _corrupted_c0(k, seed)):
+            cases += [(w, k, n) for n in (1, 2)]
+    return cases
+
+
+def _spy_thin(monkeypatch):
+    # the arguments of every thinning determinant() runs
+    thin, calls = lattice._thin, []
+    monkeypatch.setattr(lattice, "_thin", lambda *a: calls.append(a) or thin(*a))
+    return calls
+
+
+def test_thinned_determinant_equals_plain_expansion():
+    # row and column operations never change a determinant, so the minor
+    # with its arcs and the same entries without them expand to one
+    # polynomial: for coherent schemes, for C != 0 ones (which carry no
+    # arcs) and for schemes whose entries do not follow their tables
+    carried = 0
+    for w, k, n in _thinning_cases():
+        m = build_minor(MinorSpec(n, k), w)
+        carried += m.arcs is not None
+        assert determinant(m) == determinant(PolyMatrix(m.dim, m.entries)), (w.name, k, n)
+    assert carried > 150
+
+
+def test_thinning_on_the_term_route(monkeypatch):
+    # q exponents a million apart take the term ring, and the arcs thin the
+    # minor there too
+    w = WeightScheme.from_tables(5, (0,) * 5, (0, 1000000, 7, 9, 3), (0,) * 5)
+    m = build_minor(MinorSpec(2, 5), w)
+    thinned = _spy_thin(monkeypatch)
+    monkeypatch.setattr(qpacked, "q_pack", _refuse)
+    assert determinant(m) == determinant(PolyMatrix(m.dim, m.entries))
+    assert len(thinned) == 1
+
+
+def test_arcs_near_the_key_capacity_are_left_out(monkeypatch):
+    # entries up to q^(3Y) fit the key, but the bounds _arcs_fit puts on a
+    # thinned matrix do not at Y = 2^30 - 1, so that minor expands as it
+    # is: no input that ran without arcs raises with them
+    calls = _spy_thin(monkeypatch)
+    for y, thinned in ((2**30 - 1, False), (2**28, True)):
+        calls.clear()
+        m = build_minor(MinorSpec(1, 2), WeightScheme.from_tables(2, (0, 0), (y, 0), (0, 0)))
+        assert determinant(m) == Poly.parse("z2^2", 2)
+        assert bool(calls) == thinned, y
+
+
+def test_only_c0_minors_carry_arcs():
+    # with trailing-length weights the first-arc multiplier would depend on
+    # the column, so those minors keep the plain expansion; a hand-built
+    # matrix has no arcs
+    for pair in SCHEMED_PAIRS:
+        m = build_minor(MinorSpec(3, 4), builtin_scheme(pair, 4))
+        assert (m.arcs is None) == (str(pair) in _NON_COLLAPSING), str(pair)
+    generic = WeightScheme.from_tables(3, (0, 0, 0), (1, 1, 1), (0, 0, 1))
+    assert build_minor(MinorSpec(2, 3), generic).arcs is None
+    assert _hand_built_matrix().arcs is None
+
+
+def _paths(u, v, k):
+    if u == v:
+        yield (v,)
+        return
+    for d in range(1, min(k, v - u) + 1):
+        for rest in _paths(u + d, v, k):
+            yield (u,) + rest
+
+
+@pytest.mark.parametrize("pair", ["maj-rlp", "rb-lpi", "inv-rlp"])
+def test_thinning_keeps_the_paths_no_other_vertex_accounts_for(pair):
+    # the first-arc recursion removes the paths whose first arc lands on a
+    # row vertex, the last-arc recursion those whose last arc leaves a
+    # column vertex; what is left is a path sum of its own
+    k, n = 3, 2
+    w = builtin_scheme(pair, k)
+    spec = MinorSpec(n, k)
+    m = build_minor(spec, w)
+    ring = [[e._terms for e in row] for row in m.entries]
+    mono = lambda z, e: {(z << _kernels_py.Q_BITS) + e: 1}
+    thinned = lattice._thin(ring, m.arcs, k, mono, _kernels_py.mul_add_terms)
+    for i, u in enumerate(spec.u):
+        for j, v in enumerate(spec.v):
+            kept = [p for p in _paths(u, v, k) if p[1] >= k and p[-2] < spec.v[0]]
+            expected = sum((PathTuple((p,), (1,)).weight(w) for p in kept), Poly.zero(k))
+            assert Poly(k, thinned[i][j]) == expected, (i, j)
+
+
+def test_any_arcs_give_the_same_determinant(monkeypatch):
+    # row and column operations by any multipliers keep the determinant;
+    # arcs of the wrong shape, longer than the ring has variables or past
+    # the entries' q degree are left out
+    calls = _spy_thin(monkeypatch)
+    m = _hand_built_matrix()
+    expected = _permutation_det(m)
+    for arcs, fits in (
+        ((((1, 2), (0,), ()), ((), (5,), (3, 0))), True),
+        ((((1, 2), (0,), ()), ((), (5,), (3, 0, 1))), False),
+        ((((1, 2), (0,)), ((), (5,))), False),
+        ((((1, 2), (0,), ()), ((), (5,), (Q_MASK, 0))), False),
+        ((((1.5,), (), ()), ((), (), ())), False),
+    ):
+        calls.clear()
+        assert determinant(PolyMatrix(m.dim, m.entries, arcs)) == expected, arcs
+        assert bool(calls) == fits, arcs
+    one = Poly.one(1)
+    wide = PolyMatrix(3, ((one, one, one),) * 3, (((0, 0), (0,), ()), ((), (0,), (0, 0))))
+    calls.clear()
+    assert determinant(wide) == Poly.zero(1) and not calls
 
 
 @pytest.mark.parametrize(

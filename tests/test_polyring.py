@@ -354,6 +354,13 @@ def test_invalid_shift_raises():
         P("z1").substitute_z_scale((1,))
 
 
+def test_monomial_refuses_bool_exponents():
+    # Poly.monomial(2, 1, (True, 0), True) used to format as z1*q
+    for z, q in (((True, 0), True), ((True, 0), 1), ((1, False), 0), ((1, 0), False)):
+        with pytest.raises(InvalidShiftError):
+            Poly.monomial(2, 1, z, q)
+
+
 def test_capacity_guard():
     big = Poly.monomial(1, 1, (60000,), 0)
     with pytest.raises(CapacityError):
@@ -467,6 +474,10 @@ def test_readers_merge_repeated_terms(text, monos, canonical):
         (None, [(1, (-1, 0), 0), (-1, (-1, 0), 0)], InvalidShiftError),
         (None, [(1, (0, 0), -1)], InvalidShiftError),
         (None, [(1, (1,), 0)], RingMismatchError),
+        # struct packs a bool as 0 or 1: True used to read as 1
+        (None, [(1, (True, 0), 0)], InvalidShiftError),
+        (None, [(1, (0, 0), True)], InvalidShiftError),
+        (None, [(1, (1, 0), 0), (-1, (1, False), 2)], InvalidShiftError),
     ],
 )
 def test_readers_check_every_term(text, monos, error):
