@@ -91,6 +91,20 @@ def mul_add_terms(acc, a, b, sign):
     return acc
 
 
+def divide_terms(a, z, e):
+    """a / (z_l q^e) for the z-key z of one variable z_l (1 in its field),
+    or None unless every term of a holds z_l and q^e, so that no field of
+    a key borrows."""
+    held = Z_MASK * z << Q_BITS
+    m = (z << Q_BITS) + e
+    out = {}
+    for key, coeff in a.items():
+        if not key & held or key & Q_MASK < e:
+            return None
+        out[key - m] = coeff
+    return out
+
+
 def scalar_mul_terms(a, c):
     if c == 0:
         return {}

@@ -24,18 +24,28 @@ length p*k and each later group of k arcs drops the trailing length by k.
 
 The determinant itself is computed by exact cofactor expansion (no
 division), expanding along the highest column so the shared minors span
-the small low-column entries.  Before it expands a minor, determinant()
-thins it along its own paths, as the Lindstrom-Gessel-Viennot proof does:
-row i less z_l q^(A(l) + B(l) u_i) times row i + l, for l = 1..k-1-i,
-removes the paths whose first arc lands on another row vertex (the
-first-arc recursion), and then column j less z_l q^(A(l) + B(l)(v_j - l))
-times column j - l, for l = 1..j, those whose last arc starts at another
-column vertex (the last-arc recursion).  Adding a multiple of another row
-or column never changes a determinant, so the result is exact for any
-matrix and any multipliers; the scheme only decides how much cancels.
-build_minor gives these arcs only when every C(i) is 0: with
-trailing-length weights an arc's weight depends on where its path ends, so
-the first-arc multiplier would differ from column to column.
+the small low-column entries.  Before it expands a C = 0 minor,
+determinant() moves its rows along their own paths, as the
+Lindstrom-Gessel-Viennot proof does through every cut of k consecutive
+vertices.  The first-arc recursion P_x = sum over l = 1..k of
+z_l q^(A(l) + B(l) x) P_{x+l}, for the row P_x of path sums from a vertex
+x below every column vertex, gives the row one cut later,
+
+    P_{x+k} = (P_x - sum over l < k of z_l q^(A(l) + B(l) x) P_{x+l})
+              / z_k q^(A(k) + B(k) x),
+
+so the rows at x..x+k-1 have the determinant z_k q^(A(k) + B(k) x)
+(-1)^(k-1) times that of the rows at x+1..x+k: a row operation, one
+monomial pulled out, and a cyclic shift.  From x = u_0 up to v_0 - 1
+those steps leave the rows at v_0..v_0+k-1, whose matrix is unitriangular
+for the minor's own entries, and the expansion of that is cheap.  Every
+division by the diagonal monomial is checked to be exact; one that leaves
+a remainder (the entries do not follow the tables, as with an exponent
+override or a hand-built matrix) stops the steps and the rows reached
+expand as they stand, so the result is exact for any matrix.  build_minor
+gives the arc rule only when every C(i) is 0: with trailing-length weights
+an arc's weight depends on where its path ends, so the multipliers would
+differ from column to column.
 
 The expansion runs on q-packed entries where they allow (see qpacked): the
 entries of the shifted minor cancel from about 10k terms down to one
@@ -105,16 +115,17 @@ class MinorSpec:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """A square matrix of Polys.  arcs, when given, are the q exponents of
-    the monomials determinant() thins the matrix with before it expands it:
-    e = arcs[0][i][l-1] takes z_l q^e times row i + l from row i, and then
-    e = arcs[1][j][l-1] takes z_l q^e times column j - l from column j (see
-    the module docstring).  They decide how much work the expansion does,
-    never the determinant."""
+    """A square matrix of Polys.  rule, when given, is (arcs, u0, v0): an
+    arc of length l = 1..dim from vertex x weighs
+    z_l q^(arcs[l-1][0] + arcs[l-1][1] x), and row i and column j hold the
+    path sums from vertex u0 + i to vertex v0 + j.  determinant() moves the
+    rows along those paths before it expands the matrix (see the module
+    docstring); the rule decides how much work the expansion does, never
+    the determinant."""
 
     dim: int
     entries: tuple[tuple[Poly, ...], ...]
-    arcs: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None = None
+    rule: tuple[tuple[tuple[int, int], ...], int, int] | None = None
 
     def to_json_dict(self) -> dict:
         flat = [e.to_json_dict() for row in self.entries for e in row]
@@ -128,20 +139,15 @@ def build_minor(spec: MinorSpec, w: WeightScheme) -> PolyMatrix:
     shift is the declared B, as enumeration with AppendSpec(u_i, 0) applies
     it, so the two agree for incoherent schemes too.
 
-    When every C(i) is 0 the minor carries its arcs (see PolyMatrix): an arc
-    of length l from vertex x weighs z_l q^(A(l) + B(l) x) by the declared
-    tables, the first arcs leave the row vertices and the last arcs enter
-    the column vertices."""
+    When every C(i) is 0 the minor carries its arc rule (see PolyMatrix):
+    an arc of length l from vertex x weighs z_l q^(A(l) + B(l) x) by the
+    declared tables."""
     k = spec.k
     rows = tuple(tuple(_front(vj - ui, k, w, ui) for vj in spec.v) for ui in spec.u)
     if any(map(w.c, range(1, k + 1))):
         return PolyMatrix(k, rows)
-    arc = lambda l, x: w.a(l) + w.b(l) * x
-    arcs = (
-        tuple(tuple(arc(l, ui) for l in range(1, k - ui)) for ui in spec.u),
-        tuple(tuple(arc(l, vj - l) for l in range(1, j + 1)) for j, vj in enumerate(spec.v)),
-    )
-    return PolyMatrix(k, rows, arcs)
+    arcs = tuple((w.a(l), w.b(l)) for l in range(1, k + 1))
+    return PolyMatrix(k, rows, (arcs, spec.u[0], spec.v[0]))
 
 
 def determinant(mat: PolyMatrix) -> Poly:
@@ -150,14 +156,15 @@ def determinant(mat: PolyMatrix) -> Poly:
     Expansion runs along the last column at every level, so the shared
     subproblems are minors over the leading columns (the entries of
     smallest degree in the shifted Fibonacci minor), on q-packed entries
-    unless they are too q-sparse to pack (see qpacked).  A matrix with arcs
-    is first thinned by them in the same ring (_thin): those are row and
-    column operations, which leave every determinant as it was, so the
-    width of the packed digits still comes from the original entries.  On
-    a C = 0 minor they cancel every path that another row or column
-    vertex accounts for; on a scheme whose entries do not follow its
-    tables (an exponent override) they cancel less, and the result is the
-    same.  Arcs that do not fit the entries (_arcs_fit) are left out.
+    unless they are too q-sparse to pack (see qpacked).  A matrix with a
+    rule first has its rows moved along their paths in the same ring
+    (_slide): each step is a row operation and an exact division by a
+    monomial, checked term by term, so the width of the packed digits
+    still comes from the original entries.  On a C = 0 minor the steps run
+    up to the column vertices and leave a unitriangular matrix; on entries
+    that do not follow the rule (an exponent override) a division leaves a
+    remainder, the steps stop there and the rows reached expand as they
+    stand, with the same result.
 
     Guarded by LIMITS["det_dim"]: the expansion builds 2^dim minors.  Mixed
     rings raise RingMismatchError and a determinant whose degree bounds
@@ -176,80 +183,79 @@ def determinant(mat: PolyMatrix) -> Poly:
         entries[0][0]._check_ring(e)
     k = entries[0][0].k
     cols = list(zip(*entries))
-    zcols = [max(e.degree_bounds[0] for e in col) for col in cols]
-    qcols = [max(e.degree_bounds[1] for e in col) for col in cols]
-    qb = sum(qcols)
-    check_capacity(sum(zcols), qb)
+    zb = sum(max(e.degree_bounds[0] for e in col) for col in cols)
+    qb = sum(max(e.degree_bounds[1] for e in col) for col in cols)
+    check_capacity(zb, qb)
     bound = math.factorial(d) * math.prod(max(e.l1_norm for e in col) for col in cols)
     width = qpacked.determinant_width(bound, qb)
     if width is None:
         ring = [[e._terms for e in row] for row in entries]
         mul_add = _k.mul_add_terms
+        divide = _k.divide_terms
         mono = lambda z, e: {(z << Q_BITS) + e: 1}
     else:
         ring = [[qpacked.q_pack(e, width) for e in row] for row in entries]
         mul_add = functools.partial(qpacked.q_mul_add, width=width)
+        divide = functools.partial(qpacked.q_divide, width=width)
         mono = lambda z, e: {z: (e, 1)}
-    if mat.arcs and _arcs_fit(mat.arcs, k, zcols, qcols):
-        ring = _thin(ring, mat.arcs, k, mono, mul_add)
+    scale = None
+    if mat.rule:
+        ring, scale = _slide(ring, mat.rule, k, zb, qb, mono, mul_add, divide)
     det = _expand(ring, mul_add)
+    if scale:
+        factor, sign = scale
+        det = mul_add({}, factor, det, sign)
     return Poly._wrap(k, det) if width is None else qpacked.q_unpack(k, det, width)
 
 
-def _arcs_fit(arcs, k: int, zcols: list[int], qcols: list[int]) -> bool:
-    """Whether arcs fit a matrix over the k-variable ring whose columns' z
-    and q exponents are at most zcols and qcols: row arcs reach only rows
-    below, column arcs only columns before, none is longer than k, and no
-    exponent passes the largest q exponent (no arc of a minor's own paths
-    does).  A thinned entry of column j gains at most two z_l factors and
-    one row and one column arc over the entries of columns 0..j; those
-    bounds, summed over the columns as check_capacity sums the original
-    ones, must fit the key fields, so that no sum of keys carries."""
-    d = len(zcols)
-    rows, cols = arcs
-    if len(rows) != d or len(cols) != d or d > k + 1:
-        return False
-    if any(len(rows[i]) >= d - i or len(cols[i]) > i for i in range(d)):
-        return False
-    top = max(qcols)
-    if not all(type(e) is int and 0 <= e <= top for part in arcs for line in part for e in line):
-        return False
-    reach = max(map(max, filter(None, rows)), default=0) + max(map(max, filter(None, cols)), default=0)
-    zb = sum(itertools.accumulate(zcols, max)) + 2 * d
-    qb = sum(itertools.accumulate(qcols, max)) + d * reach
-    return zb <= Z_MASK and qb <= Q_MASK
+def _slide(rows, rule, k: int, zb: int, qb: int, mono, mul_add, divide):
+    """The rows of a matrix with a rule (see PolyMatrix), moved along their
+    paths in the ring given by mono(z-key, q exponent), mul_add and
+    divide: while the first row's vertex x is below v0, row x + d is row x
+    less z_l q^e(x, l) times row x + l for l = 1..d-1, divided by
+    z_d q^e(x, d), and it replaces row x at the end.  Returns the rows
+    reached and (factor, sign) with det(rows) = sign * factor *
+    det(rows reached), or None when no step was taken.
 
-
-def _thin(ring, arcs, k: int, mono, mul_add):
-    """The matrix less its arcs' multiples of other rows, then of other
-    columns (see PolyMatrix), in the ring given by mono(z-key, q exponent)
-    and mul_add; each step reads the lines as they were before it."""
-    rows = _subtract_lines(ring, arcs[0], 1, k, mono, mul_add)
-    return list(zip(*_subtract_lines(list(zip(*rows)), arcs[1], -1, k, mono, mul_add)))
-
-
-def _subtract_lines(lines, arcs, step: int, k: int, mono, mul_add):
-    """Line i less z_l q^e times line i + step * l for each e = arcs[i][l-1];
-    a line with no arcs is kept as it is, every other one built in fresh
-    dicts."""
+    A step needs an exact division, arc exponents e(x, l) = A(l) + B(l) x
+    that are ints >= 0, and room in the key: every step raises the z and q
+    bounds of each column by at most 1 and the largest e(x, l), l < d, and
+    the column bounds must still sum (as check_capacity sums the original
+    ones, zb and qb) within the key fields, so that no sum of keys
+    carries, in the steps or in the expansion after them."""
+    arcs, x, stop = rule
+    d = len(rows)
+    if len(arcs) != d or d > k or any(len(arc) != 2 for arc in arcs):
+        return rows, None
+    if any(type(n) is not int for n in (x, stop, *itertools.chain(*arcs))):
+        return rows, None
     unit = mono(0, 0)
-    out = []
-    for i, (line, exps) in enumerate(zip(lines, arcs)):
-        if exps:
-            pairs = [
-                (mono(1 << (k - l) * Z_BITS, e), lines[i + step * l])
-                for l, e in enumerate(exps, 1)
-            ]
-            thinned = []
-            for j, entry in enumerate(line):
-                acc = {}
-                mul_add(acc, unit, entry, 1)
-                for arc, other in pairs:
-                    mul_add(acc, arc, other[j], -1)
-                thinned.append(acc)
-            line = thinned
-        out.append(line)
-    return out
+    zs = [1 << (k - l) * Z_BITS for l in range(1, d + 1)]
+    sign, zf, qf = 1, 0, 0
+    while x < stop:
+        exps = [a + b * x for a, b in arcs]
+        zb += d
+        qb += d * max(exps[:-1], default=0)
+        if min(exps) < 0 or zb > Z_MASK or qb > Q_MASK:
+            break
+        pairs = [(mono(z, e), row) for z, e, row in zip(zs, exps, rows[1:])]
+        moved = []
+        for j, entry in enumerate(rows[0]):
+            acc = mul_add({}, unit, entry, 1)
+            for arc, row in pairs:
+                mul_add(acc, arc, row[j], -1)
+            acc = divide(acc, zs[-1], exps[-1])
+            if acc is None:
+                break
+            moved.append(acc)
+        if len(moved) < d:
+            break
+        rows = rows[1:] + [moved]
+        zf += zs[-1]
+        qf += exps[-1]
+        sign = sign if d % 2 else -sign
+        x += 1
+    return rows, (mono(zf, qf), sign) if zf else None
 
 
 def _expand(entries, mul_add):

@@ -54,6 +54,7 @@ coefficient string; format and to_json keep Python's ValueError for a
 coefficient that long, which no CLI output comes near.
 """
 
+import itertools
 import json
 import operator
 import re
@@ -674,9 +675,18 @@ def diff_witness(a: Poly, b: Poly) -> str | None:
     if a == b:
         return None
     at, bt = a._terms, b._terms
-    # the keys whose coefficients differ; the first of them in canonical order
-    keys = [*map(operator.itemgetter(0), at.items() ^ bt.items())]
-    exps, order = _term_order(a.k, keys)
-    key = max(keys, key=order)
+    small, big = (at, bt) if len(at) <= len(bt) else (bt, at)
+    # the keys on one side only, and the shared keys whose coefficients
+    # differ (big.get(key, c) is c where the key is on the small side only)
+    values = small.values()
+    differ = map(operator.ne, map(big.get, small, values), values)
+    keys = [*at.keys() ^ bt.keys(), *itertools.compress(small, differ)]
+    # the first of them in canonical order: the largest (total degree, key)
+    exps, _ = _term_order(a.k, keys)
+    zdeg = dict(zip(exps, map(sum, exps.values())))
+    degrees = map(
+        operator.add, map(zdeg.__getitem__, map(Q_BITS.__rrshift__, keys)), map(Q_MASK.__and__, keys)
+    )
+    _, key = max(zip(degrees, keys))
     name = Poly.monomial(a.k, 1, exps[key >> Q_BITS], key & Q_MASK).format()
     return f"coefficient of {name}: {at.get(key, 0)} != {bt.get(key, 0)}"

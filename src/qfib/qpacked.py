@@ -29,14 +29,16 @@ of Poly.  Both rings take mul_add(acc, a, b, sign) = acc + sign * a * b
 and update acc in place under the same contract (acc a fresh dict, never
 a or b; zeros dropped): q_mul_add with the width bound, or
 _kernels_py.mul_add_terms.  Each caller starts every sum from {} and
-wraps its result once.
+wraps its result once.  Both rings also divide by a monomial z_l q^e into
+a fresh dict, or return None where that would leave a remainder: q_divide
+with the width, or _kernels_py.divide_terms.
 """
 
 import itertools
 import operator
 import sys
 
-from ._kernels_py import Q_BITS, Q_MASK
+from ._kernels_py import Q_BITS, Q_MASK, Z_MASK
 from .polyring import Poly
 
 # The packed window pays for every q slot from a z-monomial's least to its
@@ -140,14 +142,24 @@ def _q_slots_and_terms(n: int, k: int, span: int, count: int) -> tuple[int, int]
 
 
 def q_pack(p: Poly, width: int) -> dict[int, tuple[int, int]]:
-    """p in q-packed form with digits of `width` bits."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for key, c in p._terms.items():
-        groups.setdefault(key >> Q_BITS, []).append((key & Q_MASK, c))
+    """p in q-packed form with digits of `width` bits: one pass over the
+    keys from the largest down, so each z-monomial's terms arrive together,
+    q falling, and its x is built Horner-style."""
+    terms = p._terms
     out = {}
-    for z, terms in groups.items():
-        lo = min(q for q, _ in terms)
-        out[z] = (lo, sum(c << width * (q - lo) for q, c in terms))
+    z0 = lo = x = None
+    for key in sorted(terms, reverse=True):
+        z = key >> Q_BITS
+        q = key & Q_MASK
+        if z == z0:
+            x = (x << width * (lo - q)) + terms[key]
+        else:
+            if z0 is not None:
+                out[z0] = (lo, x)
+            z0, x = z, terms[key]
+        lo = q
+    if z0 is not None:
+        out[z0] = (lo, x)
     return out
 
 
@@ -181,6 +193,29 @@ def q_mul_add(acc: dict, a: dict, b: dict, sign: int, width: int) -> dict:
             else:
                 del acc[z]
     return acc
+
+
+def q_divide(a: dict, z: int, e: int, width: int) -> dict | None:
+    """a / (z_l q^e) on q-packed forms, for the z-key z of one variable z_l
+    (1 in its field), or None unless every z-monomial of a holds z_l and
+    has q^e: an offset lo >= e, or an x whose low width * (e - lo) bits are
+    0.  The result is a fresh dict of pairs.  x is divided exactly as an
+    integer, so a = quotient * z_l q^e holds under q -> 2^W even where an
+    intermediate's digits pass W bits, and a determinant read back by
+    q_unpack stays exact."""
+    held = Z_MASK * z
+    out = {}
+    for za, (lo, x) in a.items():
+        if not za & held:
+            return None
+        if lo < e:
+            shift = width * (e - lo)
+            if x & ((1 << shift) - 1):
+                return None
+            x >>= shift
+            lo = e
+        out[za - z] = (lo - e, x)
+    return out
 
 
 def _cast_digits(width: int) -> int:

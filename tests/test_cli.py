@@ -628,15 +628,19 @@ _PINNED_OUTPUTS = {
         (0, "a6caba7091d187b874ae2a717aa2f460a3803850ab78b1295904c769f4c4ccde"),
     "table --n 20 --k 6 --stat maj-prlp --append 50,50 --format json":
         (0, "cea4f488a34dd58b4ce9eb039d362142dda325df976dbebc2e9160ab53e8796f"),
-    # the largest C = 0 minors, thinned by their arcs before the expansion:
-    # two packed ones and one q-sparse one on the term ring; digests taken
-    # from the plain expansion
+    # the largest C = 0 minors, whose rows move along their paths before the
+    # expansion: two packed ones and one q-sparse one on the term ring;
+    # digests taken from the plain expansion
     "det --n 6 --k 6 --stat maj-rlp --format text":
         (0, "97a1af465eb230533e7168554d181fa5218898ed9ce4556ae4f9773b3aa00445"),
     "det --n 6 --k 6 --stat maj-lp --format json":
         (0, "e2450b45c599a75bca6db56680e0ab01f03c21950d7b1707f494d52cc008095c"),
     "det --n 3 --k 6 --stat 'generic:0,[0 1000000 7 9 3 5],[0 0 0 0 0 0]' --format text":
         (0, "71221f52469638d438012d2c8e4d30dcef8fdfba46cde2cbf4b1b2050b960202"),
+    # the largest n at k = 6, whose rows move through two whole cuts; the
+    # plain expansion of the thinned minor took 17 s to print this
+    "det --n 10 --k 6 --stat maj-lp --format text":
+        (0, "d22d9e31a57c1ff98989eadc3c456f5dfc43acbeed7e7aca10b6c613317d0985"),
 }
 
 

@@ -135,12 +135,12 @@ def _permutation_det(m):
     return expected
 
 
-def _hand_built_matrix():
+def _hand_built_matrix(k=2):
     # negative coefficients, zero entries, coefficients above 2^64, and
     # z-monomials whose q exponents sit hundreds apart
-    p = lambda text: Poly.parse(text, 2)
+    p = lambda text: Poly.parse(text, k)
     big = str(2**70 + 3)
-    zero = Poly.zero(2)
+    zero = Poly.zero(k)
     rows = (
         (p(f"-{big}*z1*q^3 + 5*z2*q^300 - z1*q^150"), zero, p("z1^2 - 3*q^2")),
         (p(f"7 + {2**65 + 1}*z1*z2*q^200 - 2*z1*z2"), p("-z2*q"), zero),
@@ -250,7 +250,7 @@ def _twisted(pair, k, seed):
 
 def _corrupted_c0(k, seed):
     # C = 0 declared, but the actual exponent reads the trailing length too:
-    # the minor carries arcs that its entries do not follow
+    # the minor carries an arc rule that its entries do not follow
     rng = random.Random(seed)
     a, b = ([rng.randint(0, 3) for _ in range(k)] for _ in "ab")
     return WeightScheme.from_tables(
@@ -272,59 +272,102 @@ def _thinning_cases():
     return cases
 
 
-def _spy_thin(monkeypatch):
-    # the arguments of every thinning determinant() runs
-    thin, calls = lattice._thin, []
-    monkeypatch.setattr(lattice, "_thin", lambda *a: calls.append(a) or thin(*a))
-    return calls
+def _spy_divisions(monkeypatch):
+    # one entry per division determinant() makes, in either ring: True when
+    # it was exact; a step divides each of the dim entries of its new row
+    done = []
+    for owner, name in ((qpacked, "q_divide"), (_kernels_py, "divide_terms")):
+        def spy(*args, real=getattr(owner, name), **kwargs):
+            out = real(*args, **kwargs)
+            done.append(out is not None)
+            return out
+        monkeypatch.setattr(owner, name, spy)
+    return done
 
 
-def test_thinned_determinant_equals_plain_expansion():
-    # row and column operations never change a determinant, so the minor
-    # with its arcs and the same entries without them expand to one
-    # polynomial: for coherent schemes, for C != 0 ones (which carry no
-    # arcs) and for schemes whose entries do not follow their tables
+def test_thinned_determinant_equals_plain_expansion(monkeypatch):
+    # row operations and exact divisions by monomials never change a
+    # determinant, so the minor with its arc rule and the same entries
+    # without it expand to one polynomial: for coherent schemes, whose
+    # steps all divide, for C != 0 ones (which carry no rule) and for
+    # schemes whose entries do not follow their tables
+    done = _spy_divisions(monkeypatch)
     carried = 0
     for w, k, n in _thinning_cases():
         m = build_minor(MinorSpec(n, k), w)
-        carried += m.arcs is not None
+        carried += m.rule is not None
+        done.clear()
         assert determinant(m) == determinant(PolyMatrix(m.dim, m.entries)), (w.name, k, n)
+        if m.rule and not w.name.startswith("corrupt"):
+            assert done == [True] * k * (n + k - 1), (w.name, k, n)
     assert carried > 150
 
 
+def test_large_c0_minors_equal_their_closed_form():
+    # the minors that took the expansion 17-24 s before the steps ran up to
+    # the column vertices
+    spec = MinorSpec(10, 6)
+    for pair in ("maj-lp", "rb-lpi"):
+        w = builtin_scheme(pair, 6)
+        assert determinant(build_minor(spec, w)) == closed_form_det(spec, w), pair
+
+
 def test_thinning_on_the_term_route(monkeypatch):
-    # q exponents a million apart take the term ring, and the arcs thin the
-    # minor there too
+    # q exponents a million apart take the term ring, and every step
+    # divides there too
     w = WeightScheme.from_tables(5, (0,) * 5, (0, 1000000, 7, 9, 3), (0,) * 5)
     m = build_minor(MinorSpec(2, 5), w)
-    thinned = _spy_thin(monkeypatch)
+    done = _spy_divisions(monkeypatch)
     monkeypatch.setattr(qpacked, "q_pack", _refuse)
     assert determinant(m) == determinant(PolyMatrix(m.dim, m.entries))
-    assert len(thinned) == 1
+    assert done == [True] * 5 * 6
+
+
+def test_a_remainder_stops_the_steps(monkeypatch):
+    # entries that do not follow the rule leave a remainder in some step;
+    # the rows reached then expand as they stand, to the same determinant
+    done = _spy_divisions(monkeypatch)
+    stopped = 0
+    for seed in range(8):
+        k = 2 + seed % 3
+        for n in (1, 2):
+            m = build_minor(MinorSpec(n, k), _corrupted_c0(k, seed))
+            done.clear()
+            assert determinant(m) == determinant(PolyMatrix(m.dim, m.entries)), (seed, n)
+            stopped += False in done
+    assert stopped > 10
+    m = _hand_built_matrix(3)
+    rule = (((1, 2), (0, 1), (3, 0)), 0, 3)
+    done.clear()
+    assert determinant(PolyMatrix(m.dim, m.entries, rule)) == _permutation_det(m)
+    assert done == [False]
 
 
 def test_arcs_near_the_key_capacity_are_left_out(monkeypatch):
-    # entries up to q^(3Y) fit the key, but the bounds _arcs_fit puts on a
-    # thinned matrix do not at Y = 2^30 - 1, so that minor expands as it
-    # is: no input that ran without arcs raises with them
-    calls = _spy_thin(monkeypatch)
-    for y, thinned in ((2**30 - 1, False), (2**28, True)):
-        calls.clear()
+    # entries up to q^(3Y) fit the key; each step may raise the column
+    # bounds, and at Y = 2^30 - 1 the second step would pass the q field,
+    # so it is not taken: no input that ran without the rule raises with it
+    done = _spy_divisions(monkeypatch)
+    for y, steps in ((2**30 - 1, 1), (2**28, 2)):
+        done.clear()
         m = build_minor(MinorSpec(1, 2), WeightScheme.from_tables(2, (0, 0), (y, 0), (0, 0)))
         assert determinant(m) == Poly.parse("z2^2", 2)
-        assert bool(calls) == thinned, y
+        assert done == [True] * 2 * steps, y
 
 
 def test_only_c0_minors_carry_arcs():
     # with trailing-length weights the first-arc multiplier would depend on
     # the column, so those minors keep the plain expansion; a hand-built
-    # matrix has no arcs
+    # matrix has no rule
     for pair in SCHEMED_PAIRS:
         m = build_minor(MinorSpec(3, 4), builtin_scheme(pair, 4))
-        assert (m.arcs is None) == (str(pair) in _NON_COLLAPSING), str(pair)
+        assert (m.rule is None) == (str(pair) in _NON_COLLAPSING), str(pair)
+    w = builtin_scheme("maj-rlp", 4)
+    arcs = tuple((w.a(l), w.b(l)) for l in range(1, 5))
+    assert build_minor(MinorSpec(3, 4), w).rule == (arcs, 0, 6)
     generic = WeightScheme.from_tables(3, (0, 0, 0), (1, 1, 1), (0, 0, 1))
-    assert build_minor(MinorSpec(2, 3), generic).arcs is None
-    assert _hand_built_matrix().arcs is None
+    assert build_minor(MinorSpec(2, 3), generic).rule is None
+    assert _hand_built_matrix().rule is None
 
 
 def _paths(u, v, k):
@@ -338,44 +381,55 @@ def _paths(u, v, k):
 
 @pytest.mark.parametrize("pair", ["maj-rlp", "rb-lpi", "inv-rlp"])
 def test_thinning_keeps_the_paths_no_other_vertex_accounts_for(pair):
-    # the first-arc recursion removes the paths whose first arc lands on a
-    # row vertex, the last-arc recursion those whose last arc leaves a
-    # column vertex; what is left is a path sum of its own
+    # a step takes from row x the paths whose first arc lands on another
+    # row vertex, x + 1..x + k - 1, and keeps those whose first arc is the
+    # length-k one: divided by that arc, they are the path sums from x + k.
+    # After s steps the rows are the path sums from s..s + k - 1, and the
+    # determinant has pulled out the s diagonal arcs and the cyclic shifts.
     k, n = 3, 2
     w = builtin_scheme(pair, k)
     spec = MinorSpec(n, k)
     m = build_minor(spec, w)
-    ring = [[e._terms for e in row] for row in m.entries]
+    arcs = m.rule[0]
     mono = lambda z, e: {(z << _kernels_py.Q_BITS) + e: 1}
-    thinned = lattice._thin(ring, m.arcs, k, mono, _kernels_py.mul_add_terms)
-    for i, u in enumerate(spec.u):
-        for j, v in enumerate(spec.v):
-            kept = [p for p in _paths(u, v, k) if p[1] >= k and p[-2] < spec.v[0]]
-            expected = sum((PathTuple((p,), (1,)).weight(w) for p in kept), Poly.zero(k))
-            assert Poly(k, thinned[i][j]) == expected, (i, j)
+    path_sum = lambda u, v: sum(
+        (PathTuple((p,), (1,)).weight(w) for p in _paths(u, v, k)), Poly.zero(k)
+    )
+    for stop in range(1, spec.v[0] + 1):
+        ring = [[e._terms for e in row] for row in m.entries]
+        rows, (factor, sign) = lattice._slide(
+            ring, (arcs, 0, stop), k, 0, 0, mono,
+            _kernels_py.mul_add_terms, _kernels_py.divide_terms,
+        )
+        for i, row in enumerate(rows):
+            for j, v in enumerate(spec.v):
+                assert Poly(k, row[j]) == path_sum(stop + i, v), (stop, i, j)
+        diagonal = Poly.monomial(k, 1, (0, 0, stop), sum(w.a(k) + w.b(k) * x for x in range(stop)))
+        assert (Poly(k, factor), sign) == (diagonal, 1), stop
 
 
 def test_any_arcs_give_the_same_determinant(monkeypatch):
-    # row and column operations by any multipliers keep the determinant;
-    # arcs of the wrong shape, longer than the ring has variables or past
-    # the entries' q degree are left out
-    calls = _spy_thin(monkeypatch)
-    m = _hand_built_matrix()
+    # a rule whose divisions leave remainders gives the same determinant; a
+    # rule of the wrong shape, with a number that is not an int, a negative
+    # arc exponent or no vertex to move to is not used, nor one with more
+    # arcs than the ring has variables
+    done = _spy_divisions(monkeypatch)
+    m = _hand_built_matrix(3)
     expected = _permutation_det(m)
-    for arcs, fits in (
-        ((((1, 2), (0,), ()), ((), (5,), (3, 0))), True),
-        ((((1, 2), (0,), ()), ((), (5,), (3, 0, 1))), False),
-        ((((1, 2), (0,)), ((), (5,))), False),
-        ((((1, 2), (0,), ()), ((), (5,), (Q_MASK, 0))), False),
-        ((((1.5,), (), ()), ((), (), ())), False),
+    for rule, used in (
+        ((((1, 2), (0, 1), (3, 0)), 0, 3), True),
+        ((((1, 2), (0, 1)), 0, 3), False),
+        ((((1, 2), (0, 1), (3, 0, 1)), 0, 3), False),
+        ((((1.5, 0), (0, 1), (3, 0)), 0, 3), False),
+        ((((-1, 0), (0, 1), (3, 0)), 0, 3), False),
+        ((((1, 2), (0, 1), (3, 0)), 3, 3), False),
     ):
-        calls.clear()
-        assert determinant(PolyMatrix(m.dim, m.entries, arcs)) == expected, arcs
-        assert bool(calls) == fits, arcs
-    one = Poly.one(1)
-    wide = PolyMatrix(3, ((one, one, one),) * 3, (((0, 0), (0,), ()), ((), (0,), (0, 0))))
-    calls.clear()
-    assert determinant(wide) == Poly.zero(1) and not calls
+        done.clear()
+        assert determinant(PolyMatrix(m.dim, m.entries, rule)) == expected, rule
+        assert bool(done) == used, rule
+    ones = PolyMatrix(3, ((Poly.one(2),) * 3,) * 3, (((0, 0),) * 3, 0, 3))
+    done.clear()
+    assert determinant(ones) == Poly.zero(2) and not done
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from qfib.errors import (
 )
 from qfib.layered import builtin_scheme
 from qfib.polyring import Monomial, Poly, diff_witness
-from qfib.qpacked import q_mul_add, q_pack, q_unpack
+from qfib.qpacked import q_divide, q_mul_add, q_pack, q_unpack
 from qfib.tiling import fibonacci_k, weighted_sum_recursive
 
 
@@ -580,14 +580,16 @@ def _reference_witness(a, b):
 
 @st.composite
 def _nearby_pairs(draw):
-    # a at k = 1..4 and b = a plus a few terms, so the supports overlap and
-    # differ in a handful of coefficients, dropped terms or new ones
-    k = draw(st.integers(1, 4))
+    # a at k = 1..5 and b = a plus a few terms, so the supports overlap in
+    # terms of equal coefficients and differ in a handful of coefficients,
+    # dropped terms or new ones; or one side is empty
+    k = draw(st.integers(1, 5))
     mono = st.tuples(
         st.integers(-3, 3), st.lists(st.integers(0, 3), min_size=k, max_size=k), st.integers(0, 5)
     )
     a = Poly.from_monomials(k, draw(st.lists(mono, max_size=12)))
-    return a, a + Poly.from_monomials(k, draw(st.lists(mono, max_size=4)))
+    b = a + Poly.from_monomials(k, draw(st.lists(mono, max_size=4)))
+    return (Poly.zero(k), b) if draw(st.booleans()) and draw(st.booleans()) else (a, b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -719,6 +721,60 @@ def test_q_packed_product(a, b, sign):
     assert q_unpack(2, q_pack(a, width), width) == a
     acc = q_mul_add({}, q_pack(a, width), q_pack(b, width), sign, width)
     assert q_unpack(2, acc, width) == a * b * sign
+
+
+def _q_pack_reference(p, width):
+    # the definition: each z-monomial's terms, offset by its least q exponent
+    groups = {}
+    for m in p.monomials():
+        groups.setdefault(m.z_exps, []).append((m.q_exp, m.coeff))
+    out = {}
+    for z_exps, terms in groups.items():
+        lo = min(q for q, _ in terms)
+        z = next(iter(Poly.monomial(p.k, 1, z_exps, 0)._terms)) >> _kernels_py.Q_BITS
+        out[z] = (lo, sum(c << width * (q - lo) for q, c in terms))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_q_pack_round_trip_on_sparse_q(data):
+    # negative coefficients, q exponents up to 10^4 apart and z-monomials
+    # with one term or many; the pairs are the definition's, and unpacking
+    # gives the polynomial back
+    k = data.draw(st.integers(1, 4))
+    mono = st.tuples(
+        st.integers(-50, 50).filter(bool),
+        st.lists(st.integers(0, 2), min_size=k, max_size=k),
+        st.one_of(st.integers(0, 3), st.integers(0, 10**4)),
+    )
+    p = Poly.from_monomials(k, data.draw(st.lists(mono, max_size=30)))
+    width = max(p.l1_norm, 1).bit_length() + 2
+    packed = q_pack(p, width)
+    assert packed == _q_pack_reference(p, width)
+    assert q_unpack(k, packed, width) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys, st.integers(1, 2), st.integers(0, 5), st.booleans())
+def test_divide_by_a_monomial(p, l, e, packed):
+    # p * z_l q^e divides back to p in either ring; p itself divides only
+    # where every term holds z_l and q^e
+    width = max(p.l1_norm, 1).bit_length() + 2
+    z = 1 << (2 - l) * _kernels_py.Z_BITS
+    m = Poly.monomial(2, 1, (2 - l, l - 1), e)
+    if packed:
+        divide = lambda t: q_divide(q_pack(t, width), z, e, width)
+        read = lambda f: q_unpack(2, f, width)
+    else:
+        divide = lambda t: _kernels_py.divide_terms(t._terms, z, e)
+        read = lambda f: Poly(2, f)
+    assert read(divide(p * m)) == p
+    exact = all(mono.z_exps[l - 1] and mono.q_exp >= e for mono in p.monomials())
+    quotient = divide(p)
+    assert (quotient is not None) == exact
+    if exact:
+        assert read(quotient) * m == p
 
 
 def _balanced_digits(x, width):
