@@ -10,7 +10,8 @@ z1^e1 * ... * zk^ek * q^eq into one integer:
 Fields never overlap (the Poly layer enforces e_i < 2**Z_BITS and
 eq < 2**Q_BITS before any arithmetic), so multiplying two monomials is a
 single integer addition of their keys.  Comparing packed keys as integers is
-plain lexicographic order on (e1, ..., ek, eq).
+plain lexicographic order on (e1, ..., ek, eq).  mul_add_terms is the one
+loop over term pairs, for products, the term window and the determinant.
 """
 
 import collections
@@ -48,42 +49,28 @@ def sub_terms(a, b):
 
 
 def mul_terms(a, b):
-    """Distributive product; key addition is exact because fields never carry."""
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    get = out.get
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = ka + kb
-            c = get(key, 0) + va * vb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return out
+    """Distributive product a * b into a fresh dict (see mul_add_terms)."""
+    return mul_add_terms({}, a, b, 1)
 
 
 def mul_add_terms(acc, a, b, sign):
-    """acc + sign * a * b, updating acc in place (acc must not be a or b);
-    zero coefficients are dropped.  A row of pairs into an empty acc, as
-    the first tile of each recursion step is, lands in one update."""
+    """acc + sign * a * b in place (acc must not be a or b), zeros dropped;
+    the rows are the shorter operand's terms.  A row into an empty acc
+    cannot merge, so a long one of coefficient 1, as starts each step of
+    the recursion's term window, lands in one update; the update's set-up
+    costs about 64 loop steps, and a mapped multiply more than the loop's."""
     if len(a) > len(b):
         a, b = b, a
     get = acc.get
     for ka, va in a.items():
         if sign < 0:
             va = -va
-        # every recursion tile has coefficient 1: no multiply
-        values = b.values() if va == 1 else map(va.__mul__, b.values())
-        if not acc:
-            acc.update(zip(map(ka.__add__, b), values))
+        if not acc and va == 1 and len(b) > 64:
+            acc.update(zip(map(ka.__add__, b), b.values()))
             continue
-        for kb, vb in zip(b, values):
+        for kb, vb in b.items():
             key = ka + kb
-            c = get(key, 0) + vb
+            c = get(key, 0) + va * vb
             if c:
                 acc[key] = c
             else:

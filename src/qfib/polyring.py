@@ -122,16 +122,19 @@ class Poly:
     where it knows the bounds without looking at its terms (a product, a
     shift, a sum of two values with bounds); otherwise it is None until
     degree_bounds reads the exact bounds off the terms and keeps them.
-    Poly(k, terms) takes a dict from packed key to coefficient: it drops
-    zero coefficients and rejects a key outside range(1 << (Q_BITS +
-    k * Z_BITS)).
+    Poly(k, terms) takes a dict from packed key to int (not bool)
+    coefficient: it drops zeros and rejects any other coefficient and a key
+    outside range(1 << (Q_BITS + k * Z_BITS)).
     """
 
     __slots__ = ("k", "_terms", "_bounds")
 
     def __init__(self, k: int, terms=None):
         check_k(k)
-        terms = _drop_zeros({} if terms is None else terms)
+        terms = {} if terms is None else terms
+        if not set(map(type, terms.values())) <= {int}:
+            _check_coeff(next(c for c in terms.values() if type(c) is not int))
+        terms = _drop_zeros(terms)
         if terms:
             _check_keys(k, terms)
         self.k = k
@@ -161,6 +164,7 @@ class Poly:
     @classmethod
     def constant(cls, k: int, c: int) -> "Poly":
         check_k(k)
+        _check_coeff(c)
         return cls._wrap(k, {0: c} if c else {}, (0, 0))
 
     @classmethod
@@ -181,6 +185,8 @@ class Poly:
         get = terms.get
         zb = qb = 0
         for coeff, z_exps, q_exp in monomials:
+            if type(coeff) is not int:
+                _check_coeff(coeff)
             z_exps = tuple(z_exps)
             if type(q_exp) is bool or bool in map(type, z_exps):
                 # struct would pack a bool as 0 or 1
@@ -281,7 +287,7 @@ class Poly:
                 f"expected {self.k} shift exponents, got {len(exps)}"
             )
         for e in exps:
-            if not isinstance(e, int) or e < 0:
+            if type(e) is bool or not isinstance(e, int) or e < 0:
                 raise InvalidShiftError(f"shift exponents must be nonnegative ints, got {e!r}")
         if not any(exps) or not self._terms:
             return self
@@ -298,7 +304,7 @@ class Poly:
 
     def times_q(self, e: int) -> "Poly":
         """Multiply by the monomial q^e."""
-        if not isinstance(e, int) or e < 0:
+        if type(e) is bool or not isinstance(e, int) or e < 0:
             raise InvalidShiftError(f"q power must be a nonnegative int, got {e!r}")
         if e == 0 or not self._terms:
             return self
@@ -521,6 +527,12 @@ def check_k(k):
     A bool is refused: True would pass as 1 and be written as "True"."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive int, got {k!r}")
+
+
+def _check_coeff(c):
+    # True or 2.5 would be stored as given and written as "True" or "2.5"
+    if type(c) is not int:
+        raise DomainError(f"coefficients must be ints, got {c!r}")
 
 
 def _check_term(k: int, z_exps: tuple, q_exp):

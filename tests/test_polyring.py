@@ -361,6 +361,39 @@ def test_monomial_refuses_bool_exponents():
             Poly.monomial(2, 1, z, q)
 
 
+def test_shifts_refuse_bool_exponents():
+    # True used to act as 1: p.times_q(True) was p.times_q(1)
+    p = P("z1 + q")
+    for exps in ((True, 0), (0, False)):
+        with pytest.raises(InvalidShiftError):
+            p.substitute_z_scale(exps)
+    with pytest.raises(InvalidShiftError):
+        p.times_q(True)
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        pytest.param(lambda: Poly(2, {0: True}), True, id="init-bool"),
+        pytest.param(lambda: Poly(2, {0: False}), False, id="init-false"),
+        pytest.param(lambda: Poly(2, {0: 2.5}), 2.5, id="init-float"),
+        pytest.param(lambda: Poly(2, {0: 1, 5: None}), None, id="init-none"),
+        pytest.param(lambda: Poly.constant(2, True), True, id="constant-bool"),
+        pytest.param(lambda: Poly.zero(2) + True, True, id="add-bool"),
+        pytest.param(lambda: Poly.monomial(2, 2.5, (0, 1)), 2.5, id="monomial-float"),
+        pytest.param(
+            lambda: Poly.from_monomials(2, [(1, (0, 0), 0), (-1.0, (0, 0), 0)]), -1.0,
+            id="from-monomials-cancelled",
+        ),
+    ],
+)
+def test_coefficients_must_be_ints(make, value):
+    # these used to be stored as given, and to_json wrote "True", "2.5" or
+    # "None", which from_json_dict refuses
+    with pytest.raises(DomainError, match=f"got {value!r}$"):
+        make()
+
+
 def test_capacity_guard():
     big = Poly.monomial(1, 1, (60000,), 0)
     with pytest.raises(CapacityError):
@@ -901,12 +934,31 @@ def _random_terms(rnd, size):
     )._terms
 
 
+def _naive_mul_add(acc, a, b, sign):
+    # acc + sign * a * b by a plain double loop over the term pairs
+    out = dict(acc)
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            out[ka + kb] = out.get(ka + kb, 0) + sign * va * vb
+    return {key: c for key, c in out.items() if c}
+
+
+def _check_mul_add(acc, a, b, sign):
+    # acc updated in place and returned, a and b only read, no zero kept
+    saved = copy.deepcopy((a, b))
+    expected = _naive_mul_add(acc, a, b, sign)
+    got = _kernels_py.mul_add_terms(acc, a, b, sign)
+    assert got is acc
+    assert (a, b) == saved
+    assert acc == expected
+
+
 def test_mul_add_terms_is_acc_plus_sign_times_product():
-    # the Poly routes' ring: acc + sign * a * b, acc updated in place and
-    # returned, a and b only read, no zero coefficient kept
+    # both product kernels against the double loop, which runs no kernel
     for seed in range(300):
         rnd = random.Random(seed)
-        a, b = (_random_terms(rnd, rnd.randint(0, 9)) for _ in range(2))
+        # rows past 64 terms take the one-update path into an empty acc
+        a, b = (_random_terms(rnd, rnd.choice((0, 1, 5, 9, 200))) for _ in range(2))
         sign = rnd.choice((1, -1))
         acc = _random_terms(rnd, rnd.choice((0, 0, rnd.randint(1, 12))))
         if seed % 7 == 0:
@@ -914,16 +966,37 @@ def test_mul_add_terms_is_acc_plus_sign_times_product():
             a = {rnd.randint(0, 3) << 32 + 16: 1}
         if seed % 5 == 0:
             # full cancellation: acc is exactly -sign * a * b
-            acc = (Poly(2, a) * Poly(2, b) * -sign)._terms
-        saved = copy.deepcopy((a, b))
-        expected = Poly(2, acc) + Poly(2, a) * Poly(2, b) * sign
-        got = _kernels_py.mul_add_terms(acc, a, b, sign)
-        assert got is acc
-        assert (a, b) == saved
-        assert 0 not in acc.values()
-        assert Poly(2, acc) == expected, seed
+            acc = {key: -sign * c for key, c in _naive_mul_add({}, a, b, 1).items()}
+        assert _kernels_py.mul_terms(a, b) == _naive_mul_add({}, a, b, 1), seed
+        _check_mul_add(acc, a, b, sign)
         if seed % 5 == 0:
             assert acc == {}
+
+
+def test_mul_add_terms_edge_rows():
+    rnd = random.Random(1)
+    short = _random_terms(rnd, 5)
+    long = _random_terms(rnd, 200)
+    assert len(long) > 64
+    for b in (short, long):
+        # an empty operand leaves acc as it was
+        for a, other in (({}, b), (b, {})):
+            _check_mul_add({1: 3}, a, other, -1)
+            assert _kernels_py.mul_terms(a, other) == {}
+        # a one-term factor of coefficient 1, into an empty and a full acc
+        one = {1 << 48: 1}
+        _check_mul_add({}, one, b, 1)
+        _check_mul_add(dict(short), one, b, 1)
+        assert _kernels_py.mul_terms(one, b) == _naive_mul_add({}, one, b, 1)
+        # sign -1 on a nonempty acc, and on an empty one where it makes a
+        # coefficient -1 row 1
+        _check_mul_add(dict(long), {5: 2, 1 << 32: -1}, b, -1)
+        _check_mul_add({}, {5: -1}, b, -1)
+        # the first row cancels acc exactly and the next refills it
+        a = {7: 1, 1 << 49: 1}
+        acc = {key: -c for key, c in _naive_mul_add({}, {7: 1}, b, 1).items()}
+        _check_mul_add(acc, a, b, 1)
+        assert acc == _naive_mul_add({}, {1 << 49: 1}, b, 1)
 
 
 def _reference_format(k, monos):
