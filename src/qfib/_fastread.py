@@ -4,7 +4,8 @@ Poly.parse and Poly.from_json_dict call read_text and read_json first.
 Each returns None for any input not exactly in its writer's form, and the
 caller then reads the input with its full reader, the only source of
 errors.  Accepted input is read at C speed: str methods and C-level maps,
-with each distinct z-part, q exponent or z list decoded once.
+with each distinct z-part, q exponent or z list decoded once; a z-part is
+decoded by the full text reader, so the text grammar has one decoder.
 
 These readers live apart from polyring only to keep module compilation
 small: where no bytecode cache is written, every process compiles qfib from
@@ -17,8 +18,8 @@ import itertools
 import operator
 
 from . import polyring
-from ._kernels_py import Q_MASK, Z_MASK
-from .errors import PolyParseError
+from ._kernels_py import Q_BITS, Q_MASK, Z_MASK
+from .errors import CapacityError
 
 
 # The fast text reader takes slices of about this many characters, so that
@@ -67,7 +68,7 @@ def read_text(text, k: int) -> dict | None:
     n = len(text)
     if start == n:
         return None
-    z_keys = _Decoded(lambda z: _written_z(z, k))
+    z_keys = _Decoded(lambda z: _written_z(z, k), {"": 0})
     q_exps = _Decoded(_written_q, {"": 0, "^1": 1})
     terms: dict[int, int] = {}
     count = 0
@@ -125,16 +126,16 @@ def _decimals(strings) -> bool:
 
 
 def _written_z(text: str, k: int) -> int:
-    """The packed key of a z-part exactly as format writes it."""
-    z_exps = [0] * k
+    """The packed key of a z-part exactly as format writes it: text that
+    the full reader reads as one monomial, rendered back as the same text
+    (which also refuses a coefficient, q factors and other spacing)."""
     try:
-        polyring._add_factors(text, 0, k, z_exps)
-    except PolyParseError:
+        (key,) = polyring._read_terms(text, k)
+    except (ValueError, CapacityError):  # its errors, or not one term
         raise _NotWritten from None
-    # the rendering check also refuses q factors and text between factors
-    if max(z_exps) > Z_MASK or polyring._z_text(z_exps) != text:
+    if polyring._z_text(polyring._z_exps(k, key >> Q_BITS)) != text:
         raise _NotWritten
-    return polyring._pack(k, z_exps, 0)
+    return key
 
 
 def _written_q(text: str) -> int:

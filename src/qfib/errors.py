@@ -59,9 +59,9 @@ LIMITS = {
     # validate-scheme --max-n: 2k * max_n^3 checks, one string per violation.
     # A corrupted k = 20 scheme takes 0.7 s, 56 MB at 20; 2.7 s, 150 MB at 30.
     "validate_max_n": 20,
-    # det --k, verify det, lattice.determinant: 2^dim minors.  With
-    # q-packed arithmetic det --n 6 --k 6 takes 7-11 s for maj-rlp and
-    # 24-34 s for inv-prlp, whose 1.0M-term result takes about 4 s to print.
+    # det --k, verify det, lattice.determinant: 2^dim minors.  As a child
+    # process det --n 6 --k 6 takes 0.2 s, 19 MB peak RSS (ru_maxrss) for
+    # maj-rlp and 14-16 s, 325 MB for inv-prlp (1.0M terms printed).
     "det_dim": 6,
     # verify and validate-scheme --random-schemes: every scheme is built up
     # front (about 2 KB each) and verified in turn.  The cheapest verify

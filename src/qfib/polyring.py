@@ -43,8 +43,9 @@ zeros or an explicit 1 and q may be q^1; to_json's form as json.loads
 returns it) is read at C speed: str methods and C-level maps over the
 input, each distinct z-part, q exponent or z list decoded once.  Anything
 else (other spacing, factors in another order or named twice, repeated
-terms, int coefficients, anything malformed) goes to the full reader, one
-term at a time, which is the only source of errors.  Where both paths read
+terms, int coefficients, anything malformed) goes to the full reader, which
+is the only source of errors: for text, _read_terms, one character at a
+time; for JSON, from_monomials, one term at a time.  Where both paths read
 an input they give the same value.
 
 Python limits int/str conversion to sys.get_int_max_str_digits() digits
@@ -57,7 +58,6 @@ coefficient that long, which no CLI output comes near.
 import itertools
 import json
 import operator
-import re
 import struct
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -244,6 +244,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, int):
+            _check_coeff(other)  # True would pass as 1
             return Poly._wrap(self.k, _k.scalar_mul_terms(self._terms, other), self._bounds)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -256,7 +257,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is bool or not isinstance(n, int) or n < 0:
             raise InvalidShiftError(f"polynomial power must be a nonnegative int, got {n!r}")
         result = Poly.one(self.k)
         base = self
@@ -431,95 +432,116 @@ class Poly:
         """The polynomial written in the text grammar (module docstring).
 
         Text exactly in format's form is read by _fastread.read_text at C
-        speed.  Anything else goes to the full reader below, which is the
-        only source of errors: one regex match reads each term, a term's z
-        factors are decoded once per distinct text, and its key is packed
-        and range-checked before the next term is read, so errors come in
-        text order.
+        speed.  Anything else goes to _read_terms, which is the only source
+        of errors.
         """
         check_k(k)
+        if not isinstance(text, str):  # _read_terms would call bytes a syntax error
+            raise TypeError(f"expected a str, got {type(text).__name__}")
         terms = _fastread.read_text(text, k)
-        if terms is not None:
-            return cls._wrap(k, terms)
-        n = len(text)
-        pos = _SPACES.match(text).end()
-        if pos == n:
-            raise PolyParseError("empty input", pos)
-        sign = 1
-        if text[pos] == "-":
+        if terms is None:
+            terms = _read_terms(text, k)
+        return cls._wrap(k, terms)
+
+
+_DIGITS = frozenset("0123456789")  # not a str, which has "" in it
+
+
+def _read_terms(text: str, k: int) -> dict[int, int]:
+    """The terms of text in the text grammar, read one character at a time.
+
+    Each term is range-checked before the text after it is read, so the
+    error raised is the first in the text.  Repeated monomials merge in
+    order of first appearance; zero coefficients are dropped.  Numbers are
+    read inline: a helper call per number made the reader a tenth slower.
+    """
+    offsets = (0, *_zoffsets(k))  # offsets[i] and z_exps[i] are z_i's
+    digits = _DIGITS
+    pos = 0
+    while (c := text[pos : pos + 1]) == " ":
+        pos += 1
+    if not c:
+        raise PolyParseError("empty input", pos)
+    sign = 1
+    if c == "-":
+        sign = -1
+        pos += 1
+    terms: dict[int, int] = {}
+    get = terms.get
+    while True:
+        while (c := text[pos : pos + 1]) == " ":
+            pos += 1
+        coeff = sign
+        z_exps = [0] * (k + 1)
+        zkey = q_exp = 0
+        first = True
+        try:
+            while True:
+                if c == "z" or c == "q":
+                    var = c
+                    pos = end = pos + 1
+                    if var == "z":
+                        while (c := text[end : end + 1]) in digits:
+                            end += 1
+                        i = int(text[pos:end])
+                        if not 1 <= i <= k:
+                            raise PolyParseError(f"variable z{i} outside ring with k={k}", end)
+                        pos = end
+                    else:
+                        c = text[pos : pos + 1]
+                    e = 1
+                    if c == "^":
+                        pos = end = pos + 1
+                        while (c := text[end : end + 1]) in digits:
+                            end += 1
+                        e = int(text[pos:end])
+                        pos = end
+                    if var == "z":
+                        z_exps[i] += e
+                        zkey += e << offsets[i]
+                    else:
+                        q_exp += e
+                elif c in digits and first:
+                    end = pos + 1
+                    while (c := text[end : end + 1]) in digits:
+                        end += 1
+                    coeff *= int(text[pos:end])
+                    pos = end
+                elif c:
+                    raise PolyParseError(f"expected a factor, found {c!r}", pos)
+                else:
+                    raise PolyParseError("expected a term" if first else "expected a factor", pos)
+                while c == " ":
+                    pos += 1
+                    c = text[pos : pos + 1]
+                if c != "*":
+                    break
+                pos += 1
+                while (c := text[pos : pos + 1]) == " ":
+                    pos += 1
+                first = False
+        except PolyParseError:
+            raise
+        except ValueError:  # int(text[pos:end]): no digits, or past the int/str limit
+            if end == pos:
+                raise PolyParseError("expected a number", pos) from None
+            raise PolyParseError(f"a number of {end - pos} digits is too long", pos) from None
+        ze = max(z_exps)
+        if ze > Z_MASK:
+            raise CapacityError(f"z exponent {ze} exceeds field capacity {Z_MASK}")
+        if q_exp > Q_MASK:
+            raise CapacityError(f"q exponent {q_exp} exceeds field capacity {Q_MASK}")
+        key = zkey + q_exp
+        terms[key] = get(key, 0) + coeff
+        if c == "+":
+            sign = 1
+        elif c == "-":
             sign = -1
-            pos += 1
-        match = _TERM.match
-        z_decoded: dict[str, tuple[int, int, list]] = {}
-        terms: dict[int, int] = {}
-        get = terms.get
-        while True:
-            m = match(text, pos)
-            if m is None:
-                raise _factor_error(text, _SPACES.match(text, pos).end(), "expected a term")
-            c, z, q = m.groups()
-            try:
-                coeff = sign * int(c) if c else sign
-            except ValueError:
-                raise _too_long(c, m.start(1)) from None
-            if z is None:
-                zkey = ze = 0
-            else:
-                hit = z_decoded.get(z)
-                if hit is None:
-                    z_exps = [0] * k
-                    _add_factors(z, m.start(2), k, z_exps)
-                    # the key is meaningful only when the largest exponent fits
-                    hit = z_decoded[z] = (_pack(k, z_exps, 0), max(z_exps), z_exps)
-                zkey, ze, z_exps = hit
-            if q is None:
-                qe = 0
-            elif q == "q":
-                qe = 1
-            elif q == "q^":
-                raise PolyParseError("expected a number", m.end(3))
-            else:
-                try:
-                    qe = int(q[2:])
-                except ValueError:
-                    raise _too_long(q[2:], m.start(3) + 2) from None
-            pos = m.end()
-            sep = text[pos : pos + 1]
-            if sep == "*":
-                z_exps = list(z_exps) if z else [0] * k
-                while sep == "*":
-                    more = _MORE.match(text, pos)
-                    if more is None:
-                        raise _factor_error(
-                            text, _SPACES.match(text, pos + 1).end(), "expected a factor"
-                        )
-                    qe += _add_factors(more[1], more.start(1), k, z_exps)
-                    pos = more.end()
-                    sep = text[pos : pos + 1]
-                zkey = _pack(k, z_exps, 0)
-                ze = max(z_exps)
-            if ze > Z_MASK:
-                raise CapacityError(f"z exponent {ze} exceeds field capacity {Z_MASK}")
-            if qe > Q_MASK:
-                raise CapacityError(f"q exponent {qe} exceeds field capacity {Q_MASK}")
-            key = zkey + qe
-            terms[key] = get(key, 0) + coeff
-            if sep == "+":
-                sign = 1
-            elif sep == "-":
-                sign = -1
-            elif sep:
-                raise PolyParseError(f"expected '+' or '-', found {sep!r}", pos)
-            else:
-                return cls._wrap(k, _drop_zeros(terms))
-            pos += 1
-
-
-def _too_long(digits: str, pos: int) -> PolyParseError:
-    # int() raises ValueError on ASCII digits only past Python's int/str
-    # conversion limit; the readers convert inside try blocks, which cost
-    # nothing until they raise, instead of calling a checking helper per term.
-    return PolyParseError(f"a number of {len(digits)} digits is too long", pos)
+        elif c:
+            raise PolyParseError(f"expected '+' or '-', found {c!r}", pos)
+        else:
+            return _drop_zeros(terms)
+        pos += 1
 
 
 def check_k(k):
@@ -580,16 +602,14 @@ def _read_bounds(k: int, terms: dict) -> tuple[int, int]:
     return zb, max(map(Q_MASK.__and__, terms), default=0)
 
 
-_decimal = re.compile(r"-?[0-9]+").fullmatch
-
-
 def _json_term(t) -> tuple:
     """(coeff, z, q) of one JSON term; z and q are checked as they pack."""
     try:
         coeff, z, q = t["coeff"], t["z"], t["q"]
     except (KeyError, TypeError):
         raise PolyJsonError('a JSON term is an object with "coeff", "z" and "q"') from None
-    if type(coeff) is str and _decimal(coeff):
+    # -?[0-9]+: str.isdigit alone also takes digits outside ASCII
+    if type(coeff) is str and (digits := coeff.removeprefix("-")).isdigit() and digits.isascii():
         try:
             coeff = int(coeff)
         except ValueError:  # past Python's int/str conversion limit
@@ -599,68 +619,6 @@ def _json_term(t) -> tuple:
     if type(z) is not list:
         raise PolyJsonError(f"z exponents must be a list, got {type(z).__name__}")
     return coeff, z, q
-
-
-# The start of one term of the text grammar, with the spaces around it: the
-# coefficient, a run of up to 64 z factors (with the "*" before a q that
-# follows them) and one q factor, each group optional.  Every term format
-# writes ends there; parse reads any further factors in chunks with _MORE.
-# A group's text is well formed except that an exponent may be empty
-# ("z1^", reported at its position); index ranges are checked while
-# decoding.  Factors never follow a digit, so "2z1" ends the term after "2".
-# The matcher keeps state for every repeat of a part longer than one
-# character until the match ends, and possessive repeats need Python 3.11,
-# so each such repeat is capped: memory stays bounded however long a term.
-_F = r"(?:z[0-9]+|q)(?:\^[0-9]*)?"
-_ZF = r"z[0-9]+(?:\^[0-9]*)?"
-_TERM = re.compile(
-    r" *(?:([0-9]+)(?: *\* *(?=z[0-9]|q))?|(?=z[0-9]|q))"
-    rf"(?:(?<![0-9])({_ZF}(?: *\* *{_ZF}){{0,63}}(?: *\* *(?=q))?)?"
-    r"((?<![0-9^])q(?:\^[0-9]*)?)?)? *"
-)
-_MORE = re.compile(rf"\* *({_F}(?: *\* *{_F}){{0,63}}) *")
-_FACTOR = re.compile(r"([zq])([0-9]*)(?:\^([0-9]*))?")
-_SPACES = re.compile(" *")
-
-
-def _add_factors(text: str, base: int, k: int, z_exps: list) -> int:
-    """Add the exponents of the factors in `text`, which starts at position
-    `base` of the parsed string, into z_exps; return the q exponent."""
-    q = 0
-    for f in _FACTOR.finditer(text):
-        var, index, exp = f.groups()
-        if var == "z":
-            try:
-                i = int(index)
-            except ValueError:
-                raise _too_long(index, base + f.start(2)) from None
-            if not 1 <= i <= k:
-                raise PolyParseError(f"variable z{i} outside ring with k={k}", base + f.end(2))
-        if exp is None:
-            e = 1
-        elif exp:
-            try:
-                e = int(exp)
-            except ValueError:
-                raise _too_long(exp, base + f.start(3)) from None
-        else:
-            raise PolyParseError("expected a number", base + f.end())
-        if var == "q":
-            q += e
-        else:
-            z_exps[i - 1] += e
-    return q
-
-
-def _factor_error(text: str, pos: int, at_end: str) -> PolyParseError:
-    # pos is where a factor (or a term) must start but no pattern matched:
-    # an ASCII digit would have begun a coefficient, "q" always matches and
-    # "z" followed by a digit would have matched too.
-    if pos == len(text):
-        return PolyParseError(at_end, pos)
-    if text[pos] == "z":
-        return PolyParseError("expected a number", pos + 1)
-    return PolyParseError(f"expected a factor, found {text[pos]!r}", pos)
 
 
 def _z_text(z_exps) -> str:

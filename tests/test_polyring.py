@@ -136,6 +136,8 @@ def test_parse_rejects_bad_input():
         Poly.parse("q^", 2)
     with pytest.raises(PolyParseError):
         Poly.parse("", 2)
+    with pytest.raises(TypeError):
+        Poly.parse(b"z1", 2)
     err = None
     try:
         Poly.parse("z1 * * z2", 2)
@@ -169,8 +171,8 @@ def test_parse_rejects_bad_input():
     ],
 )
 def test_parse_accepts_exactly_the_grammar(text, expected):
-    # outcomes and error positions of the character-by-character reader
-    # this parser replaced
+    # outcomes and error positions, the same for every reader since the
+    # first character-by-character one
     if isinstance(expected, str):
         assert Poly.parse(text, 2).format() == expected
         return
@@ -190,7 +192,7 @@ def test_parse_reads_ascii_digits_only(text, pos):
 
 
 def test_parse_long_terms_in_any_order():
-    # terms longer than the parser's 64-factor chunks, factors interleaved
+    # terms of 200 factors, interleaved, in both spacings
     factors = ["z2", "q^2", "z1^3", "q"] * 50
     text = "*".join(factors) + " - 5*" + " * ".join(reversed(factors))
     assert Poly.parse(text, 2) == Poly.monomial(2, -4, (150, 50), 150)
@@ -198,6 +200,28 @@ def test_parse_long_terms_in_any_order():
     with pytest.raises(PolyParseError) as info:
         Poly.parse(bad, 2)
     assert info.value.pos == len(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, offset, message",
+    [
+        ("z3", 2, "variable z3 outside ring with k=2"),
+        ("z2^", 3, "expected a number"),
+        ("z", 1, "expected a number"),
+        ("* z1", 0, "expected a factor, found '*'"),
+        ("2", 0, "expected a factor, found '2'"),
+        ("z1 z2", 3, "expected '+' or '-', found 'z'"),
+    ],
+)
+def test_parse_reports_errors_past_64_factors(bad, offset, message):
+    # an error after the 70th factor of a term: past 64 factors, where a
+    # reader that matches factors in chunks of 64 starts its second chunk
+    factors = ["z2", "q^2", "z1^3", "q"] * 20
+    head = " * ".join(factors[:70]) + " * "
+    text = head + bad + " * " + " * ".join(factors[70:])
+    with pytest.raises(PolyParseError) as info:
+        Poly.parse(text, 2)
+    assert str(info.value) == f"{message} (at position {len(head) + offset})"
 
 
 _LONG = "7" * 5000  # past Python's default int/str limit of 4300 digits
@@ -369,6 +393,10 @@ def test_shifts_refuse_bool_exponents():
             p.substitute_z_scale(exps)
     with pytest.raises(InvalidShiftError):
         p.times_q(True)
+    # p ** True was p and p ** False was 1
+    for n in (True, False):
+        with pytest.raises(InvalidShiftError):
+            p**n
 
 
 @pytest.mark.parametrize(
@@ -380,6 +408,10 @@ def test_shifts_refuse_bool_exponents():
         pytest.param(lambda: Poly(2, {0: 1, 5: None}), None, id="init-none"),
         pytest.param(lambda: Poly.constant(2, True), True, id="constant-bool"),
         pytest.param(lambda: Poly.zero(2) + True, True, id="add-bool"),
+        # p * True, True * p and p * False were p, p and 0
+        pytest.param(lambda: P("z1") * True, True, id="mul-bool"),
+        pytest.param(lambda: True * P("z1"), True, id="rmul-bool"),
+        pytest.param(lambda: P("z1") * False, False, id="mul-false"),
         pytest.param(lambda: Poly.monomial(2, 2.5, (0, 1)), 2.5, id="monomial-float"),
         pytest.param(
             lambda: Poly.from_monomials(2, [(1, (0, 0), 0), (-1.0, (0, 0), 0)]), -1.0,
@@ -392,6 +424,14 @@ def test_coefficients_must_be_ints(make, value):
     # "None", which from_json_dict refuses
     with pytest.raises(DomainError, match=f"got {value!r}$"):
         make()
+
+
+def test_float_scalars_are_not_coefficients():
+    # as with +, Python raises TypeError for a float operand
+    p = P("z1")
+    for op in (lambda: p * 2.5, lambda: 2.5 * p, lambda: p + 2.5):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_capacity_guard():

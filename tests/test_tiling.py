@@ -227,9 +227,10 @@ def test_poly_readers_memory_is_bounded():
     # maj-rlp k=4 n=20: 4,562 terms, 110 kB of text.  Each reader peaks
     # within 64 kB of the result it holds (about 0.34 MB): one regex
     # repeated over the whole text held about 0.6 MB more, and so would a
-    # list of every term's text.  A term regex whose repeats keep their
-    # backtracking state grows with the factors of one term (a
-    # 60,000-factor term took 42 MB that way; capped repeats, 0.03 MB).
+    # list of every term's text.  The full text reader keeps nothing per
+    # factor: one term of 100,000 factors (600 kB of text) peaks at about
+    # 4 kB, where a reader holding state per factor (a backtracking regex
+    # took 42 MB for 60,000) would grow with the term.
     k = 4
     p = weighted_sum_recursive(20, k, builtin_scheme("maj-rlp", k))
     text, data = p.format(), json.loads(json.dumps(p.to_json_dict()))
@@ -243,10 +244,11 @@ def test_poly_readers_memory_is_bounded():
             tracemalloc.stop()
         assert result == p
         assert peak - held <= 64 * 1024, (peak, held)
-    long_term = "*".join(["z1", "z2", "q"] * 20_000)
+    n = 25_000
+    long_term = "-3 * " + " * ".join(["q^9", "z2^2", "z1", "z2^0"] * n)
     result, peak = _traced_peak(lambda: Poly.parse(long_term, 2))
-    assert result == Poly.monomial(2, 1, (20_000, 20_000), 20_000)
-    assert peak < 2**18, peak
+    assert result == Poly.monomial(2, -3, (n, 2 * n), 9 * n)
+    assert peak < 64 * 1024, peak
 
 
 class _CharCounter(io.TextIOBase):
