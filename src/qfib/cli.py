@@ -13,8 +13,11 @@ Scheme flags accept a built-in statistic pair (inv-lp, inv-rlp, inv-prlp,
 maj-lp, maj-rlp, maj-prlp, rb-lpi) or generic:A,B,C where each component is
 a bracketed value table like [0 1 3] with one integer per tile length, or an
 integer expression in the tile length i of at most LIMITS["expr_len"] (200)
-characters:
+characters.  A component may carry its own label, in either case
+(generic:[0 1 3],B=0,c=0), but not another's:
 
+    component := [label] ("[" integers separated by spaces "]" | expr)
+    label := "A=" | "B=" | "C="
     expr := term (("+" | "-") term)*
     term := unary (("*" | "/") unary)*
     unary := "-" unary | "(" expr ")" | "i" | digits
@@ -139,9 +142,10 @@ def _split_components(text: str) -> list[str]:
 
 def _component_fn(component: str, k: int, label: str):
     body = component.strip()
-    prefix = f"{label}="
-    if body.upper().startswith(prefix):
-        body = body[len(prefix):].strip()
+    if body[1:2] == "=" and body[0].upper() in "ABC":
+        if body[0].upper() != label:
+            raise QfibError(f"scheme component {component!r} stands where {label} belongs")
+        body = body[2:].strip()
     if body.startswith("["):
         if not body.endswith("]"):
             raise QfibError(f"unclosed value table in {component!r}")

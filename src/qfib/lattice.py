@@ -22,12 +22,12 @@ with sign +1 for odd k and (-1)^(n-1) for even k.  Writing
 n+k-1 = p*k + r with 0 <= r < k, the first r arcs are followed by paths of
 length p*k and each later group of k arcs drops the trailing length by k.
 
-The determinant itself is computed by exact cofactor expansion (no
-division), expanding along the highest column so the shared minors span
-the small low-column entries.  Before it expands a C = 0 minor,
-determinant() moves its rows along their own paths, as the
-Lindstrom-Gessel-Viennot proof does through every cut of k consecutive
-vertices.  The first-arc recursion P_x = sum over l = 1..k of
+The determinant itself is computed by exact cofactor expansion, expanding
+along the highest column so the shared minors span the small low-column
+entries; its only divisions are the exact ones by monomials below.
+Before it expands a C = 0 minor, determinant() moves its rows along their
+own paths, as the Lindstrom-Gessel-Viennot proof does through every cut of
+k consecutive vertices.  The first-arc recursion P_x = sum over l = 1..k of
 z_l q^(A(l) + B(l) x) P_{x+l}, for the row P_x of path sums from a vertex
 x below every column vertex, gives the row one cut later,
 
@@ -47,7 +47,7 @@ gives the arc rule only when every C(i) is 0: with trailing-length weights
 an arc's weight depends on where its path ends, so the multipliers would
 differ from column to column.
 
-The expansion runs on q-packed entries where they allow (see qpacked): the
+The expansion runs on q-packed entries where they allow (qpacked.ring): the
 entries of the shifted minor cancel from about 10k terms down to one
 monomial, and the packed form does that cancellation inside big-int
 arithmetic instead of term by term.  Every coefficient of a dim x dim
@@ -62,19 +62,17 @@ weights the cancellation fails and the two genuinely differ, which the
 identity checks report as counterexamples.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from . import qpacked
-from ._backend import kernels as _k
-from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
+from ._kernels_py import Q_MASK, Z_BITS, Z_MASK
 from .errors import LIMITS, DomainError, SizeLimitError
 from .layered import inv
 from .polyring import Poly, check_capacity
 from .report import IdentityReport
-from .tiling import WeightScheme, _front
+from .tiling import WeightScheme, _check_cap, _front
 
 __all__ = [
     "MinorSpec",
@@ -156,15 +154,10 @@ def determinant(mat: PolyMatrix) -> Poly:
     Expansion runs along the last column at every level, so the shared
     subproblems are minors over the leading columns (the entries of
     smallest degree in the shifted Fibonacci minor), on q-packed entries
-    unless they are too q-sparse to pack (see qpacked).  A matrix with a
+    unless they are too q-sparse to pack (qpacked.ring).  A matrix with a
     rule first has its rows moved along their paths in the same ring
-    (_slide): each step is a row operation and an exact division by a
-    monomial, checked term by term, so the width of the packed digits
-    still comes from the original entries.  On a C = 0 minor the steps run
-    up to the column vertices and leave a unitriangular matrix; on entries
-    that do not follow the rule (an exponent override) a division leaves a
-    remainder, the steps stop there and the rows reached expand as they
-    stand, with the same result.
+    (_slide; see the module docstring); the width of the packed digits
+    still comes from the original entries.
 
     Guarded by LIMITS["det_dim"]: the expansion builds 2^dim minors.  Mixed
     rings raise RingMismatchError and a determinant whose degree bounds
@@ -187,35 +180,23 @@ def determinant(mat: PolyMatrix) -> Poly:
     qb = sum(max(e.degree_bounds[1] for e in col) for col in cols)
     check_capacity(zb, qb)
     bound = math.factorial(d) * math.prod(max(e.l1_norm for e in col) for col in cols)
-    width = qpacked.determinant_width(bound, qb)
-    if width is None:
-        ring = [[e._terms for e in row] for row in entries]
-        mul_add = _k.mul_add_terms
-        divide = _k.divide_terms
-        mono = lambda z, e: {(z << Q_BITS) + e: 1}
-    else:
-        ring = [[qpacked.q_pack(e, width) for e in row] for row in entries]
-        mul_add = functools.partial(qpacked.q_mul_add, width=width)
-        divide = functools.partial(qpacked.q_divide, width=width)
-        mono = lambda z, e: {z: (e, 1)}
-    scale = None
-    if mat.rule:
-        ring, scale = _slide(ring, mat.rule, k, zb, qb, mono, mul_add, divide)
-    det = _expand(ring, mul_add)
+    ring = qpacked.ring(qpacked.determinant_width(bound, qb))
+    rows = [[ring.pack(e) for e in row] for row in entries]
+    rows, scale = _slide(rows, mat.rule, k, zb, qb, ring) if mat.rule else (rows, None)
+    det = _expand(rows, ring.mul_add)
     if scale:
         factor, sign = scale
-        det = mul_add({}, factor, det, sign)
-    return Poly._wrap(k, det) if width is None else qpacked.q_unpack(k, det, width)
+        det = ring.mul_add({}, factor, det, sign)
+    return ring.unpack(k, det)
 
 
-def _slide(rows, rule, k: int, zb: int, qb: int, mono, mul_add, divide):
+def _slide(rows, rule, k: int, zb: int, qb: int, ring):
     """The rows of a matrix with a rule (see PolyMatrix), moved along their
-    paths in the ring given by mono(z-key, q exponent), mul_add and
-    divide: while the first row's vertex x is below v0, row x + d is row x
-    less z_l q^e(x, l) times row x + l for l = 1..d-1, divided by
-    z_d q^e(x, d), and it replaces row x at the end.  Returns the rows
-    reached and (factor, sign) with det(rows) = sign * factor *
-    det(rows reached), or None when no step was taken.
+    paths in `ring` (qpacked.ring): while the first row's vertex x is below
+    v0, row x + d is row x less z_l q^e(x, l) times row x + l for
+    l = 1..d-1, divided by z_d q^e(x, d), and it replaces row x at the end.
+    Returns the rows reached and (factor, sign) with det(rows) = sign *
+    factor * det(rows reached), or None when no step was taken.
 
     A step needs an exact division, arc exponents e(x, l) = A(l) + B(l) x
     that are ints >= 0, and room in the key: every step raises the z and q
@@ -229,6 +210,7 @@ def _slide(rows, rule, k: int, zb: int, qb: int, mono, mul_add, divide):
         return rows, None
     if any(type(n) is not int for n in (x, stop, *itertools.chain(*arcs))):
         return rows, None
+    mono, mul_add, divide = ring.mono, ring.mul_add, ring.divide
     unit = mono(0, 0)
     zs = [1 << (k - l) * Z_BITS for l in range(1, d + 1)]
     sign, zf, qf = 1, 0, 0
@@ -259,10 +241,10 @@ def _slide(rows, rule, k: int, zb: int, qb: int, mono, mul_add, divide):
 
 
 def _expand(entries, mul_add):
-    """Last-column cofactor expansion of a square matrix over any ring given
-    by mul_add (see qpacked), one column at a time: the minors on columns
+    """Last-column cofactor expansion of a square matrix in the ring of
+    mul_add (qpacked.ring), one column at a time: the minors on columns
     0..col, keyed by row subset, are built from those on 0..col-1, which are
-    then dropped.  Each minor is summed into a fresh {}."""
+    then dropped."""
     d = len(entries)
     minors = {(r,): entries[r][0] for r in range(d)}
     for col in range(1, d):
@@ -284,6 +266,7 @@ def closed_form_det(spec: MinorSpec, w: WeightScheme) -> Poly:
     k).  Equals determinant(build_minor(spec, w)) for schemes with C = 0;
     see the module docstring for why trailing-length weights break that."""
     k, n = spec.k, spec.n
+    _check_cap(k, w)
     p, r = spec.pr
     q_exp = sum(w.qexp(k, i, p * k) for i in range(1, r + 1))
     for j in range(p):
@@ -301,7 +284,7 @@ def _noncrossing_weight(ring: int, n: int, k: int, q_exp: int) -> Poly:
     """+/- z_k^(n+k-1) q^q_exp in the ring-variable ring: the signed weight of
     the noncrossing tuple of the (n, k) minor whose arcs' q exponents sum to
     q_exp."""
-    counts = tuple(0 if i < k else n + k - 1 for i in range(1, k + 1))
+    counts = tuple(n + k - 1 if i == k else 0 for i in range(1, ring + 1))
     return Poly.monomial(ring, _minor_sign(n, k), counts, q_exp)
 
 
@@ -326,6 +309,8 @@ class PathTuple:
             b = path[-1]
             for v0, v1 in zip(path, path[1:]):
                 i = v1 - v0
+                if not 0 < i <= w.k:
+                    raise DomainError(f"arc of length {i} outside the scheme's 1..{w.k}")
                 counts[i - 1] += 1
                 q_exp += w.qexp(i, v0 + 1, b - v1)
         return Poly.monomial(w.k, 1, counts, q_exp)

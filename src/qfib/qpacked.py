@@ -1,7 +1,7 @@
-"""q-packed arithmetic, and the rules that route the first-tile recursion
-(tiling.weighted_sum_recursive) and the minor determinant
-(lattice.determinant) onto it.  A recursion whose z-monomials each have one
-q exponent (one_q_per_z) needs neither ring: it has a closed form
+"""q-packed arithmetic, and ring(width): the whole arithmetic that the
+first-tile recursion (tiling.weighted_sum_recursive) and the minor
+determinant (lattice.determinant) run on, at the width each one's rule
+gives.  One q exponent per z-monomial (one_q_per_z) gives a closed form
 (tiling._one_q_sums).
 
 A q-packed polynomial is a Kronecker substitution q -> 2^W in q alone: a
@@ -14,30 +14,14 @@ multiply); a sum shifts the x with the larger offset.  q -> 2^W is a ring
 homomorphism, so only the coefficients of the final result need to fit in
 W bits for q_unpack to read them back, whatever the size of the
 intermediate x's.
-
-The pair is a tuple where q_pack builds it and a two-item list, a cell,
-where q_mul_add does.  q_mul_add updates acc's cells in place, so a merge
-builds no new pair and stores nothing in the dict; acc must therefore be a
-dict of its own, never a or b.  a and b are only read and may hold either
-form; no cell of theirs ever enters acc, so a result passed back in as a
-or b stays as it was.
-
-Each caller bounds its coefficients and asks its rule below for W; a rule
-returns None where packing would cost more than plain terms (q exponents
-too sparse), and the caller runs the same computation on the term dicts
-of Poly.  Both rings take mul_add(acc, a, b, sign) = acc + sign * a * b
-and update acc in place under the same contract (acc a fresh dict, never
-a or b; zeros dropped): q_mul_add with the width bound, or
-_kernels_py.mul_add_terms.  Each caller starts every sum from {} and
-wraps its result once.  Both rings also divide by a monomial z_l q^e into
-a fresh dict, or return None where that would leave a remainder: q_divide
-with the width, or _kernels_py.divide_terms.
 """
 
 import itertools
 import operator
 import sys
+import types
 
+from . import _kernels_py
 from ._kernels_py import Q_BITS, Q_MASK, Z_MASK
 from .polyring import Poly
 
@@ -56,8 +40,7 @@ from .polyring import Poly
 # window won 45 of the 56 boards run on both (median above 3.1x); the
 # packed window won 11, by up to 7.3x, and ran out of a 1.5 GB address
 # space on 6 more, two at 10 and 12 slots per term whose term window took
-# 2.7 and 15 s.  The old bound of 14, timed against a term ring that copied
-# its sums, sent those two to the packed window.
+# 2.7 and 15 s.
 _SLOTS_PER_TERM = 8
 
 # Largest packed integer, in bits, that determinant() allows: W times the
@@ -73,6 +56,42 @@ _SLOTS_PER_TERM = 8
 # determinant is one monomial, the term ring was 10% faster at k = 4 and
 # 8-12% slower at k = 6, too little for a rule of its own.
 _PACKED_BITS = 1 << 17
+
+
+def ring(width: int | None) -> types.SimpleNamespace:
+    """The arithmetic of the q-packed ring with digits of `width` bits
+    (q_pack, q_mul_add, q_divide, q_unpack), or for None of Poly's term
+    dicts (_kernels_py.mul_add_terms, divide_terms).  A caller bounds its
+    coefficients and takes the width from its rule (recursion_width,
+    determinant_width): None where packing costs more than plain terms.
+
+    mono(z, e) is the monomial z q^e for a z-key z (packed key >> Q_BITS)
+    and pack(p) is the Poly p, as values of the ring.  mul_add(acc, a, b,
+    sign) adds sign * a * b into acc in place, dropping zeros, and returns
+    it; acc is the caller's own dict, started from {}, never a or b.  a and
+    b are only read: a packed pair is a tuple where q_pack and mono build
+    it and a two-item list, a cell, where q_mul_add does, and no cell of a
+    or b enters acc, so a result passed back in stays as it was.
+    divide(a, z, e) is a / (z_l q^e) for the z-key z of one variable z_l,
+    into a fresh dict, or None where that leaves a remainder.  unpack(k, r)
+    wraps a result once, as a Poly in k variables.  The term kernels are
+    looked up when ring is called and the packed ones at every call, so a
+    patched kernel is the one that runs."""
+    if width is None:
+        return types.SimpleNamespace(
+            mono=lambda z, e: {(z << Q_BITS) + e: 1},
+            pack=lambda p: p._terms,
+            mul_add=_kernels_py.mul_add_terms,
+            divide=_kernels_py.divide_terms,
+            unpack=Poly._wrap,
+        )
+    return types.SimpleNamespace(
+        mono=lambda z, e: {z: (e, 1)},
+        pack=lambda p: q_pack(p, width),
+        mul_add=lambda acc, a, b, sign: q_mul_add(acc, a, b, sign, width),
+        divide=lambda a, z, e: q_divide(a, z, e, width),
+        unpack=lambda k, r: q_unpack(k, r, width),
+    )
 
 
 def recursion_width(n: int, k: int, span: int, count: int) -> int | None:
@@ -164,9 +183,8 @@ def q_pack(p: Poly, width: int) -> dict[int, tuple[int, int]]:
 
 
 def q_mul_add(acc: dict, a: dict, b: dict, sign: int, width: int) -> dict:
-    """acc + sign * a * b on q-packed forms, updating acc and its cells in
-    place (acc must not be a or b); a z-monomial whose x becomes 0 is
-    dropped."""
+    """acc + sign * a * b on q-packed forms, in place as ring's mul_add; a
+    z-monomial whose x becomes 0 is dropped."""
     get = acc.get
     for za, (la, xa) in a.items():
         if sign < 0:

@@ -67,7 +67,7 @@ class Tiling:
     def __init__(self, parts):
         parts = tuple(parts)
         for p in parts:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise DomainError(f"tile lengths must be positive ints, got {p!r}")
         self.parts = parts
 
@@ -276,7 +276,7 @@ def _tile_deltas(n: int, maxpart: int, w: WeightScheme, app: AppendSpec):
     return deltas, low[1], top[1]
 
 
-def _check_cap(n, k, w):
+def _check_cap(k, w):
     check_k(k)
     if k > w.k:
         raise DomainError(
@@ -290,7 +290,7 @@ def weighted_sum_enumerative(n: int, k: int, w: WeightScheme, app=AppendSpec()) 
     This is the oracle route: it visits each of the F_n tilings once and adds
     its weight.  Returns 1 for n = 0 and 0 for n < 0.
     """
-    _check_cap(n, k, w)
+    _check_cap(k, w)
     app = _normalize_append(app)
     if n < 0:
         return Poly.zero(w.k)
@@ -348,39 +348,32 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     most F_n, and q-packed digits of W >= bitlen(F_n) + 1 bits decode it
     (qpacked.recursion_width).  Boards too q-sparse to pack (generic
     schemes with large B or C) run the same window on term dicts
-    (_kernels_py.mul_add_terms).  Boards with one q exponent per
-    z-monomial (qpacked.one_q_per_z: B(i) - C(i) = lam * i, as in the
-    inv-* schemes) skip the window: their recursion is solved in closed
-    form, one multinomial term per z-monomial (_one_q_sums).
-    The tile exponents go through the same capacity check as
-    weighted_sum_enumerative, before any arithmetic.  Agrees with
-    weighted_sum_enumerative on every input; the recursion reaches board
-    lengths far beyond what enumeration can.
+    (qpacked.ring).  Boards with one q exponent per z-monomial
+    (qpacked.one_q_per_z: B(i) - C(i) = lam * i, as in the inv-* schemes)
+    skip the window: their recursion is solved in closed form, one
+    multinomial term per z-monomial (_one_q_sums).  The tile exponents go
+    through the same capacity check as weighted_sum_enumerative, before any
+    arithmetic.  Agrees with weighted_sum_enumerative on every input; the
+    recursion reaches board lengths far beyond what enumeration can.
     """
-    _check_cap(n, k, w)
+    _check_cap(k, w)
     app = _normalize_append(app)
     if n < 0:
         return Poly.zero(w.k)
     deltas, qlow, qtop = _tile_deltas(n, k, w, app)
-    # the same exact bounds as weighted_sum_enumerative's on both term routes
+    # the same exact bounds as weighted_sum_enumerative's
     if qpacked.one_q_per_z(deltas):
         return Poly._wrap(w.k, _one_q_sums(n, deltas), (n, qtop))
-    count = fibonacci_k(n, k)
-    width = qpacked.recursion_width(n, k, qtop - qlow, count)
-    if width is None:
-        tiles = [[{d: 1} for d in row] for row in deltas]
-        return Poly._wrap(w.k, _first_tile_sums(tiles, {0: 1}, _k.mul_add_terms), (n, qtop))
-    tiles = [[{d >> Q_BITS: (d & Q_MASK, 1)} for d in row] for row in deltas]
-    mul_add = functools.partial(qpacked.q_mul_add, width=width)
-    return qpacked.q_unpack(w.k, _first_tile_sums(tiles, {0: (0, 1)}, mul_add), width)
+    ring = qpacked.ring(qpacked.recursion_width(n, k, qtop - qlow, fibonacci_k(n, k)))
+    tiles = [[ring.mono(d >> Q_BITS, d & Q_MASK) for d in row] for row in deltas]
+    return ring.unpack(w.k, _first_tile_sums(tiles, ring.mono(0, 0), ring.mul_add))
 
 
 def _first_tile_sums(tiles, one, mul_add):
     """G(1) for G(pos) = sum_i tiles[i-1][pos-1] * G(pos + i), G(n + 1) = one,
-    over the ring given by mul_add (see qpacked), called with sign 1 on a
-    fresh {} per suffix sum.  window[i-1] is G(pos + i); only the k latest
-    suffix sums stay alive, and the window is read by index, so no name
-    holds the one appendleft evicts."""
+    in the ring of mul_add (qpacked.ring).  window[i-1] is G(pos + i); only
+    the k latest suffix sums stay alive, and the window is read by index, so
+    no name holds the one appendleft evicts."""
     window = collections.deque([one], maxlen=len(tiles))
     for pos in range(len(tiles[0]), 0, -1):
         total = {}

@@ -96,6 +96,33 @@ def test_table_generic_table_form(capsys):
 
 
 @pytest.mark.parametrize(
+    "stat, same",
+    [
+        ("generic:A=[0 1 3],B=0,C=0", "generic:[0 1 3],0,0"),
+        ("generic:a=[0 1 3],b=i,c=0", "generic:[0 1 3],i,0"),
+        ("generic: A= i*2 ,B=[1 0 2], C=[0 0 1]", "generic:i*2,[1 0 2],[0 0 1]"),
+        ("generic:0,B=0,0", "generic:0,0,0"),
+        ("generic:B=1,A=0,C=0", None),
+        ("generic:A=0,C=0,B=0", None),
+        ("generic:0,c=1,0", None),
+    ],
+)
+def test_scheme_components_take_their_own_labels(stat, same, capsys):
+    # a label names the component in its place, in either case; another
+    # component's label there is refused by name, not by its characters
+    code = main(["table", "--n", "4", "--k", "3", "--stat", stat])
+    out, err = capsys.readouterr()
+    if same is None:
+        assert code == 2
+        assert err.startswith("error: ") and "use 0-9" not in err, err
+        return
+    assert code == 0
+    assert main(["table", "--n", "4", "--k", "3", "--stat", same]) == 0
+    assert capsys.readouterr().out == out
+    assert _parse_scheme(stat, 3) == _parse_scheme(same, 3)
+
+
+@pytest.mark.parametrize(
     "expr, table",
     [
         ("i*(i-1)/2", (0, 1, 3)),

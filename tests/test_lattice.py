@@ -44,6 +44,7 @@ from qfib.tiling import (
     fibonacci_k,
     random_scheme,
     weighted_sum_enumerative,
+    weighted_sum_recursive,
 )
 
 # determinant = closed form holds exactly when the weight ignores the
@@ -305,10 +306,9 @@ def test_thinned_determinant_equals_plain_expansion(monkeypatch):
 
 def test_large_c0_minors_equal_their_closed_form():
     # the minors that took the expansion 17-24 s before the steps ran up to
-    # the column vertices
-    spec = MinorSpec(10, 6)
-    for pair in ("maj-lp", "rb-lpi"):
-        w = builtin_scheme(pair, 6)
+    # the column vertices, and the largest maj-rlp one
+    for n, pair in ((10, "maj-lp"), (10, "rb-lpi"), (6, "maj-rlp")):
+        spec, w = MinorSpec(n, 6), builtin_scheme(pair, 6)
         assert determinant(build_minor(spec, w)) == closed_form_det(spec, w), pair
 
 
@@ -391,16 +391,12 @@ def test_thinning_keeps_the_paths_no_other_vertex_accounts_for(pair):
     spec = MinorSpec(n, k)
     m = build_minor(spec, w)
     arcs = m.rule[0]
-    mono = lambda z, e: {(z << _kernels_py.Q_BITS) + e: 1}
     path_sum = lambda u, v: sum(
         (PathTuple((p,), (1,)).weight(w) for p in _paths(u, v, k)), Poly.zero(k)
     )
     for stop in range(1, spec.v[0] + 1):
-        ring = [[e._terms for e in row] for row in m.entries]
-        rows, (factor, sign) = lattice._slide(
-            ring, (arcs, 0, stop), k, 0, 0, mono,
-            _kernels_py.mul_add_terms, _kernels_py.divide_terms,
-        )
+        terms = [[e._terms for e in row] for row in m.entries]
+        rows, (factor, sign) = lattice._slide(terms, (arcs, 0, stop), k, 0, 0, qpacked.ring(None))
         for i, row in enumerate(rows):
             for j, v in enumerate(spec.v):
                 assert Poly(k, row[j]) == path_sum(stop + i, v), (stop, i, j)
@@ -491,6 +487,33 @@ def test_closed_form_examples():
         got = closed_form_det(MinorSpec(n, k), builtin_scheme("maj-lp", k))
         sign = 1 if (k % 2 == 1 or (n - 1) % 2 == 0) else -1
         assert got == expected * sign
+
+
+def test_closed_form_of_a_minor_of_another_k():
+    # a minor with k below the scheme's lives in the scheme's ring, like its
+    # determinant; one with k above it has arcs the scheme does not weigh
+    w = builtin_scheme("maj-lp", 4)
+    assert closed_form_det(MinorSpec(2, 2), w) == Poly.parse("-z2^3*q^3", 4)
+    for pair in _COLLAPSING:
+        w = builtin_scheme(pair, 4)
+        for k in (1, 2, 3):
+            for n in range(1, 5):
+                spec = MinorSpec(n, k)
+                assert closed_form_det(spec, w) == determinant(build_minor(spec, w)), (
+                    pair, k, n
+                )
+        spec = MinorSpec(2, 5)
+        with pytest.raises(DomainError):
+            closed_form_det(spec, w)
+        with pytest.raises(DomainError):
+            build_minor(spec, w)
+        (paths,) = enumerate_noncrossing_tuples(spec)
+        with pytest.raises(DomainError):
+            paths.weight(w)
+    # nor does it weigh an arc that stands still or steps back
+    for path in ((0, 0), (3, 1)):
+        with pytest.raises(DomainError):
+            PathTuple((path,), (1,)).weight(w)
 
 
 def test_closed_form_sign_at_counts():
@@ -593,3 +616,39 @@ def test_matrix_json_row_major():
     assert data["dim"] == 2
     assert len(data["entries"]) == 4
     assert Poly.from_json_dict(data["entries"][1]) == m.entries[0][1]
+
+
+def test_each_ring_gives_the_same_results(monkeypatch):
+    # the recursion on a q-dense board, a C = 0 minor (which slides) and a
+    # C != 0 minor (which does not), each forced onto the term ring (width
+    # None) and onto packed cells at the width its rule gives where it packs
+    board = 24, 4, builtin_scheme("maj-rlp", 4)
+    minors = [build_minor(MinorSpec(3, 4), builtin_scheme(p, 4)) for p in ("maj-lp", "inv-lp")]
+    assert minors[0].rule is not None and minors[1].rule is None
+    forced = {
+        "terms": (lambda *args: None, lambda *args: None),
+        "packed": (
+            lambda n, k, span, count: count.bit_length() + 1,
+            lambda bound, qb: bound.bit_length() + 2,
+        ),
+    }
+    done = _spy_divisions(monkeypatch)
+    got = {}
+    for ring, (recursion_width, determinant_width) in forced.items():
+        monkeypatch.setattr(qpacked, "recursion_width", recursion_width)
+        monkeypatch.setattr(qpacked, "determinant_width", determinant_width)
+        done.clear()
+        got[ring] = weighted_sum_recursive(*board), [determinant(m) for m in minors]
+        assert done == [True] * 4 * 6, ring
+    assert got["terms"] == got["packed"]
+    monkeypatch.undo()
+    assert got["terms"] == (weighted_sum_recursive(*board), [determinant(m) for m in minors])
+    # q exponents a million apart take the term ring, where the slide leaves
+    # the closed form's one term
+    sparse = WeightScheme.from_tables(3, (0, 0, 0), (0, 1000000, 7), (0, 0, 0))
+    spec = MinorSpec(4, 3)
+    m = build_minor(spec, sparse)
+    monkeypatch.setattr(qpacked, "q_pack", _refuse)
+    det = determinant(m)
+    assert len(det._terms) == 1
+    assert det == closed_form_det(spec, sparse) == determinant(PolyMatrix(m.dim, m.entries))

@@ -191,15 +191,38 @@ def test_parse_reads_ascii_digits_only(text, pos):
     assert info.value.pos == pos
 
 
-def test_parse_long_terms_in_any_order():
-    # terms of 200 factors, interleaved, in both spacings
-    factors = ["z2", "q^2", "z1^3", "q"] * 50
-    text = "*".join(factors) + " - 5*" + " * ".join(reversed(factors))
-    assert Poly.parse(text, 2) == Poly.monomial(2, -4, (150, 50), 150)
-    bad = "*".join(factors) + "*z3"
+def test_full_reader_reads_a_respelled_table():
+    # the maj-rlp k=4 n=20 table with its terms reversed, each term's
+    # factors reversed and spaces around every operator: the fast reader
+    # declines it, and the full reader reads the same polynomial
+    text = weighted_sum_recursive(20, 4, builtin_scheme("maj-rlp", 4)).format()
+
+    def respell(term):
+        parts = term.split("*")
+        head = parts[:1] if parts[0].isdigit() else []
+        return " * ".join(head + parts[len(head):][::-1])
+
+    spaced = "  +  ".join(map(respell, reversed(text.split(" + "))))
+    assert spaced != text and _fastread.read_text(spaced, 4) is None
+    assert Poly.parse(spaced, 4) == Poly.parse(text, 4)
+    # an error past the table is placed by the full reader
     with pytest.raises(PolyParseError) as info:
-        Poly.parse(bad, 2)
-    assert info.value.pos == len(bad)
+        Poly.parse(text + " + 2z1", 4)
+    assert info.value.pos == len(text) + 4
+
+
+def test_parse_long_terms_in_any_order():
+    # terms of 200 and of 100,000 factors, interleaved, in both spacings
+    for factors, z_exps, q_exp in (
+        (["z2", "q^2", "z1^3", "q"] * 50, (150, 50), 150),
+        (["q^9", "z2^2", "z1", "z2^0"] * 25000, (25000, 50000), 225000),
+    ):
+        text = "*".join(factors) + " - 5*" + " * ".join(reversed(factors))
+        assert Poly.parse(text, 2) == Poly.monomial(2, -4, z_exps, q_exp)
+        bad = "*".join(factors) + "*z3"
+        with pytest.raises(PolyParseError) as info:
+            Poly.parse(bad, 2)
+        assert info.value.pos == len(bad)
 
 
 @pytest.mark.parametrize(
@@ -281,6 +304,7 @@ def _full_json(data):
 def test_fast_readers_take_the_writers_form(pair, k, n):
     p = weighted_sum_recursive(n, k, builtin_scheme(pair, k))
     for q in (p, Poly.constant(k, 7) - p.times_q(3), Poly.zero(k), Poly.constant(k, -2)):
+        assert q.to_json() == json.dumps(q.to_json_dict())
         assert _fastread.read_text(q.format(), k) == q._terms
         read = _fastread.read_json(json.loads(q.to_json()))
         assert read == (k, q._terms, q.degree_bounds)

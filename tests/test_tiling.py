@@ -61,6 +61,13 @@ def test_counts_match_fibonacci():
             assert sum(1 for _ in enumerate_tilings(n, k)) == fibonacci_k(n, k)
 
 
+def test_tiling_refuses_parts_that_are_not_ints():
+    for parts in ([True, 2], [1, False], [1.0], [0], [-1, 2]):
+        with pytest.raises(DomainError):
+            Tiling(parts)
+    assert Tiling([1, 2]).parts == (1, 2)
+
+
 def test_tiling_positions():
     t = Tiling((1, 2, 1))
     assert list(t.tiles()) == [(1, 1, 3), (2, 2, 1), (1, 4, 0)]
@@ -136,9 +143,9 @@ def test_recursive_equals_enumerative(monkeypatch):
 
 
 def test_recursive_degree_bounds_are_exact(monkeypatch):
-    # the packed window's result reads its bounds off its terms, the Poly
-    # window's carries the bounds of its products and sums; both must equal
-    # a fresh scan of the terms
+    # both windows' results read their bounds off their terms, and the
+    # closed form's carry the bounds of its tile rows; all must equal a
+    # fresh scan of the terms
     for slots_per_term in (10**9, 0):
         monkeypatch.setattr(qpacked, "_SLOTS_PER_TERM", slots_per_term)
         for k in range(1, 5):
