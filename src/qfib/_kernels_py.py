@@ -55,19 +55,13 @@ def mul_terms(a, b):
 
 def mul_add_terms(acc, a, b, sign):
     """acc + sign * a * b in place (acc must not be a or b), zeros dropped;
-    the rows are the shorter operand's terms.  A row into an empty acc
-    cannot merge, so a long one of coefficient 1, as starts each step of
-    the recursion's term window, lands in one update; the update's set-up
-    costs about 64 loop steps, and a mapped multiply more than the loop's."""
+    the rows are the shorter operand's terms."""
     if len(a) > len(b):
         a, b = b, a
     get = acc.get
     for ka, va in a.items():
         if sign < 0:
             va = -va
-        if not acc and va == 1 and len(b) > 64:
-            acc.update(zip(map(ka.__add__, b), b.values()))
-            continue
         for kb, vb in b.items():
             key = ka + kb
             c = get(key, 0) + va * vb

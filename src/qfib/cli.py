@@ -5,9 +5,10 @@ objects), verify (run identity checks over a grid), det (exact versus closed
 form minor determinant), validate-scheme (shift coherence of a scheme).
 
 Exit codes, for every input: 0 success / all checks pass, 1 a check found a
-counterexample, 2 usage error, bad input or a size guard refused the
-request.  Output is byte-identical across runs for identical flags;
---format json switches every verb to the canonical JSON forms.
+counterexample, 2 usage error, bad input, a size guard refused the request
+or memory ran out ("error: out of memory").  Output is byte-identical
+across runs for identical flags; --format json switches every verb to the
+canonical JSON forms.
 
 Scheme flags accept a built-in statistic pair (inv-lp, inv-rlp, inv-prlp,
 maj-lp, maj-rlp, maj-prlp, rb-lpi) or generic:A,B,C where each component is
@@ -475,8 +476,11 @@ def main(argv=None) -> int:
         _check_limit(args.k, "k", "--k", 1)
         return args.fn(args)
     except QfibError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = exc
+    except MemoryError:
+        message = "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -71,7 +71,6 @@ LIMITS = {
     # peak RSS (ru_maxrss) with 40 schemes and in 109 s at 201 MB with 200:
     # the sum caches are full by then and each scheme keeps only its lines.
     "random_schemes": 1000,
-    "sign_k": 5,  # lattice.miles_sign_check
     "path_vertex": 24,  # lattice.enumerate_noncrossing_tuples
     "expr_len": 200,  # generic: expression characters; bounds its tree depth
 }

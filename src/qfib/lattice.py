@@ -358,10 +358,9 @@ def enumerate_noncrossing_tuples(spec: MinorSpec) -> list[PathTuple]:
 
 def miles_sign_check(n: int, k: int) -> IdentityReport:
     """The unweighted minor determinant: 1 for odd k, (-1)^(n-1) for even k,
-    checked by evaluating the exact cofactor determinant at z = q = 1."""
+    checked by evaluating the exact cofactor determinant at z = q = 1, under
+    its LIMITS["det_dim"] guard."""
     spec = MinorSpec(n, k)
-    if k > LIMITS["sign_k"]:
-        raise SizeLimitError(f"sign check needs k <= {LIMITS['sign_k']}, got k={k}")
     counting = WeightScheme(k, lambda i: 0, lambda i: 0, lambda i: 0, name="counting")
     det_value = determinant(build_minor(spec, counting)).evaluate((1,) * k, 1)
     return IdentityReport.compare(

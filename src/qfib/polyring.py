@@ -327,10 +327,6 @@ class Poly:
         return len(self._terms)
 
     @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
     def degree_bounds(self) -> tuple[int, int]:
         """Upper bounds on any single z exponent and on the q exponent,
         exact when read off the terms: on first use, for a value given no
@@ -652,11 +648,7 @@ def diff_witness(a: Poly, b: Poly) -> str | None:
     differ = map(operator.ne, map(big.get, small, values), values)
     keys = [*at.keys() ^ bt.keys(), *itertools.compress(small, differ)]
     # the first of them in canonical order: the largest (total degree, key)
-    exps, _ = _term_order(a.k, keys)
-    zdeg = dict(zip(exps, map(sum, exps.values())))
-    degrees = map(
-        operator.add, map(zdeg.__getitem__, map(Q_BITS.__rrshift__, keys)), map(Q_MASK.__and__, keys)
-    )
-    _, key = max(zip(degrees, keys))
+    exps, order = _term_order(a.k, keys)
+    key = max(keys, key=order)
     name = Poly.monomial(a.k, 1, exps[key >> Q_BITS], key & Q_MASK).format()
     return f"coefficient of {name}: {at.get(key, 0)} != {bt.get(key, 0)}"

@@ -98,15 +98,14 @@ def recursion_width(n: int, k: int, span: int, count: int) -> int | None:
     """W for the recursion on an n-board with parts <= k, whose tilings
     span `span` q exponents and number `count`, or None for plain terms.
 
-    W is bitlen(count) + 1, rounded up to whole 64-bit words when an x of
-    span + 1 digits would be long enough for q_unpack to read it a word at
-    a time; below that every x is peeled, and narrow digits are cheaper."""
+    W is bitlen(count) + 1, raised to 64: q_unpack casts long x's of
+    64-bit digits a word at a time.  Wider digits stay as narrow as the
+    count and read by byte blocks, which were no slower there than digits
+    rounded up to whole words."""
     slots, terms = _q_slots_and_terms(n, k, span, count)
     if slots > _SLOTS_PER_TERM * terms:
         return None
-    width = count.bit_length() + 1
-    words = -(-width // 64) * 64
-    return words if span + 1 >= _cast_digits(words) else width
+    return max(64, count.bit_length() + 1)
 
 
 def determinant_width(bound: int, qb: int) -> int | None:
@@ -236,12 +235,6 @@ def q_divide(a: dict, z: int, e: int, width: int) -> dict | None:
     return out
 
 
-def _cast_digits(width: int) -> int:
-    """Digits from which q_unpack reads an x of word width `width` by a
-    cast rather than peeling it (timed there)."""
-    return 16 if width == 64 else 32
-
-
 def q_unpack(k: int, packed: dict, width: int) -> Poly:
     """The polynomial whose q-packed form is `packed`, read as balanced
     digits: exact when width >= 2 and every coefficient c has
@@ -250,21 +243,18 @@ def q_unpack(k: int, packed: dict, width: int) -> Poly:
     base = 1 << width
     half = base >> 1
     mask = base - 1
-    words = width // 64
-    # machine words hold whole digits: width a multiple of 64, words in
-    # little-endian order as to_bytes writes them
-    cast = width % 64 == 0 and sys.byteorder == "little"
+    # a 64-bit digit is a machine word, in the order to_bytes writes
+    cast = width == 64 and sys.byteorder == "little"
     # Peeling digits off the low end shifts the whole of x at every step;
     # the cast and the byte blocks are linear, with a fixed cost per x.
     # Timed on random balanced digits (best of 5, Python 3.11, 2 vCPUs):
-    # the cast met peeling at 16 digits at width 64 and at 32 at widths
-    # 128-256 (_cast_digits), and was 1.3-3x faster at 64 digits.  The byte
-    # blocks met peeling between 32 digits (width 160) and 128 (width 8),
-    # and were 1.3-4.5x faster at 256.  The recursion's x's that are long
-    # enough to cast have word widths (recursion_width); the determinant's
-    # digits stay as narrow as its bound, so its long x's (generic schemes
-    # with moderate B or C) read byte blocks.
-    short = (_cast_digits(width) if cast else 64) * width
+    # the cast met peeling at 16 digits and was 1.3-3x faster at 64.  The
+    # byte blocks met peeling between 32 digits (width 160) and 128 (width
+    # 8), and were 1.3-4.5x faster at 256.  The recursion's digits are at
+    # least a word wide (recursion_width); the determinant's stay as narrow
+    # as its bound, so its long x's (generic schemes with moderate B or C)
+    # read byte blocks.
+    short = (16 if cast else 64) * width
     # Eight digits fill `width` whole bytes.  Adding half to each digit makes
     # them all nonnegative, so the bytes of x + bias split into independent
     # blocks of eight digits; x + bias stays below 2^(width * digits) once
@@ -283,24 +273,17 @@ def q_unpack(k: int, packed: dict, width: int) -> Poly:
                 x = (x - d) >> width
                 key += 1
         elif cast:
-            # Adding half to every digit makes each one a nonnegative W-bit
-            # field of x + bias; flipping the field's top bit back leaves the
-            # digit in W-bit two's complement: its top word reads signed, the
-            # others unsigned.  One field more than bitlen(x) fills keeps
-            # x + bias in [0, 2^(width * n_digits)): |x| < 2^(width *
-            # (n_digits - 1) - 1), and the bias is about 2^(width * n_digits
-            # - 1).  x = 2^(width * j - 1) - 1 does need that field, a digit
-            # -2^(width - 1) below a 1.
-            n_digits = x.bit_length() // width + 2
-            bias = int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n_digits, "little")
-            data = memoryview(((x + bias) ^ bias).to_bytes(n_digits * width // 8, "little"))
-            digits = data.cast("q")[words - 1 :: words].tolist()
-            if words > 1:
-                low = data.cast("Q")
-                for t in range(words - 2, -1, -1):
-                    high = map(operator.lshift, digits, itertools.repeat(64))
-                    digits = map(operator.add, high, low[t::words])
-                digits = list(digits)
+            # Adding half to every digit makes each one a nonnegative word
+            # of x + bias; flipping the word's top bit back leaves the digit
+            # in two's complement.  One word more than bitlen(x) fills keeps
+            # x + bias in [0, 2^(64 * n_digits)): |x| < 2^(64 * (n_digits -
+            # 1) - 1), and the bias is about 2^(64 * n_digits - 1).
+            # x = 2^(64 * j - 1) - 1 does need that word, a digit -2^63
+            # below a 1.
+            n_digits = x.bit_length() // 64 + 2
+            bias = int.from_bytes((bytes(7) + b"\x80") * n_digits, "little")
+            data = memoryview(((x + bias) ^ bias).to_bytes(n_digits * 8, "little"))
+            digits = data.cast("q").tolist()
             terms.update(itertools.compress(zip(itertools.count(key), digits), digits))
         else:
             blocks = (x.bit_length() // width + 9) // 8

@@ -11,6 +11,7 @@ import sys
 import time
 
 import pytest
+from modular import PRIME, board_dp, eval_mod
 
 from qfib import cli
 from qfib.cli import _parse_scheme, build_parser, main
@@ -474,6 +475,38 @@ def test_bad_flags_exit_2():
     assert overflow.returncode == 2 and overflow.stdout == ""
 
 
+# Run in a child process under an address-space cap 40 MB above what the
+# child holds once qfib is imported.
+_CAPPED_MAIN = """
+import resource, sys
+from qfib.cli import main
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) << 10 for line in status if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + (40 << 20),) * 2)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det", "--n", "8", "--k", "3"],
+        ["det", "--n", "14", "--k", "3"],
+        ["verify", "--identity", "det", "--k", "3", "--max-n", "8"],
+    ],
+    ids=["det-n8", "det-n14", "verify-det"],
+)
+def test_out_of_memory_exits_2(argv):
+    # q-sparse minors run on plain terms, whose products outgrow the cap
+    scheme = ["--stat", "generic:0,[0 1000000 7],[5 0 300000]"]
+    result = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv, *scheme], capture_output=True, text=True
+    )
+    assert result.returncode == 2
+    assert result.stderr == "error: out of memory\n"
+
+
 # Each guard the CLI checks, called at its LIMITS value and one past it: the
 # first call runs (0 or 1), the second is refused (2) with a message naming
 # the limit.  The value is the largest board a verb enumerates: n, max-n,
@@ -705,34 +738,6 @@ def _table_shapes():
 
 
 _TABLE_SHAPES = _table_shapes()
-_PRIME = 2**61 - 1
-
-
-def _board_dp(w, n, before, after, zs, q):
-    """F_n(zs; q) mod _PRIME by the board-position DP
-    G(pos) = sum_i zs[i-1] q^e G(pos + i), G(n + 1) = 1, where e is the
-    tile's WeightScheme.qexp plus the shift the appended boards give it."""
-    g = [0] * (n + w.k + 1)
-    g[n + 1] = 1
-    for pos in range(n, 0, -1):
-        g[pos] = sum(
-            zs[i - 1] * g[pos + i]
-            * pow(q, w.qexp(i, pos, n - pos - i + 1) + w.b(i) * before + w.c(i) * after, _PRIME)
-            for i in range(1, min(w.k, n - pos + 1) + 1)
-        ) % _PRIME
-    return g[1]
-
-
-def _eval_mod(p, zs, q):
-    total = 0
-    for m in p.monomials():
-        term = m.coeff * pow(q, m.q_exp, _PRIME)
-        for z, e in zip(zs, m.z_exps):
-            term = term * pow(z, e, _PRIME) % _PRIME
-        total += term
-    return total % _PRIME
-
-
 @pytest.mark.parametrize(
     "stat, w, k, n, append",
     _TABLE_SHAPES,
@@ -740,12 +745,13 @@ def _eval_mod(p, zs, q):
 )
 def test_table_prints_the_tiling_sum(stat, w, k, n, append, capsys):
     # table's stdout, read back, is the enumerative oracle's sum, and at a
-    # seeded point it is the value of a board DP written here from the
-    # scheme's exponents, so neither check leans on the route table takes
+    # seeded point it is the value of a board DP built from the scheme's
+    # exponents (tests/modular.py), so neither check leans on the route
+    # table takes
     rng = random.Random(f"{stat} {append}")
-    zs, q = [rng.randrange(2, _PRIME) for _ in range(k)], rng.randrange(2, _PRIME)
+    zs, q = [rng.randrange(2, PRIME) for _ in range(k)], rng.randrange(2, PRIME)
     expected = weighted_sum_enumerative(n, k, w, append)
-    value = _board_dp(w, n, *append, zs, q)
+    value = board_dp(w, n, *append, zs, q)
     for fmt in ("text", "json"):
         argv = ["table", "--n", str(n), "--k", str(k), "--stat", stat,
                 "--append", f"{append[0]},{append[1]}", "--format", fmt]
@@ -754,7 +760,7 @@ def test_table_prints_the_tiling_sum(stat, w, k, n, append, capsys):
         assert out.endswith("}\n" if fmt == "json" else "\n") and out.count("\n") == 1
         poly = Poly.from_json_dict(json.loads(out)) if fmt == "json" else Poly.parse(out[:-1], k)
         assert poly == expected, (stat, fmt)
-        assert _eval_mod(poly, zs, q) == value, (stat, fmt)
+        assert eval_mod(poly, zs, q) == value, (stat, fmt)
 
 
 def test_console_script_installed():

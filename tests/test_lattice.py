@@ -16,6 +16,7 @@ import itertools
 import random
 
 import pytest
+from modular import PRIME, board_dp, det_mod, eval_mod
 
 from qfib import _kernels_py, lattice, qpacked
 from qfib.errors import (
@@ -170,6 +171,25 @@ def test_determinant_against_permutation_expansion(make):
     m = make()
     expected = _permutation_det(m)
     assert determinant(m) == expected
+
+
+@pytest.mark.parametrize("pair", ["inv-lp", "inv-prlp"])
+def test_criterion_5_cells_are_exact_determinants(pair):
+    # the C != 0 cells where the determinant and the closed form differ: a
+    # second route, a board DP for each entry (its u_i-board in front as
+    # the declared front shift) and elimination mod p, agrees with the
+    # exact determinant at a seeded point, so the difference lies in the
+    # identity, not in the determinant code
+    rng = random.Random(pair)
+    for k in range(2, 5):
+        w = builtin_scheme(pair, k)
+        for n in range(1, 7):
+            spec = MinorSpec(n, k)
+            zs, q = [rng.randrange(2, PRIME) for _ in range(k)], rng.randrange(2, PRIME)
+            rows = [[board_dp(w, vj - ui, ui, 0, zs, q) for vj in spec.v] for ui in spec.u]
+            det = determinant(build_minor(spec, w))
+            assert eval_mod(det, zs, q) == det_mod(rows), (pair, k, n)
+            assert det != closed_form_det(spec, w), (pair, k, n)
 
 
 def _refuse(*args, **kwargs):
@@ -605,9 +625,12 @@ def test_miles_sign_check():
     assert miles_sign_check(4, 3).passed
     assert miles_sign_check(1, 2).passed
     assert miles_sign_check(2, 2).passed
-    for k in range(1, 6):
+    for k in range(1, 7):
         for n in range(1, 6):
             assert miles_sign_check(n, k).passed, (n, k)
+    # the determinant's own guard bounds the minor
+    with pytest.raises(SizeLimitError):
+        miles_sign_check(1, LIMITS["det_dim"] + 1)
 
 
 def test_matrix_json_row_major():

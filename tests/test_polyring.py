@@ -3,13 +3,14 @@
 import copy
 import json
 import random
+import types
 from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qfib import _fastread, _kernels_py, polyring
+from qfib import _fastread, _kernels_py, polyring, qpacked
 from qfib.errors import (
     CapacityError,
     DomainError,
@@ -923,10 +924,18 @@ def test_q_unpack_round_trip(width, groups, seed):
 
 @pytest.mark.parametrize("width", [64, 128, 192])
 @pytest.mark.parametrize("n_digits", [1, 63, 64, 65, 600])
-def test_q_unpack_word_widths(width, n_digits):
-    # widths of whole 64-bit words read long x's a word at a time and short
-    # ones digit by digit; both give the balanced digits, at the extremes
-    # +-(2^(width-1) - 1) and under a negative leading digit
+def test_q_unpack_word_widths(width, n_digits, monkeypatch):
+    # W = 64 reads long x's a word at a time on a little-endian host and by
+    # byte blocks on a big-endian one, as it reads wider digits anywhere;
+    # short x's are peeled digit by digit.  All give the balanced digits, at
+    # the extremes +-(2^(width-1) - 1) and under a negative leading digit
+    _check_word_width(width, n_digits)
+    if width == 64:
+        monkeypatch.setattr(qpacked, "sys", types.SimpleNamespace(byteorder="big"))
+        _check_word_width(width, n_digits)
+
+
+def _check_word_width(width, n_digits):
     rnd = random.Random(width * 1000 + n_digits)
     top = (1 << (width - 1)) - 1
     for lead in (-top, -1):
@@ -1021,7 +1030,7 @@ def test_mul_add_terms_is_acc_plus_sign_times_product():
     # both product kernels against the double loop, which runs no kernel
     for seed in range(300):
         rnd = random.Random(seed)
-        # rows past 64 terms take the one-update path into an empty acc
+        # rows of every length, into an empty acc and a full one
         a, b = (_random_terms(rnd, rnd.choice((0, 1, 5, 9, 200))) for _ in range(2))
         sign = rnd.choice((1, -1))
         acc = _random_terms(rnd, rnd.choice((0, 0, rnd.randint(1, 12))))
@@ -1041,7 +1050,6 @@ def test_mul_add_terms_edge_rows():
     rnd = random.Random(1)
     short = _random_terms(rnd, 5)
     long = _random_terms(rnd, 200)
-    assert len(long) > 64
     for b in (short, long):
         # an empty operand leaves acc as it was
         for a, other in (({}, b), (b, {})):
@@ -1052,8 +1060,8 @@ def test_mul_add_terms_edge_rows():
         _check_mul_add({}, one, b, 1)
         _check_mul_add(dict(short), one, b, 1)
         assert _kernels_py.mul_terms(one, b) == _naive_mul_add({}, one, b, 1)
-        # sign -1 on a nonempty acc, and on an empty one where it makes a
-        # coefficient -1 row 1
+        # sign -1 on a nonempty acc, and on an empty one with a row of
+        # coefficient -1
         _check_mul_add(dict(long), {5: 2, 1 << 32: -1}, b, -1)
         _check_mul_add({}, {5: -1}, b, -1)
         # the first row cancels acc exactly and the next refills it

@@ -8,6 +8,7 @@ import random
 import tracemalloc
 
 import pytest
+from modular import PRIME, board_dp, eval_mod
 
 from qfib import _kernels_py, cli, qpacked, tiling
 from qfib.errors import CapacityError, DomainError, InvalidShiftError
@@ -447,21 +448,18 @@ def test_recursive_route_choice(monkeypatch):
 
 def test_recursion_width_is_word_aligned_where_x_can_be_cast():
     # room for every count of tilings as a balanced digit,
-    # |c| <= F_n < 2^(W - 1); whole 64-bit words per digit once an x of
-    # span + 1 digits can be long enough for q_unpack's cast, else no more
-    # bits than the count needs (under the general term bound)
+    # |c| <= F_n < 2^(W - 1): one 64-bit word, whose digits q_unpack can
+    # cast, while the count fits in it, else no more bits than the count
+    # needs, whatever the span (under the general term bound)
     for k in range(1, 6):
-        for n in list(range(0, 40)) + [63, 64, 65, 80, 200, 400]:
+        for n in list(range(0, 40)) + [63, 64, 65, 80, 92, 93, 200, 400]:
             count = fibonacci_k(n, k)
             need = count.bit_length() + 1
-            words = -(-need // 64) * 64
-            cast_from = 16 if words == 64 else 32
-            for span in (0, cast_from - 2, cast_from - 1, 500):
+            for span in (0, 14, 15, 30, 31, 500):
                 width = qpacked.recursion_width(n, k, span, count)
                 if width is None:
                     continue
-                expected = words if span + 1 >= cast_from else need
-                assert width == expected, (n, k, span, width)
+                assert width == (64 if need <= 64 else need), (n, k, span, width)
 
 
 def _estimate(n, k, w, app):
@@ -551,30 +549,17 @@ def test_closed_form_follows_the_tile_rows(monkeypatch):
 
 def test_closed_form_beyond_enumeration():
     # boards no enumeration reaches, checked at a seeded point modulo a prime
-    # against a numeric first-tile DP over the same tile rows, and at
-    # z = q = 1 against F_n
-    prime = 2**61 - 1
+    # against a board DP over the scheme's exponents, and at z = q = 1
+    # against F_n; the maj-lp count passes 63 bits, so its digits are
+    # wider than a word
     rng = random.Random(17)
-    for pair, k, n, app in (("inv-lp", 2, 1000, AppendSpec()), ("inv-prlp", 4, 160, AppendSpec(1, 2))):
+    for pair, k, n, app in (("inv-lp", 2, 1000, AppendSpec()), ("inv-prlp", 4, 160, AppendSpec(1, 2)),
+                            ("maj-lp", 2, 100, AppendSpec(1, 2))):
         w = builtin_scheme(pair, k)
         p = weighted_sum_recursive(n, k, w, app)
         assert p.evaluate((1,) * k, 1) == fibonacci_k(n, k)
-        zs, q = [rng.randrange(2, prime) for _ in range(k)], rng.randrange(2, prime)
-        rows = tiling._tile_deltas(n, k, w, app)[0]
-        g = [0] * (n + 1 + k)
-        g[n + 1] = 1
-        for pos in range(n, 0, -1):
-            g[pos] = sum(
-                zs[i - 1] * pow(q, rows[i - 1][pos - 1] & _kernels_py.Q_MASK, prime) * g[pos + i]
-                for i in range(1, min(k, n - pos + 1) + 1)
-            ) % prime
-        value = 0
-        for m in p.monomials():
-            term = m.coeff * pow(q, m.q_exp, prime)
-            for z, e in zip(zs, m.z_exps):
-                term = term * pow(z, e, prime) % prime
-            value += term
-        assert value % prime == g[1], (pair, k, n)
+        zs, q = [rng.randrange(2, PRIME) for _ in range(k)], rng.randrange(2, PRIME)
+        assert eval_mod(p, zs, q) == board_dp(w, n, *app, zs, q), (pair, k, n)
 
 
 def test_random_scheme_is_deterministic():
