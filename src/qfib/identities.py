@@ -26,42 +26,58 @@ and back shifts, and f(i, s, t) for the tile exponent:
 At z = 1, q = 1 the convolution and k-reduction collapse to integer
 k-Fibonacci identities, checked separately by the *_count helpers.
 
-Each right side has one builder, taking the tile exponent and the shifted
-sums as functions: the generic verifiers pass the scheme's own, and
-verify_specializations passes the pair's row of _SPECIAL, the general
-identity with a built-in statistic's weights put in.  A row hard-codes
-f(i, s, t), the factor c by which the back shift of an x-board by t
-collapses to the scalar q^(c x t), the per-variable front-shift rule and the
-minor determinant's exponent, and reads no scheme's tables or exponent.  The
-c column carries the paper's collapse: for inv-lp and inv-prlp the back
-shift is the prefactor q^(nm); for the major-index family it vanishes and
-the front shift stays a substitution.
+Each right side has one builder, which takes the tile exponent and the
+shifted sums as functions and adds every product into one term dict: the
+generic verifiers pass the scheme's own, and verify_specializations the
+pair's row of _SPECIAL, the general identity with a statistic's weights in.
+A row hard-codes f(i, s, t), the factor c by which the back shift of an
+x-board by t collapses to the scalar q^(c x t), the per-variable front-shift
+rule and the minor determinant's exponent, and reads no scheme's tables or
+exponent.  The c column carries the paper's collapse: for inv-lp and
+inv-prlp the back shift is the prefactor q^(nm); for the major-index family
+it vanishes and the front shift stays a substitution.
 """
 
 from typing import Callable, NamedTuple
 
+from . import _kernels_py
+from ._kernels_py import Q_BITS, Q_MASK, Z_BITS
 from .errors import DomainError
 from .lattice import MinorSpec, _noncrossing_weight, closed_form_det
 from .layered import StatPair, _ch2, builtin_scheme
-from .polyring import Poly
+from .polyring import Poly, _check_term, check_capacity
 from .report import IdentityReport
 # _plain, _front and _back are tiling's shared sum caches, bound here under
 # their own names: callers clear them and read their hits through this module.
 from .tiling import WeightScheme, _back, _front, _plain, fibonacci_k
 
 __all__ = [
-    "convolution_count",
-    "k_reduction_count",
-    "verify_convolution",
-    "verify_k_reduction",
-    "verify_recursion",
-    "verify_specializations",
+    "convolution_count", "k_reduction_count", "verify_convolution",
+    "verify_k_reduction", "verify_recursion", "verify_specializations",
 ]
 
 
-def _zmono(w: WeightScheme, i: int, q_exp: int) -> Poly:
-    counts = tuple(1 if j == i else 0 for j in range(1, w.k + 1))
-    return Poly.monomial(w.k, 1, counts, q_exp)
+def _times(a, b: Poly, into=None):
+    """a * b as a pair (terms, bounds), for a Poly b and a such pair, checked
+    as Poly.__mul__ checks it; given a right side's pair into, added in place
+    into its terms, with the bounds of the + chain (the larger of each)."""
+    (za, qa), (zb, qb) = a[1], b.degree_bounds
+    zb, qb = za + zb, qa + qb
+    check_capacity(zb, qb)
+    if into is None:
+        return _kernels_py.mul_terms(a[0], b._terms), (zb, qb)
+    terms, (zr, qr) = into
+    _kernels_py.mul_add_terms(terms, a[0], b._terms, 1)
+    return terms, (max(zr, zb), max(qr, qb))
+
+
+def _tile(w: WeightScheme, i: int, e):
+    """z_i q^e as a pair (terms, bounds) of one packed key, checked as
+    Poly.monomial checks it (an i past w.k has no z factor there either)."""
+    if type(e) is not int or not 0 <= e <= Q_MASK:
+        _check_term(w.k, (0,) * w.k, e)
+    z = 1 << Q_BITS + (w.k - i) * Z_BITS if i <= w.k else 0
+    return {z + e: 1}, (int(i <= w.k), e)
 
 
 # ----------------------------------------------------------------------
@@ -71,33 +87,29 @@ def _zmono(w: WeightScheme, i: int, q_exp: int) -> Poly:
 
 
 def _recursion_rhs(w, n, k, tile, front) -> Poly:
-    rhs = Poly.zero(w.k)
+    rhs = {}, (0, 0)
     for i in range(1, min(k, n) + 1):
-        rhs = rhs + _zmono(w, i, tile(i, 1, n - i)) * front(n - i, k, w, i)
-    return rhs
+        rhs = _times(_tile(w, i, tile(i, 1, n - i)), front(n - i, k, w, i), rhs)
+    return Poly._wrap(w.k, *rhs)
 
 
 def _convolution_rhs(w, m, n, k, tile, front, back) -> Poly:
-    rhs = back(m, k, w, n) * front(n, k, w, m)
+    b = back(m, k, w, n)
+    rhs = _times((b._terms, b.degree_bounds), front(n, k, w, m), ({}, (0, 0)))
     for i in range(2, k + 1):
-        for j in range(1, i):
-            if m - j < 0 or n - i + j < 0:
-                continue
-            crossing = _zmono(w, i, tile(i, m - j + 1, n - i + j))
-            rhs = rhs + crossing * back(m - j, k, w, n + j) * front(
-                n - i + j, k, w, m + i - j
-            )
-    return rhs
+        for j in range(max(1, i - n), min(i - 1, m) + 1):
+            crossing = _times(_tile(w, i, tile(i, m - j + 1, n - i + j)), back(m - j, k, w, n + j))
+            rhs = _times(crossing, front(n - i + j, k, w, m + i - j), rhs)
+    return Poly._wrap(w.k, *rhs)
 
 
 def _k_reduction_rhs(w, n, k, tile, front, back) -> Poly:
-    rhs = back(n, k - 1, w, 0)  # F_n^(k-1): no tile of length k
+    f = back(n, k - 1, w, 0)  # F_n^(k-1): no tile of length k
+    rhs = dict(f._terms), f.degree_bounds
     for j in range(0, n - k + 1):
-        first_k_tile = _zmono(w, k, tile(k, j + 1, n - k - j))
-        rhs = rhs + first_k_tile * back(j, k - 1, w, n - j) * front(
-            n - k - j, k, w, k + j
-        )
-    return rhs
+        first_k_tile = _times(_tile(w, k, tile(k, j + 1, n - k - j)), back(j, k - 1, w, n - j))
+        rhs = _times(first_k_tile, front(n - k - j, k, w, k + j), rhs)
+    return Poly._wrap(w.k, *rhs)
 
 
 def verify_recursion(n: int, k: int, w: WeightScheme) -> IdentityReport:
@@ -105,9 +117,8 @@ def verify_recursion(n: int, k: int, w: WeightScheme) -> IdentityReport:
     if n < 1:
         raise DomainError(f"recursion needs n >= 1, got {n}")
     rhs = _recursion_rhs(w, n, k, w.qexp, _front)
-    return IdentityReport.compare(
-        "recursion", {"n": n, "k": k, "scheme": w.name}, _plain(n, k, w), rhs
-    )
+    params = {"n": n, "k": k, "scheme": w.name}
+    return IdentityReport.compare("recursion", params, _plain(n, k, w), rhs)
 
 
 def _check_convolution(m: int, n: int):
@@ -132,9 +143,8 @@ def verify_k_reduction(n: int, k: int, w: WeightScheme) -> IdentityReport:
     """Split tilings at the first tile of length exactly k."""
     _check_k_reduction(n, k)
     rhs = _k_reduction_rhs(w, n, k, w.qexp, _front, _back)
-    return IdentityReport.compare(
-        "kreduce", {"n": n, "k": k, "scheme": w.name}, _plain(n, k, w), rhs
-    )
+    params = {"n": n, "k": k, "scheme": w.name}
+    return IdentityReport.compare("kreduce", params, _plain(n, k, w), rhs)
 
 
 # ----------------------------------------------------------------------
@@ -240,23 +250,13 @@ def verify_specializations(pair, n_max: int, k: int) -> list[IdentityReport]:
     def check(name, params, lhs, rhs):
         return IdentityReport.compare(f"{name}-specialized", {**base, **params}, lhs, rhs)
 
-    reports = [
-        check("recursion", {"n": n}, _plain(n, k, w), _recursion_rhs(w, n, k, tile, front))
-        for n in ns
-    ] + [
-        check("convolution", {"m": m, "n": n}, _plain(m + n, k, w),
-              _convolution_rhs(w, m, n, k, tile, front, back))
-        for m in ns
-        for n in ns
-    ]
+    reports = [check("recursion", {"n": n}, _plain(n, k, w), _recursion_rhs(w, n, k, tile, front))
+               for n in ns]
+    reports += [check("convolution", {"m": m, "n": n}, _plain(m + n, k, w),
+                      _convolution_rhs(w, m, n, k, tile, front, back)) for m in ns for n in ns]
     if k >= 2:
-        reports += [
-            check("kreduce", {"n": n}, _plain(n, k, w),
-                  _k_reduction_rhs(w, n, k, tile, front, back))
-            for n in ns
-        ] + [
-            check("det", {"n": n}, closed_form_det(MinorSpec(n, k), w),
-                  _specialized_det(row, n, k))
-            for n in ns
-        ]
+        reports += [check("kreduce", {"n": n}, _plain(n, k, w),
+                          _k_reduction_rhs(w, n, k, tile, front, back)) for n in ns]
+        reports += [check("det", {"n": n}, closed_form_det(MinorSpec(n, k), w),
+                          _specialized_det(row, n, k)) for n in ns]
     return reports

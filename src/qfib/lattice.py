@@ -148,6 +148,12 @@ def build_minor(spec: MinorSpec, w: WeightScheme) -> PolyMatrix:
     return PolyMatrix(k, rows, (arcs, spec.u[0], spec.v[0]))
 
 
+def _check_dim(d: int):
+    # the determinant's guard, also run before a minor is built for it
+    if d > LIMITS["det_dim"]:
+        raise SizeLimitError(f"determinant limited to dim <= {LIMITS['det_dim']}, got {d}")
+
+
 def determinant(mat: PolyMatrix) -> Poly:
     """Exact determinant by cofactor expansion over row subsets.
 
@@ -165,8 +171,7 @@ def determinant(mat: PolyMatrix) -> Poly:
     CapacityError, both before any arithmetic.
     """
     d = mat.dim
-    if d > LIMITS["det_dim"]:
-        raise SizeLimitError(f"determinant limited to dim <= {LIMITS['det_dim']}, got {d}")
+    _check_dim(d)
     if d == 0:
         raise DomainError("determinant of an empty matrix")
     entries = mat.entries
@@ -359,8 +364,9 @@ def enumerate_noncrossing_tuples(spec: MinorSpec) -> list[PathTuple]:
 def miles_sign_check(n: int, k: int) -> IdentityReport:
     """The unweighted minor determinant: 1 for odd k, (-1)^(n-1) for even k,
     checked by evaluating the exact cofactor determinant at z = q = 1, under
-    its LIMITS["det_dim"] guard."""
+    its LIMITS["det_dim"] guard, which runs before the minor is built."""
     spec = MinorSpec(n, k)
+    _check_dim(k)
     counting = WeightScheme(k, lambda i: 0, lambda i: 0, lambda i: 0, name="counting")
     det_value = determinant(build_minor(spec, counting)).evaluate((1,) * k, 1)
     return IdentityReport.compare(

@@ -55,6 +55,7 @@ coefficient string; format and to_json keep Python's ValueError for a
 coefficient that long, which no CLI output comes near.
 """
 
+import functools
 import itertools
 import json
 import operator
@@ -111,6 +112,21 @@ def _term_order(k: int, keys) -> tuple[dict, Callable[[int], int]]:
     zdeg = {z: sum(es) for z, es in exps.items()}
     width = Q_BITS + k * Z_BITS
     return exps, lambda key: (zdeg[key >> Q_BITS] + (key & Q_MASK)) << width | key
+
+
+def _first_in_order(k: int, keys) -> int:
+    # The first of keys in the canonical order, the one with the largest
+    # sort key of _term_order.  No z field of a key exceeds that field of
+    # the keys' bitwise or, so while those fields sum below Z_MASK no key's
+    # z exponents reach it, and, as 2^Z_BITS = 1 (mod Z_MASK), a key's z
+    # degree is (key >> Q_BITS) % Z_MASK: the sort keys are made by C-level
+    # maps, with no decode or call per key.
+    if sum(_z_exps(k, functools.reduce(operator.or_, keys) >> Q_BITS)) >= Z_MASK:
+        return max(keys, key=_term_order(k, keys)[1])
+    width = Q_BITS + k * Z_BITS
+    zdeg = map(Z_MASK.__rmod__, map(Q_BITS.__rrshift__, keys))
+    degree = map(operator.add, zdeg, map(Q_MASK.__and__, keys))
+    return max(map(operator.or_, map(width.__rlshift__, degree), keys)) & ((1 << width) - 1)
 
 
 class Poly:
@@ -648,7 +664,6 @@ def diff_witness(a: Poly, b: Poly) -> str | None:
     differ = map(operator.ne, map(big.get, small, values), values)
     keys = [*at.keys() ^ bt.keys(), *itertools.compress(small, differ)]
     # the first of them in canonical order: the largest (total degree, key)
-    exps, order = _term_order(a.k, keys)
-    key = max(keys, key=order)
-    name = Poly.monomial(a.k, 1, exps[key >> Q_BITS], key & Q_MASK).format()
+    key = _first_in_order(a.k, keys)
+    name = Poly.monomial(a.k, 1, _z_exps(a.k, key >> Q_BITS), key & Q_MASK).format()
     return f"coefficient of {name}: {at.get(key, 0)} != {bt.get(key, 0)}"

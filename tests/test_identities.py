@@ -7,7 +7,7 @@ import pytest
 
 from qfib import identities, lattice, polyring, tiling
 from qfib.cli import _det_report
-from qfib.errors import DomainError
+from qfib.errors import CapacityError, DomainError, QfibError
 from qfib.identities import (
     convolution_count,
     k_reduction_count,
@@ -366,3 +366,174 @@ def test_every_wrong_table_value_fails_a_specialization(monkeypatch, pair):
             for r in verify_specializations(pair, 5, k)
         )
         assert caught, f"{pair}: {label} passed every check"
+
+
+# ----------------------------------------------------------------------
+# the right-side builders against the same sums written with Poly operators
+
+
+def _zmono(w, i, e):
+    return Poly.monomial(w.k, 1, [int(j == i) for j in range(1, w.k + 1)], e)
+
+
+def _poly_recursion_rhs(w, n, k, tile, front):
+    rhs = Poly.zero(w.k)
+    for i in range(1, min(k, n) + 1):
+        rhs = rhs + _zmono(w, i, tile(i, 1, n - i)) * front(n - i, k, w, i)
+    return rhs
+
+
+def _poly_convolution_rhs(w, m, n, k, tile, front, back):
+    rhs = back(m, k, w, n) * front(n, k, w, m)
+    for i in range(2, k + 1):
+        for j in range(1, i):
+            if m - j >= 0 and n - i + j >= 0:
+                crossing = _zmono(w, i, tile(i, m - j + 1, n - i + j))
+                rhs = rhs + crossing * back(m - j, k, w, n + j) * front(n - i + j, k, w, m + i - j)
+    return rhs
+
+
+def _poly_k_reduction_rhs(w, n, k, tile, front, back):
+    rhs = back(n, k - 1, w, 0)
+    for j in range(0, n - k + 1):
+        first_k_tile = _zmono(w, k, tile(k, j + 1, n - k - j))
+        rhs = rhs + first_k_tile * back(j, k - 1, w, n - j) * front(n - k - j, k, w, k + j)
+    return rhs
+
+
+_POLY_BUILDERS = {
+    "_recursion_rhs": _poly_recursion_rhs,
+    "_convolution_rhs": _poly_convolution_rhs,
+    "_k_reduction_rhs": _poly_k_reduction_rhs,
+}
+
+
+def _builder_schemes():
+    return (
+        [(builtin_scheme(p, k), k) for k in (2, 3, 4) for p in SCHEMED_PAIRS]
+        + [(random_scheme(2 + seed % 3, seed), 2 + seed % 3) for seed in range(20)]
+        + [(corrupted_scheme(2 + seed % 3, seed), 2 + seed % 3) for seed in range(5)]
+    )
+
+
+def _all_reports(w, k):
+    reports = [verify_recursion(n, k, w) for n in range(1, 6)]
+    reports += [verify_convolution(m, n, k, w) for m in range(1, 5) for n in range(1, 5)]
+    reports += [verify_k_reduction(n, k, w) for n in range(1, 6)]
+    if w.name in identities._SPECIAL:
+        reports += verify_specializations(w.name, 4, k)
+    return [
+        (r.identity, r.params, r.passed, r.witness, r.lhs._terms, r.rhs._terms, r.rhs._bounds)
+        for r in reports
+    ]
+
+
+def test_reports_equal_those_of_the_poly_operator_sums(monkeypatch):
+    schemes = _builder_schemes()
+    built = [_all_reports(w, k) for w, k in schemes]
+    for name, poly_builder in _POLY_BUILDERS.items():
+        monkeypatch.setattr(identities, name, poly_builder)
+    assert built == [_all_reports(w, k) for w, k in schemes]
+    assert any(not passed for reports in built for _, _, passed, *_ in reports)
+
+
+def test_builders_equal_the_poly_operator_sums_bounds_included():
+    # a passing report keeps only its left side, so the right sides' degree
+    # bounds are compared on the builders themselves
+    for w, k in _builder_schemes():
+        sides = [(w.qexp, identities._front, identities._back)]
+        if w.name in identities._SPECIAL:
+            sides.append(identities._special_sides(identities._SPECIAL[w.name]))
+        for tile, front, back in sides:
+            calls = [("_recursion_rhs", (w, n, k, tile, front)) for n in range(1, 6)]
+            calls += [
+                ("_convolution_rhs", (w, m, n, k, tile, front, back))
+                for m in range(1, 5)
+                for n in range(1, 5)
+            ]
+            calls += [("_k_reduction_rhs", (w, n, k, tile, front, back)) for n in range(1, 6)]
+            for name, args in calls:
+                got, want = getattr(identities, name)(*args), _POLY_BUILDERS[name](*args)
+                assert (got._terms, got._bounds) == (want._terms, want._bounds), (name, args[1:3])
+
+
+def _recorded(w, tile_exp):
+    """tile, front and back sides that log each call; tile returns tile_exp(i)."""
+    log = []
+
+    def tile(i, s, t):
+        log.append(("tile", i, s, t))
+        return tile_exp(i)
+
+    def front(x, kcap, w, m):
+        log.append(("front", x, m))
+        return identities._front(x, kcap, w, m)
+
+    def back(x, kcap, w, t):
+        log.append(("back", x, t))
+        return identities._back(x, kcap, w, t)
+
+    return log, tile, front, back
+
+
+def _failure(builder, w, args, tile_exp):
+    """The error class, message and call log of one builder run that fails."""
+    log, tile, front, back = _recorded(w, tile_exp)
+    sides = (tile, front) if builder.__name__.endswith("recursion_rhs") else (tile, front, back)
+    with pytest.raises(QfibError) as info:
+        builder(w, *args, *sides)
+    return type(info.value), str(info.value), log
+
+
+_Q_MASK = polyring.Q_MASK
+_NO_TILE_EXPONENT = [
+    (lambda i: -1, "InvalidShiftError", "q exponent must be a nonnegative int, got -1"),
+    (lambda i: True, "InvalidShiftError", "q exponent must be a nonnegative int, got True"),
+    (lambda i: 2.0, "InvalidShiftError", "q exponent must be a nonnegative int, got 2.0"),
+    (lambda i: _Q_MASK + 1, "CapacityError",
+     f"q exponent {_Q_MASK + 1} exceeds field capacity {_Q_MASK}"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(_POLY_BUILDERS))
+@pytest.mark.parametrize("tile_exp, cls, message", _NO_TILE_EXPONENT)
+def test_a_bad_tile_exponent_fails_as_a_monomial_does(name, tile_exp, cls, message):
+    w = builtin_scheme("maj-rlp", 3)
+    args = (2, 3, 3) if name == "_convolution_rhs" else (3, 3)
+    got = _failure(getattr(identities, name), w, args, tile_exp)
+    assert got == _failure(_POLY_BUILDERS[name], w, args, tile_exp)
+    assert (got[0].__name__, got[1]) == (cls, message)
+    # the exponent is refused before the back shift it multiplies is made
+    assert got[2][-1][0] == "tile"
+
+
+def test_products_past_capacity_fail_where_the_poly_products_did():
+    full = lambda i: _Q_MASK  # noqa: E731 -- fits a monomial, not a product
+    cases = [
+        # z_1 q^(2^32-1) * F_2(z s-_1): the first product
+        ("maj-rlp", identities._recursion_rhs, (3, 3), "front", 3, 4294967297),
+        # z_2 q^(2^32-1) * F_1(z s+_3) fails before its front sum is made ...
+        ("inv-lp", identities._convolution_rhs, (2, 2, 3), "back", 2, 4294967298),
+        ("inv-lp", identities._k_reduction_rhs, (4, 3), "back", 2, 4294967298),
+        # ... and z_2 q^(2^32-1) * F_0(z s+_3) fits, but not times F_1(z s-_2)
+        ("maj-lp", identities._convolution_rhs, (1, 2, 3), "front", 2, 4294967297),
+        ("maj-lp", identities._k_reduction_rhs, (4, 3), "front", 2, 4294967298),
+    ]
+    for pair, builder, args, last, zb, qb in cases:
+        w = builtin_scheme(pair, 3)
+        got = _failure(builder, w, args, full)
+        assert got == _failure(_POLY_BUILDERS[builder.__name__], w, args, full)
+        assert got[:2] == (
+            CapacityError, f"degree bounds (z<= {zb}, q<= {qb}) exceed packed-key capacity"
+        )
+        assert got[2][-1][0] == last, (pair, builder.__name__)
+
+
+def test_a_tile_past_the_ring_fails_where_the_poly_sums_did():
+    # an exponent override answers for a tile of length k + 1, whose
+    # monomial had no z factor; the front sum then refuses the tile cap
+    w = WeightScheme.from_tables(2, (0, 0), (1, 1), (0, 0), exponent=lambda i, s, t: s - 1)
+    got = _failure(identities._k_reduction_rhs, w, (4, 3), lambda i: 1)
+    assert got == _failure(_poly_k_reduction_rhs, w, (4, 3), lambda i: 1)
+    assert got[:2] == (DomainError, "tile length cap 3 exceeds the scheme's declared maximum 2")
+    assert [call[0] for call in got[2]] == ["back", "tile", "back", "front"]

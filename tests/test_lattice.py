@@ -633,6 +633,25 @@ def test_miles_sign_check():
         miles_sign_check(1, LIMITS["det_dim"] + 1)
 
 
+def test_miles_sign_check_refuses_before_building_its_minor(monkeypatch):
+    # the det_dim guard runs before the minor of 2^k subminors is built, and
+    # refuses with the determinant's own message
+    def no_build(spec, w):
+        raise AssertionError(f"build_minor{spec} called past the det_dim guard")
+
+    monkeypatch.setattr(lattice, "build_minor", no_build)
+    k = LIMITS["det_dim"] + 1
+    with pytest.raises(SizeLimitError) as by_check:
+        miles_sign_check(10, k)
+    with pytest.raises(SizeLimitError) as by_det:
+        determinant(PolyMatrix(k, ()))
+    assert str(by_check.value) == str(by_det.value)
+    assert str(by_check.value) == f"determinant limited to dim <= {k - 1}, got {k}"
+    # a domain error still comes first
+    with pytest.raises(DomainError):
+        miles_sign_check(0, k)
+
+
 def test_matrix_json_row_major():
     m = build_minor(MinorSpec(1, 2), _counting_scheme(2))
     data = m.to_json_dict()

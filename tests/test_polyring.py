@@ -1115,3 +1115,36 @@ def test_format_matches_reference_renderer(case):
     assert p.format() == text
     assert list(p.monomials()) == ordered
     assert Poly.parse(text, k) == p
+
+
+_Z_MASK = _kernels_py.Z_MASK
+
+
+@st.composite
+def _wide_pairs(draw):
+    # as _nearby_pairs, with z exponents whose sum can reach Z_MASK, where
+    # the sum of a key's z fields is no longer its z part modulo Z_MASK
+    k = draw(st.integers(2, 4))
+    z = st.sampled_from(
+        [0, 1, 2, _Z_MASK // k - 1, _Z_MASK // k, _Z_MASK // 2 + 1, _Z_MASK - 1, _Z_MASK]
+    )
+    mono = st.tuples(
+        st.integers(-3, 3), st.lists(z, min_size=k, max_size=k), st.integers(0, 5)
+    )
+    a = Poly.from_monomials(k, draw(st.lists(mono, max_size=12)))
+    return a, a + Poly.from_monomials(k, draw(st.lists(mono, min_size=1, max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_pairs())
+def test_diff_witness_with_wide_z_exponents(pair):
+    a, b = pair
+    assert diff_witness(a, b) == _reference_witness(a, b)
+    assert diff_witness(b, a) == _reference_witness(b, a)
+
+
+def test_diff_witness_where_z_fields_sum_past_z_mask():
+    # z1^65535*z2 and z1^2*z2^2: the z parts modulo Z_MASK give degrees 1
+    # and 4, the exponents 65536 and 4
+    a = Poly.from_monomials(2, [(1, (_Z_MASK, 1), 0), (1, (2, 2), 0)])
+    assert diff_witness(a, Poly.zero(2)) == "coefficient of z1^65535*z2: 1 != 0"
