@@ -38,6 +38,7 @@ inv-prlp the back shift is the prefactor q^(nm); for the major-index family
 it vanishes and the front shift stays a substitution.
 """
 
+import functools
 from typing import Callable, NamedTuple
 
 from . import _kernels_py
@@ -49,7 +50,7 @@ from .polyring import Poly, _check_term, check_capacity
 from .report import IdentityReport
 # _plain, _front and _back are tiling's shared sum caches, bound here under
 # their own names: callers clear them and read their hits through this module.
-from .tiling import WeightScheme, _back, _front, _plain, fibonacci_k
+from .tiling import WeightScheme, _back, _check_cap, _front, _plain, fibonacci_k
 
 __all__ = [
     "convolution_count", "k_reduction_count", "verify_convolution",
@@ -142,6 +143,7 @@ def verify_convolution(m: int, n: int, k: int, w: WeightScheme) -> IdentityRepor
 def verify_k_reduction(n: int, k: int, w: WeightScheme) -> IdentityReport:
     """Split tilings at the first tile of length exactly k."""
     _check_k_reduction(n, k)
+    _check_cap(k, w)  # before the right side reads w's tables at length k
     rhs = _k_reduction_rhs(w, n, k, w.qexp, _front, _back)
     params = {"n": n, "k": k, "scheme": w.name}
     return IdentityReport.compare("kreduce", params, _plain(n, k, w), rhs)
@@ -207,14 +209,18 @@ _SPECIAL = {
 
 
 def _special_sides(row: _Forms):
-    """The row's tile exponent and shifted sums, built from plain sums."""
+    """The row's tile exponent and shifted sums, built from plain sums.
+    The sums are cached for the life of the pair, one verify_specializations
+    call, where the convolution grid asks for each of them many times."""
 
+    @functools.cache
     def front(x, kcap, w, m):
         tail = _plain(x, kcap, w)
         if row.front is None:
             return tail
         return tail.substitute_z_scale([row.front(j) * m for j in range(1, w.k + 1)])
 
+    @functools.cache
     def back(x, kcap, w, t):
         return _plain(x, kcap, w).times_q(row.c * x * t)
 

@@ -47,6 +47,22 @@ gives the arc rule only when every C(i) is 0: with trailing-length weights
 an arc's weight depends on where its path ends, so the multipliers would
 differ from column to column.
 
+Minors that differ only in their A tables share one expansion.  A tile's
+weight q^(A(i) + B(i)(sigma-1) + C(i)tau) takes its A part from the tile's
+length alone, so every entry of a scheme's minor is the entry of its
+A-free twin (the same B and C tables, A = 0) under the ring map
+sigma_A: z_l -> z_l q^A(l), and so is the determinant, sigma_A being a
+ring homomorphism: det M_w = sigma_A(det M_w0).  build_minor tags each
+minor of a scheme without an exponent override with its family, the key
+(spec, w0) and the A table; determinant() runs every check on the minor's
+own entries, expands the first member of a family it meets, keeps that
+determinant A-free (the inverse shift is exact: each of its terms has a q
+exponent of at least sum_l A(l) alpha_l for its z exponents alpha) and
+gives each later member its shift.  inv-prlp is inv-lp with
+A(i) = C(i-1, 2), and rb-lpi has maj-lp's tables.  The kept determinants
+last as long as the sums the minors are built from (tiling's sum caches),
+so a process that starts from empty caches expands each family once.
+
 The expansion runs on q-packed entries where they allow (qpacked.ring): the
 entries of the shifted minor cancel from about 10k terms down to one
 monomial, and the packed form does that cancellation inside big-int
@@ -72,7 +88,7 @@ from .errors import LIMITS, DomainError, SizeLimitError
 from .layered import inv
 from .polyring import Poly, check_capacity
 from .report import IdentityReport
-from .tiling import WeightScheme, _check_cap, _front
+from .tiling import WeightScheme, _check_cap, _front, _plain
 
 __all__ = [
     "MinorSpec",
@@ -119,11 +135,21 @@ class PolyMatrix:
     path sums from vertex u0 + i to vertex v0 + j.  determinant() moves the
     rows along those paths before it expands the matrix (see the module
     docstring); the rule decides how much work the expansion does, never
-    the determinant."""
+    the determinant.
+
+    family, when given, is (key, a): the matrix is the image of its A-free
+    twin, whose hashable key names it, under z_l -> z_l q^a[l-1] (a holds
+    one exponent per ring variable).  determinant() expands one matrix per
+    key and shifts that determinant for the others (see the module
+    docstring).  Unlike the rule, the family is not checked against the
+    entries: build_minor sets it from the scheme's own tables, and a
+    matrix whose entries do not follow its family gets the family's
+    determinant."""
 
     dim: int
     entries: tuple[tuple[Poly, ...], ...]
     rule: tuple[tuple[tuple[int, int], ...], int, int] | None = None
+    family: tuple[tuple, tuple[int, ...]] | None = None
 
     def to_json_dict(self) -> dict:
         flat = [e.to_json_dict() for row in self.entries for e in row]
@@ -139,13 +165,20 @@ def build_minor(spec: MinorSpec, w: WeightScheme) -> PolyMatrix:
 
     When every C(i) is 0 the minor carries its arc rule (see PolyMatrix):
     an arc of length l from vertex x weighs z_l q^(A(l) + B(l) x) by the
-    declared tables."""
+    declared tables.  Unless an exponent override sets the tile weights,
+    the minor also carries its family (see PolyMatrix): the key (spec, w0)
+    for w0 the scheme with w's B and C tables and A = 0, and w's A table."""
     k = spec.k
     rows = tuple(tuple(_front(vj - ui, k, w, ui) for vj in spec.v) for ui in spec.u)
+    family = None
+    if w._exponent is None:
+        lengths = range(1, w.k + 1)
+        w0 = WeightScheme.from_tables(w.k, (0,) * w.k, map(w.b, lengths), map(w.c, lengths))
+        family = (spec, w0), tuple(map(w.a, lengths))
     if any(map(w.c, range(1, k + 1))):
-        return PolyMatrix(k, rows)
+        return PolyMatrix(k, rows, None, family)
     arcs = tuple((w.a(l), w.b(l)) for l in range(1, k + 1))
-    return PolyMatrix(k, rows, (arcs, spec.u[0], spec.v[0]))
+    return PolyMatrix(k, rows, (arcs, spec.u[0], spec.v[0]), family)
 
 
 def _check_dim(d: int):
@@ -184,6 +217,9 @@ def determinant(mat: PolyMatrix) -> Poly:
     zb = sum(max(e.degree_bounds[0] for e in col) for col in cols)
     qb = sum(max(e.degree_bounds[1] for e in col) for col in cols)
     check_capacity(zb, qb)
+    shared = _family_det(k, *mat.family) if mat.family else None
+    if shared is not None:
+        return shared
     bound = math.factorial(d) * math.prod(max(e.l1_norm for e in col) for col in cols)
     ring = qpacked.ring(qpacked.determinant_width(bound, qb))
     rows = [[ring.pack(e) for e in row] for row in entries]
@@ -192,7 +228,81 @@ def determinant(mat: PolyMatrix) -> Poly:
     if scale:
         factor, sign = scale
         det = ring.mul_add({}, factor, det, sign)
-    return ring.unpack(k, det)
+    result = ring.unpack(k, det)
+    if mat.family:
+        _keep_family_det(k, *mat.family, ring, det, result)
+    return result
+
+
+# The A-free determinants that determinant() keeps, one per family key:
+# key -> (token, ring, det0, terms), det0 the determinant of the key's
+# A-free minor in `ring` (see _AS_RETURNED), terms the count of its terms and
+# token what _plain(0, spec.k, w0) returned when det0 was kept.  An entry
+# is good only while _plain still returns that very object, so clearing
+# the sum caches (as a fresh process starts) empties this memo too.  A
+# determinant that would take the terms held past _FAMILY_TERMS, once the
+# entries gone stale are dropped, is not kept: the verifiers ask for a
+# family's minors in the order they asked for its first member's, which a
+# memo that pushed its oldest entries out would always have lost.
+# Measured on `verify --identity det --k 6 --max-n 4` as a child process
+# (2 vCPUs, Python 3.11): its 20 families hold at most 921,326 terms, the
+# largest 432,152; with this bound it ran in 5.0 s at 153.7 MB peak RSS,
+# with 2^17 in 7.0 s at 146.9 MB, and with no kept determinants in 7.6 s
+# at 145.6 MB.
+_family_dets: dict = {}
+_family_terms = 0
+_FAMILY_TERMS = 1 << 20
+# An A-free determinant of at most this many terms is kept as the very
+# term dict of the result determinant() returned, which costs nothing while
+# the caller holds that result; a larger one, or one that needed a shift,
+# is kept in its expansion ring, where packed it takes about a seventh of
+# the memory of its terms.  verify-grid's largest is 5,039 terms; its first
+# pass peaked at 25.8-25.9 MB (ru_maxrss, 5 runs) kept this way, and at
+# 27.2-27.4 MB with every determinant kept packed.
+_AS_RETURNED = 1 << 14
+
+
+def _family_token(key):
+    spec, w0 = key
+    return _plain(0, spec.k, w0)
+
+
+def _family_det(k: int, key, a):
+    """The determinant of the family member with A table a, shifted from
+    the kept A-free one, or None where none is kept.  The shift fits the
+    packed key: its result is the member's determinant, within the bounds
+    determinant() has checked on the member's entries."""
+    kept = _family_dets.get(key)
+    if kept is None or _family_token(key) is not kept[0]:
+        return None
+    _, ring, det0, _ = kept
+    return ring.unpack(k, ring.scale(k, det0, a) if any(a) else det0)
+
+
+def _keep_family_det(k: int, key, a, ring, det, result: Poly):
+    """Keep det, the determinant in `ring` of the member with A table a,
+    unpacked as result, as its family's A-free determinant, where it fits.
+    Every term of det is sigma_A of a term of the A-free one, so its q
+    exponent is at least sum_l a[l-1] alpha_l for its z exponents alpha,
+    and the inverse shift keeps every q exponent >= 0."""
+    global _family_terms
+    terms = result.n_terms
+    old = _family_dets.pop(key, None)  # gone stale, or it would be shared
+    if old is not None:
+        _family_terms -= old[3]
+    if _family_terms + terms > _FAMILY_TERMS:
+        stale = [other for other, kept in _family_dets.items()
+                 if _family_token(other) is not kept[0]]
+        for other in stale:
+            _family_terms -= _family_dets.pop(other)[3]
+        if _family_terms + terms > _FAMILY_TERMS:
+            return
+    if any(a):
+        det = ring.scale(k, det, [-e for e in a])
+    elif terms <= _AS_RETURNED:
+        ring, det = qpacked.ring(None), result._terms
+    _family_dets[key] = _family_token(key), ring, det, terms
+    _family_terms += terms
 
 
 def _slide(rows, rule, k: int, zb: int, qb: int, ring):

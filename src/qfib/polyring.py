@@ -114,19 +114,19 @@ def _term_order(k: int, keys) -> tuple[dict, Callable[[int], int]]:
     return exps, lambda key: (zdeg[key >> Q_BITS] + (key & Q_MASK)) << width | key
 
 
-def _first_in_order(k: int, keys) -> int:
+def _first_in_order(k: int, keys: list) -> int:
     # The first of keys in the canonical order, the one with the largest
-    # sort key of _term_order.  No z field of a key exceeds that field of
-    # the keys' bitwise or, so while those fields sum below Z_MASK no key's
-    # z exponents reach it, and, as 2^Z_BITS = 1 (mod Z_MASK), a key's z
-    # degree is (key >> Q_BITS) % Z_MASK: the sort keys are made by C-level
-    # maps, with no decode or call per key.
-    if sum(_z_exps(k, functools.reduce(operator.or_, keys) >> Q_BITS)) >= Z_MASK:
+    # sort key of _term_order: the largest key of the largest total degree.
+    # No field of a key exceeds that field of the keys' bitwise or, so while
+    # the or's z fields and q field sum below Z_MASK no key's total degree
+    # reaches it, and, as 2^Z_BITS = 1 (mod Z_MASK) and Q_BITS is a multiple
+    # of Z_BITS, a key's total degree is key % Z_MASK: one small int per
+    # key, made by a C-level map, with no decode or call per key.
+    top = functools.reduce(operator.or_, keys)
+    if sum(_z_exps(k, top >> Q_BITS)) + (top & Q_MASK) >= Z_MASK:
         return max(keys, key=_term_order(k, keys)[1])
-    width = Q_BITS + k * Z_BITS
-    zdeg = map(Z_MASK.__rmod__, map(Q_BITS.__rrshift__, keys))
-    degree = map(operator.add, zdeg, map(Q_MASK.__and__, keys))
-    return max(map(operator.or_, map(width.__rlshift__, degree), keys)) & ((1 << width) - 1)
+    degrees = list(map(Z_MASK.__rmod__, keys))
+    return max(itertools.compress(keys, map(max(degrees).__eq__, degrees)))
 
 
 class Poly:

@@ -22,7 +22,7 @@ import sys
 import types
 
 from . import _kernels_py
-from ._kernels_py import Q_BITS, Q_MASK, Z_MASK
+from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
 from .polyring import Poly
 
 # The packed window pays for every q slot from a z-monomial's least to its
@@ -73,16 +73,20 @@ def ring(width: int | None) -> types.SimpleNamespace:
     it and a two-item list, a cell, where q_mul_add does, and no cell of a
     or b enters acc, so a result passed back in stays as it was.
     divide(a, z, e) is a / (z_l q^e) for the z-key z of one variable z_l,
-    into a fresh dict, or None where that leaves a remainder.  unpack(k, r)
-    wraps a result once, as a Poly in k variables.  The term kernels are
-    looked up when ring is called and the packed ones at every call, so a
-    patched kernel is the one that runs."""
+    into a fresh dict, or None where that leaves a remainder.  scale(k, r,
+    exps) is r under z_l -> z_l q^exps[l-1], l = 1..k, into a fresh dict;
+    an exponent may be negative where every term of r keeps a q exponent
+    >= 0.  unpack(k, r) wraps a result once, as a Poly in k variables.  The
+    term kernels are looked up when ring is called and the packed ones at
+    every call, so a patched kernel is the one that runs."""
     if width is None:
+        shift = _kernels_py.shift_q_terms
         return types.SimpleNamespace(
             mono=lambda z, e: {(z << Q_BITS) + e: 1},
             pack=lambda p: p._terms,
             mul_add=_kernels_py.mul_add_terms,
             divide=_kernels_py.divide_terms,
+            scale=lambda k, r, exps: shift(r, _z_shifts(k, exps, Q_BITS)),
             unpack=Poly._wrap,
         )
     return types.SimpleNamespace(
@@ -90,8 +94,16 @@ def ring(width: int | None) -> types.SimpleNamespace:
         pack=lambda p: q_pack(p, width),
         mul_add=lambda acc, a, b, sign: q_mul_add(acc, a, b, sign, width),
         divide=lambda a, z, e: q_divide(a, z, e, width),
+        scale=lambda k, r, exps: q_scale(r, _z_shifts(k, exps, 0), width),
         unpack=lambda k, r: q_unpack(k, r, width),
     )
+
+
+def _z_shifts(k: int, exps, base: int) -> tuple[tuple[int, int], ...]:
+    # (bit offset of z_l's field, exps[l-1]) for each l with a shift, in
+    # keys whose z fields start `base` bits up: Q_BITS in packed keys, 0 in
+    # z-keys
+    return tuple((base + (k - l) * Z_BITS, e) for l, e in enumerate(exps, 1) if e)
 
 
 def recursion_width(n: int, k: int, span: int, count: int) -> int | None:
@@ -232,6 +244,23 @@ def q_divide(a: dict, z: int, e: int, width: int) -> dict | None:
             x >>= shift
             lo = e
         out[za - z] = (lo - e, x)
+    return out
+
+
+def q_scale(packed: dict, shifts, width: int) -> dict:
+    """packed under z_l -> z_l q^e for each (offset, e) in shifts, offset
+    the bit offset of z_l's field in a z-key, as ring's scale: only the
+    offsets move.  An offset that falls below 0 is raised back to 0 by an
+    exact division of x, whose digits below it are 0 when every term keeps
+    a q exponent >= 0."""
+    out = {}
+    for z, (lo, x) in packed.items():
+        for off, e in shifts:
+            lo += (z >> off & Z_MASK) * e
+        if lo < 0:
+            x >>= width * -lo
+            lo = 0
+        out[z] = (lo, x)
     return out
 
 

@@ -74,6 +74,18 @@ def test_domain_errors():
         verify_recursion(0, 2, w)
 
 
+@pytest.mark.parametrize("make", [builtin_scheme, random_scheme, corrupted_scheme],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("verify, args", [
+    (verify_recursion, (4, 3)), (verify_convolution, (2, 2, 3)), (verify_k_reduction, (4, 3)),
+], ids=lambda v: v.__name__ if callable(v) else "-".join(map(str, v)))
+def test_a_tile_cap_past_the_scheme_is_a_domain_error(verify, args, make):
+    # each verifier refuses k > w.k before it reads w's tables at length k
+    w = make("maj-lp" if make is builtin_scheme else 2, 2)
+    with pytest.raises(DomainError, match="tile length cap 3 exceeds the scheme's declared maximum 2"):
+        verify(*args, w)
+
+
 @pytest.mark.parametrize(
     "verify, count, args",
     [
@@ -323,6 +335,28 @@ def test_specializations_keep_their_order_and_sides():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c946deb204c36058c176652ae0b8d76743b3d88a9f123144c147a1041fc155b5"
     )
+
+
+def test_specializations_cached_sums_give_the_same_reports(monkeypatch):
+    # every built-in pair, and one whose front rule is off, so failing
+    # reports and their witnesses are compared too
+    def reports():
+        return [r.to_json() for p in SCHEMED_PAIRS for r in verify_specializations(str(p), 4, 4)]
+
+    cached = reports()
+    sides = identities._special_sides
+
+    def uncached(row):
+        tile, front, back = sides(row)
+        return tile, front.__wrapped__, back.__wrapped__
+
+    monkeypatch.setattr(identities, "_special_sides", uncached)
+    assert reports() == cached
+    wrong = identities._SPECIAL["maj-rlp"]._replace(front=lambda j: j)
+    monkeypatch.setitem(identities._SPECIAL, "maj-rlp", wrong)
+    failing = reports()
+    monkeypatch.setattr(identities, "_special_sides", sides)
+    assert reports() == failing != cached
 
 
 def test_report_json_shape():

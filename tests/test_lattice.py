@@ -18,7 +18,7 @@ import random
 import pytest
 from modular import PRIME, board_dp, det_mod, eval_mod
 
-from qfib import _kernels_py, lattice, qpacked
+from qfib import _kernels_py, lattice, qpacked, tiling
 from qfib.errors import (
     LIMITS,
     CapacityError,
@@ -232,10 +232,18 @@ class _Routed(Exception):
     pass
 
 
+def _clear_sum_caches():
+    # a family's kept determinant lasts only while the sum caches hold its
+    # sums, so the next determinant() of each family expands its matrix
+    for f in (tiling._plain, tiling._front, tiling._back):
+        f.cache_clear()
+
+
 def test_determinant_route_choice(monkeypatch):
     # every built-in minor the CLI accepts packs; q-sparse entries do not.
     # The spy stops each determinant once its route is chosen, so the k = 6
     # minors are built but never expanded.
+    _clear_sum_caches()
     widths = []
 
     def spy(bound, qb):
@@ -315,6 +323,7 @@ def test_thinned_determinant_equals_plain_expansion(monkeypatch):
     done = _spy_divisions(monkeypatch)
     carried = 0
     for w, k, n in _thinning_cases():
+        _clear_sum_caches()
         m = build_minor(MinorSpec(n, k), w)
         carried += m.rule is not None
         done.clear()
@@ -679,11 +688,13 @@ def test_each_ring_gives_the_same_results(monkeypatch):
     for ring, (recursion_width, determinant_width) in forced.items():
         monkeypatch.setattr(qpacked, "recursion_width", recursion_width)
         monkeypatch.setattr(qpacked, "determinant_width", determinant_width)
+        _clear_sum_caches()
         done.clear()
         got[ring] = weighted_sum_recursive(*board), [determinant(m) for m in minors]
         assert done == [True] * 4 * 6, ring
     assert got["terms"] == got["packed"]
     monkeypatch.undo()
+    _clear_sum_caches()
     assert got["terms"] == (weighted_sum_recursive(*board), [determinant(m) for m in minors])
     # q exponents a million apart take the term ring, where the slide leaves
     # the closed form's one term
@@ -694,3 +705,132 @@ def test_each_ring_gives_the_same_results(monkeypatch):
     det = determinant(m)
     assert len(det._terms) == 1
     assert det == closed_form_det(spec, sparse) == determinant(PolyMatrix(m.dim, m.entries))
+
+
+# ----------------------------------------------------------------------
+# one expansion per A-free family
+
+
+def _spy_expansions(monkeypatch):
+    # one entry per matrix determinant() expands
+    done = []
+
+    def spy(entries, mul_add, real=lattice._expand):
+        done.append(len(entries))
+        return real(entries, mul_add)
+
+    monkeypatch.setattr(lattice, "_expand", spy)
+    return done
+
+
+def _family_cases():
+    # every member comes after another of its family, which it shares
+    cases = []
+    for k in (2, 3, 4):
+        for pair in SCHEMED_PAIRS:
+            for w in (builtin_scheme(pair, k), _twisted(pair, k, k), _twisted(pair, k, k + 9)):
+                cases += [(w, k, n) for n in (1, 2, 3, 4)]
+                cases += [(w, k - 1, n) for n in (1, 2)]
+    for k in (2, 3, 4, 5):
+        for seed in range(3):
+            base = random_scheme(k, seed)
+            lengths = range(1, k + 1)
+            for a in ((0,) * k, tuple(random.Random(seed).randint(0, 5) for _ in lengths)):
+                w = WeightScheme.from_tables(k, a, map(base.b, lengths), map(base.c, lengths))
+                cases += [(w, k, n) for n in (1, 2)]
+            cases += [(corrupted_scheme(k, seed), k, 2), (_corrupted_c0(k, seed), k, 2)]
+    return cases
+
+
+@pytest.mark.parametrize("as_returned", [lattice._AS_RETURNED, -1], ids=["terms", "ring"])
+def test_shared_determinants_equal_their_expansion(monkeypatch, as_returned):
+    # terms and degree bounds alike, whichever member a family's kept
+    # determinant came from and in whichever form it was kept; schemes with
+    # an exponent override carry no family and are always expanded
+    monkeypatch.setattr(lattice, "_AS_RETURNED", as_returned)
+    _clear_sum_caches()
+    done = _spy_expansions(monkeypatch)
+    shared = 0
+    for w, k, n in _family_cases():
+        m = build_minor(MinorSpec(n, k), w)
+        assert (m.family is None) == (w._exponent is not None)
+        done.clear()
+        got = determinant(m)
+        expanded = bool(done)
+        shared += not expanded
+        want = determinant(PolyMatrix(m.dim, m.entries, m.rule))
+        assert got == want and got.degree_bounds == want.degree_bounds, (w.name, k, n)
+        if m.family is None:
+            assert len(done) == 2
+        elif expanded and not any(m.family[1]):
+            # an A-free result is kept as it was returned, if small enough
+            kept = lattice._family_dets[m.family[0]][2]
+            assert (kept is got._terms) == (got.n_terms <= as_returned)
+    assert shared > 150
+
+
+def test_errors_are_unchanged_on_the_shared_path():
+    # the checks run on the matrix's own entries before the family is read
+    _clear_sum_caches()
+    m = build_minor(MinorSpec(2, 2), builtin_scheme("maj-lp", 2))
+    determinant(m)
+    one, half = Poly.one(2), Poly.monomial(2, 1, (0, 0), Q_MASK // 2 + 1)
+    bad = [
+        (DomainError, PolyMatrix(2, ((one,) * 3,) * 3, m.rule, m.family)),
+        (SizeLimitError, PolyMatrix(7, ((one,) * 7,) * 7, m.rule, m.family)),
+        (RingMismatchError, PolyMatrix(2, ((one, one), (one, Poly.one(3))), m.rule, m.family)),
+        (CapacityError, PolyMatrix(2, ((half, one), (one, half)), m.rule, m.family)),
+    ]
+    for error, matrix in bad:
+        with pytest.raises(error):
+            determinant(matrix)
+        with pytest.raises(error):
+            determinant(PolyMatrix(matrix.dim, matrix.entries))
+
+
+def test_cleared_sum_caches_expand_again(monkeypatch):
+    # the 84 minors of a verify-grid pass (7 built-ins and their A-twists,
+    # k = 4, n = 1..6) fall into 5 families, so 30 are expanded, on every
+    # pass that starts from empty sum caches
+    done = _spy_expansions(monkeypatch)
+    schemes = [w for p in SCHEMED_PAIRS for w in (builtin_scheme(p, 4), _twisted(p, 4, 1))]
+    for _ in range(2):
+        _clear_sum_caches()
+        done.clear()
+        dets = [determinant(build_minor(MinorSpec(n, 4), w)) for w in schemes for n in range(1, 7)]
+        assert len(dets) == 84 and len(done) == 30
+    done.clear()
+    assert [determinant(build_minor(MinorSpec(n, 4), w))
+            for w in schemes for n in range(1, 7)] == dets
+    assert not done
+
+
+def test_kept_determinants_are_bounded_by_their_terms(monkeypatch):
+    # a determinant that would take the terms held past the bound is not
+    # kept, until clearing the sum caches leaves the kept ones stale
+    monkeypatch.setattr(lattice, "_family_dets", {})
+    monkeypatch.setattr(lattice, "_family_terms", 0)
+    monkeypatch.setattr(lattice, "_FAMILY_TERMS", 150)
+    _clear_sum_caches()
+    done = _spy_expansions(monkeypatch)
+
+    def held():
+        terms = [terms for *_, terms in lattice._family_dets.values()]
+        assert sum(terms) == lattice._family_terms <= 150
+        return [key[0].n for key in lattice._family_dets]
+
+    sizes = []
+    for n in range(1, 6):
+        sizes.append(determinant(build_minor(MinorSpec(n, 3), builtin_scheme("inv-lp", 3))).n_terms)
+        held()
+    # 40 and 69 terms fit; 99, 142 and 183 more would not
+    assert sizes == [40, 69, 99, 142, 183]
+    assert held() == [1, 2]
+    # inv-prlp is inv-lp with an A table: the kept two are shared
+    done.clear()
+    for n in range(1, 6):
+        determinant(build_minor(MinorSpec(n, 3), builtin_scheme("inv-prlp", 3)))
+    assert len(done) == 3 and held() == [1, 2]
+    _clear_sum_caches()
+    determinant(build_minor(MinorSpec(4, 3), builtin_scheme("inv-lp", 3)))
+    assert held() == [4]

@@ -875,6 +875,24 @@ def test_divide_by_a_monomial(p, l, e, packed):
         assert read(quotient) * m == p
 
 
+@settings(max_examples=60, deadline=None)
+@given(_polys, st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(0, 9), st.booleans())
+def test_scale_and_its_inverse(p, exps, pad, packed):
+    # scale is substitute_z_scale in either ring, and negative exponents
+    # undo it.  A packed offset below its z-monomial's least q exponent (x's
+    # low digits 0, as a cancelling sum leaves it) can fall below 0 on the
+    # way back.
+    width = max(p.l1_norm, 1).bit_length() + 2
+    ring = qpacked.ring(width if packed else None)
+    shifted = p.substitute_z_scale(exps)
+    form = ring.pack(shifted)
+    if packed:
+        low = lambda lo: max(lo - pad, 0)
+        form = {z: (low(lo), x << width * (lo - low(lo))) for z, (lo, x) in form.items()}
+    assert ring.unpack(2, ring.scale(2, ring.pack(p), exps)) == shifted
+    assert ring.unpack(2, ring.scale(2, form, [-e for e in exps])) == p
+
+
 def _balanced_digits(x, width):
     # reference decoder: peel off one balanced digit at a time
     base = 1 << width
@@ -1148,3 +1166,27 @@ def test_diff_witness_where_z_fields_sum_past_z_mask():
     # and 4, the exponents 65536 and 4
     a = Poly.from_monomials(2, [(1, (_Z_MASK, 1), 0), (1, (2, 2), 0)])
     assert diff_witness(a, Poly.zero(2)) == "coefficient of z1^65535*z2: 1 != 0"
+
+
+def test_diff_witness_where_q_takes_the_degree_past_z_mask():
+    # z1*q^65534 has total degree 65535: key % Z_MASK reads it as 0
+    a = Poly.from_monomials(2, [(1, (1, 0), _Z_MASK - 1), (1, (2, 2), 0)])
+    assert diff_witness(a, Poly.zero(2)) == "coefficient of z1*q^65534: 1 != 0"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_first_in_order_is_the_largest_sort_key(seed):
+    # small keys take the total degree from key % Z_MASK; wide z fields or
+    # a large q field send the keys to the sort key of _term_order.  Each
+    # case draws its fields from one range, so some cases sit near the
+    # bound on either side.
+    rng = random.Random(seed)
+    k = rng.randint(1, 5)
+    ztop = rng.choice([3, 40, _Z_MASK // (k + 1), _Z_MASK // k, _Z_MASK])
+    qtop = rng.choice([0, 5, 1000, _Z_MASK - 1, _Z_MASK, 1 << 20, polyring.Q_MASK])
+    keys = list({
+        polyring._pack(k, [rng.randint(0, ztop) for _ in range(k)], rng.randint(0, qtop))
+        for _ in range(rng.randint(1, 300))
+    })
+    order = polyring._term_order(k, keys)[1]
+    assert polyring._first_in_order(k, keys) == max(keys, key=order)
