@@ -46,7 +46,7 @@ from ._kernels_py import Q_BITS, Q_MASK, Z_BITS
 from .errors import DomainError
 from .lattice import MinorSpec, _noncrossing_weight, closed_form_det
 from .layered import StatPair, _ch2, builtin_scheme
-from .polyring import Poly, _check_term, check_capacity
+from .polyring import Poly, _check_term, check_capacity, check_size
 from .report import IdentityReport
 # _plain, _front and _back are tiling's shared sum caches, bound here under
 # their own names: callers clear them and read their hits through this module.
@@ -115,6 +115,7 @@ def _k_reduction_rhs(w, n, k, tile, front, back) -> Poly:
 
 def verify_recursion(n: int, k: int, w: WeightScheme) -> IdentityReport:
     """First-tile recursion: peel the tile covering cell 1."""
+    check_size(n=n)
     if n < 1:
         raise DomainError(f"recursion needs n >= 1, got {n}")
     rhs = _recursion_rhs(w, n, k, w.qexp, _front)
@@ -123,11 +124,13 @@ def verify_recursion(n: int, k: int, w: WeightScheme) -> IdentityReport:
 
 
 def _check_convolution(m: int, n: int):
+    check_size(m=m, n=n)
     if m < 1 or n < 1:
         raise DomainError(f"convolution needs m, n >= 1, got m={m}, n={n}")
 
 
 def _check_k_reduction(n: int, k: int):
+    check_size(n=n)
     if n < 1 or k < 2:
         raise DomainError(f"k-reduction needs n >= 1 and k >= 2, got n={n}, k={k}")
 

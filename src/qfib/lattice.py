@@ -41,27 +41,25 @@ those steps leave the rows at v_0..v_0+k-1, whose matrix is unitriangular
 for the minor's own entries, and the expansion of that is cheap.  Every
 division by the diagonal monomial is checked to be exact; one that leaves
 a remainder (the entries do not follow the tables, as with an exponent
-override or a hand-built matrix) stops the steps and the rows reached
-expand as they stand, so the result is exact for any matrix.  build_minor
-gives the arc rule only when every C(i) is 0: with trailing-length weights
-an arc's weight depends on where its path ends, so the multipliers would
-differ from column to column.
+override) stops the steps and the rows reached expand as they stand.
+A minor has the arc rule of its scheme (_shortcuts) only when every C(i)
+is 0: with trailing-length weights an arc's weight depends on where its
+path ends, so the multipliers would differ from column to column.
 
 Minors that differ only in their A tables share one expansion.  A tile's
 weight q^(A(i) + B(i)(sigma-1) + C(i)tau) takes its A part from the tile's
 length alone, so every entry of a scheme's minor is the entry of its
 A-free twin (the same B and C tables, A = 0) under the ring map
 sigma_A: z_l -> z_l q^A(l), and so is the determinant, sigma_A being a
-ring homomorphism: det M_w = sigma_A(det M_w0).  build_minor tags each
-minor of a scheme without an exponent override with its family, the key
-(spec, w0) and the A table; determinant() runs every check on the minor's
-own entries, expands the first member of a family it meets, keeps that
-determinant A-free (the inverse shift is exact: each of its terms has a q
-exponent of at least sum_l A(l) alpha_l for its z exponents alpha) and
-gives each later member its shift.  inv-prlp is inv-lp with
-A(i) = C(i-1, 2), and rb-lpi has maj-lp's tables.  The kept determinants
-last as long as the sums the minors are built from (tiling's sum caches),
-so a process that starts from empty caches expands each family once.
+ring homomorphism: det M_w = sigma_A(det M_w0).  A minor of a scheme
+without an exponent override has its family (_shortcuts); determinant()
+runs every check on the minor's own entries, expands the first member of a
+family it meets, keeps that determinant with its A table and gives each
+later member the shift by the difference of the tables.  inv-prlp is
+inv-lp with A(i) = C(i-1, 2), and rb-lpi has maj-lp's tables.  The kept
+determinants last as long as the sums the minors are built from (tiling's
+sum caches), so a process that starts from empty caches expands each
+family once.
 
 The expansion runs on q-packed entries where they allow (qpacked.ring): the
 entries of the shifted minor cancel from about 10k terms down to one
@@ -80,13 +78,13 @@ identity checks report as counterexamples.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import qpacked
 from ._kernels_py import Q_MASK, Z_BITS, Z_MASK
 from .errors import LIMITS, DomainError, SizeLimitError
 from .layered import inv
-from .polyring import Poly, check_capacity
+from .polyring import Poly, check_capacity, check_size
 from .report import IdentityReport
 from .tiling import WeightScheme, _check_cap, _front, _plain
 
@@ -110,6 +108,7 @@ class MinorSpec:
     k: int
 
     def __post_init__(self):
+        check_size(n=self.n, k=self.k)
         if self.n < 1 or self.k < 1:
             raise DomainError(f"minor needs n >= 1 and k >= 1, got {self}")
 
@@ -129,27 +128,13 @@ class MinorSpec:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """A square matrix of Polys.  rule, when given, is (arcs, u0, v0): an
-    arc of length l = 1..dim from vertex x weighs
-    z_l q^(arcs[l-1][0] + arcs[l-1][1] x), and row i and column j hold the
-    path sums from vertex u0 + i to vertex v0 + j.  determinant() moves the
-    rows along those paths before it expands the matrix (see the module
-    docstring); the rule decides how much work the expansion does, never
-    the determinant.
-
-    family, when given, is (key, a): the matrix is the image of its A-free
-    twin, whose hashable key names it, under z_l -> z_l q^a[l-1] (a holds
-    one exponent per ring variable).  determinant() expands one matrix per
-    key and shifts that determinant for the others (see the module
-    docstring).  Unlike the rule, the family is not checked against the
-    entries: build_minor sets it from the scheme's own tables, and a
-    matrix whose entries do not follow its family gets the family's
-    determinant."""
+    """A square matrix of Polys.  build_minor records in _source the (spec,
+    w) it built a minor from, which no caller sets and dataclasses.replace
+    drops; determinant() takes its shortcuts from there (_shortcuts)."""
 
     dim: int
     entries: tuple[tuple[Poly, ...], ...]
-    rule: tuple[tuple[tuple[int, int], ...], int, int] | None = None
-    family: tuple[tuple, tuple[int, ...]] | None = None
+    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         flat = [e.to_json_dict() for row in self.entries for e in row]
@@ -161,24 +146,33 @@ def build_minor(spec: MinorSpec, w: WeightScheme) -> PolyMatrix:
     tilings of the (v_j - u_i)-board with a u_i-board appended in front.
     Entries come from the verifiers' shared sum cache (tiling._front), whose
     shift is the declared B, as enumeration with AppendSpec(u_i, 0) applies
-    it, so the two agree for incoherent schemes too.
+    it, so the two agree for incoherent schemes too."""
+    rows = tuple(tuple(_front(vj - ui, spec.k, w, ui) for vj in spec.v) for ui in spec.u)
+    minor = PolyMatrix(spec.k, rows)
+    object.__setattr__(minor, "_source", (spec, w))
+    return minor
 
-    When every C(i) is 0 the minor carries its arc rule (see PolyMatrix):
-    an arc of length l from vertex x weighs z_l q^(A(l) + B(l) x) by the
-    declared tables.  Unless an exponent override sets the tile weights,
-    the minor also carries its family (see PolyMatrix): the key (spec, w0)
-    for w0 the scheme with w's B and C tables and A = 0, and w's A table."""
-    k = spec.k
-    rows = tuple(tuple(_front(vj - ui, k, w, ui) for vj in spec.v) for ui in spec.u)
+
+def _shortcuts(mat: PolyMatrix):
+    """(rule, family) of a minor from build_minor, (None, None) for any other
+    matrix.  The rule (arcs, u0, v0), when every C(l), l <= k, is 0: an arc
+    of length l from x weighs z_l q^(A(l) + B(l) x) = z_l q^(arcs[l-1][0] +
+    arcs[l-1][1] x), and row i, column j hold the path sums from u0 + i to
+    v0 + j.  The family (key, a), unless an exponent override sets the tile
+    weights: key = (spec, w0), w0 the A-free twin (w's B and C, A = 0), and
+    a = w's A table, one exponent per ring variable."""
+    if mat._source is None:
+        return None, None
+    spec, w = mat._source
+    rule = None
+    if not any(map(w.c, range(1, spec.k + 1))):
+        rule = tuple((w.a(l), w.b(l)) for l in range(1, spec.k + 1)), spec.u[0], spec.v[0]
     family = None
     if w._exponent is None:
         lengths = range(1, w.k + 1)
         w0 = WeightScheme.from_tables(w.k, (0,) * w.k, map(w.b, lengths), map(w.c, lengths))
         family = (spec, w0), tuple(map(w.a, lengths))
-    if any(map(w.c, range(1, k + 1))):
-        return PolyMatrix(k, rows, None, family)
-    arcs = tuple((w.a(l), w.b(l)) for l in range(1, k + 1))
-    return PolyMatrix(k, rows, (arcs, spec.u[0], spec.v[0]), family)
+    return rule, family
 
 
 def _check_dim(d: int):
@@ -193,10 +187,11 @@ def determinant(mat: PolyMatrix) -> Poly:
     Expansion runs along the last column at every level, so the shared
     subproblems are minors over the leading columns (the entries of
     smallest degree in the shifted Fibonacci minor), on q-packed entries
-    unless they are too q-sparse to pack (qpacked.ring).  A matrix with a
-    rule first has its rows moved along their paths in the same ring
-    (_slide; see the module docstring); the width of the packed digits
-    still comes from the original entries.
+    unless they are too q-sparse to pack (qpacked.ring).  A minor takes its
+    shortcuts from its scheme (_shortcuts; see the module docstring): a
+    kept determinant of its family, shifted, or with an arc rule, its rows
+    moved along their paths in the same ring first (_slide), the width of
+    the packed digits still from the original entries.
 
     Guarded by LIMITS["det_dim"]: the expansion builds 2^dim minors.  Mixed
     rings raise RingMismatchError and a determinant whose degree bounds
@@ -217,48 +212,47 @@ def determinant(mat: PolyMatrix) -> Poly:
     zb = sum(max(e.degree_bounds[0] for e in col) for col in cols)
     qb = sum(max(e.degree_bounds[1] for e in col) for col in cols)
     check_capacity(zb, qb)
-    shared = _family_det(k, *mat.family) if mat.family else None
+    rule, family = _shortcuts(mat)
+    shared = _family_det(k, *family) if family else None
     if shared is not None:
         return shared
     bound = math.factorial(d) * math.prod(max(e.l1_norm for e in col) for col in cols)
     ring = qpacked.ring(qpacked.determinant_width(bound, qb))
     rows = [[ring.pack(e) for e in row] for row in entries]
-    rows, scale = _slide(rows, mat.rule, k, zb, qb, ring) if mat.rule else (rows, None)
+    rows, scale = _slide(rows, rule, k, zb, qb, ring) if rule else (rows, None)
     det = _expand(rows, ring.mul_add)
     if scale:
         factor, sign = scale
         det = ring.mul_add({}, factor, det, sign)
     result = ring.unpack(k, det)
-    if mat.family:
-        _keep_family_det(k, *mat.family, ring, det, result)
+    if family:
+        _keep_family_det(*family, ring, det, result)
     return result
 
 
-# The A-free determinants that determinant() keeps, one per family key:
-# key -> (token, ring, det0, terms), det0 the determinant of the key's
-# A-free minor in `ring` (see _AS_RETURNED), terms the count of its terms and
-# token what _plain(0, spec.k, w0) returned when det0 was kept.  An entry
-# is good only while _plain still returns that very object, so clearing
-# the sum caches (as a fresh process starts) empties this memo too.  A
-# determinant that would take the terms held past _FAMILY_TERMS, once the
-# entries gone stale are dropped, is not kept: the verifiers ask for a
-# family's minors in the order they asked for its first member's, which a
-# memo that pushed its oldest entries out would always have lost.
-# Measured on `verify --identity det --k 6 --max-n 4` as a child process
-# (2 vCPUs, Python 3.11): its 20 families hold at most 921,326 terms, the
-# largest 432,152; with this bound it ran in 5.0 s at 153.7 MB peak RSS,
-# with 2^17 in 7.0 s at 146.9 MB, and with no kept determinants in 7.6 s
-# at 145.6 MB.
+# The determinants that determinant() keeps, one per family key: key ->
+# (token, ring, det, a, terms), det the member's with A table a as computed,
+# in `ring` (see _AS_RETURNED), with its count of terms, and token what
+# _plain(0, spec.k, w0) returned when det was kept.  An entry is good only
+# while _plain still returns that very object, so clearing the sum caches
+# (as a fresh process starts) empties this memo too.  A determinant that
+# would take the terms held past _FAMILY_TERMS, once the entries gone stale
+# are dropped, is not kept: the verifiers ask for a family's minors in the
+# order they asked for its first member's, which a memo that pushed its
+# oldest entries out would always have lost.  Measured on `verify
+# --identity det --k 6 --max-n 4` as a child process (2 vCPUs, Python
+# 3.11): its 20 families hold at most 921,326 terms, the largest 432,152;
+# with this bound it ran in 5.0 s at 153.7 MB peak RSS, with 2^17 in 7.0 s
+# at 146.9 MB, and with no kept determinants in 7.6 s at 145.6 MB.
 _family_dets: dict = {}
-_family_terms = 0
 _FAMILY_TERMS = 1 << 20
-# An A-free determinant of at most this many terms is kept as the very
-# term dict of the result determinant() returned, which costs nothing while
-# the caller holds that result; a larger one, or one that needed a shift,
-# is kept in its expansion ring, where packed it takes about a seventh of
-# the memory of its terms.  verify-grid's largest is 5,039 terms; its first
-# pass peaked at 25.8-25.9 MB (ru_maxrss, 5 runs) kept this way, and at
-# 27.2-27.4 MB with every determinant kept packed.
+# A determinant of at most this many terms is kept as the very term dict of
+# the result determinant() returned, which costs nothing while the caller
+# holds that result; a larger one is kept in its expansion ring, where
+# packed it takes about a seventh of the memory of its terms.  verify-grid's
+# largest is 5,039 terms; its first pass peaked at 25.7-25.9 MB (ru_maxrss,
+# 6 runs, median 25.72) kept this way, and at 27.3-27.4 MB (median 27.29)
+# with every determinant kept packed.
 _AS_RETURNED = 1 << 14
 
 
@@ -268,63 +262,52 @@ def _family_token(key):
 
 
 def _family_det(k: int, key, a):
-    """The determinant of the family member with A table a, shifted from
-    the kept A-free one, or None where none is kept.  The shift fits the
-    packed key: its result is the member's determinant, within the bounds
-    determinant() has checked on the member's entries."""
+    """The determinant of the family member with A table a, shifted by
+    a - a0 from the kept one of the member with table a0, or None where none
+    is kept.  The shift may lower q exponents, exactly: each term of the
+    kept one is sigma_a0 of an A-free term, so its q exponent is at least
+    sum_l a0[l-1] alpha_l for its z exponents alpha.  The result, the
+    member's determinant, fits the bounds checked on the member's entries."""
     kept = _family_dets.get(key)
     if kept is None or _family_token(key) is not kept[0]:
         return None
-    _, ring, det0, _ = kept
-    return ring.unpack(k, ring.scale(k, det0, a) if any(a) else det0)
+    _, ring, det, a0, _ = kept
+    shift = [x - x0 for x, x0 in zip(a, a0)]
+    return ring.unpack(k, ring.scale(k, det, shift) if any(shift) else det)
 
 
-def _keep_family_det(k: int, key, a, ring, det, result: Poly):
+def _keep_family_det(key, a, ring, det, result: Poly):
     """Keep det, the determinant in `ring` of the member with A table a,
-    unpacked as result, as its family's A-free determinant, where it fits.
-    Every term of det is sigma_A of a term of the A-free one, so its q
-    exponent is at least sum_l a[l-1] alpha_l for its z exponents alpha,
-    and the inverse shift keeps every q exponent >= 0."""
-    global _family_terms
+    unpacked as result, for its family, where it fits."""
     terms = result.n_terms
-    old = _family_dets.pop(key, None)  # gone stale, or it would be shared
-    if old is not None:
-        _family_terms -= old[3]
-    if _family_terms + terms > _FAMILY_TERMS:
-        stale = [other for other, kept in _family_dets.items()
-                 if _family_token(other) is not kept[0]]
-        for other in stale:
-            _family_terms -= _family_dets.pop(other)[3]
-        if _family_terms + terms > _FAMILY_TERMS:
+    _family_dets.pop(key, None)  # gone stale, or it would be shared
+    if sum(kept[4] for kept in _family_dets.values()) + terms > _FAMILY_TERMS:
+        for other, kept in list(_family_dets.items()):
+            if _family_token(other) is not kept[0]:
+                del _family_dets[other]
+        if sum(kept[4] for kept in _family_dets.values()) + terms > _FAMILY_TERMS:
             return
-    if any(a):
-        det = ring.scale(k, det, [-e for e in a])
-    elif terms <= _AS_RETURNED:
+    if terms <= _AS_RETURNED:
         ring, det = qpacked.ring(None), result._terms
-    _family_dets[key] = _family_token(key), ring, det, terms
-    _family_terms += terms
+    _family_dets[key] = _family_token(key), ring, det, a, terms
 
 
 def _slide(rows, rule, k: int, zb: int, qb: int, ring):
-    """The rows of a matrix with a rule (see PolyMatrix), moved along their
-    paths in `ring` (qpacked.ring): while the first row's vertex x is below
-    v0, row x + d is row x less z_l q^e(x, l) times row x + l for
+    """The rows of a minor with an arc rule (see _shortcuts), moved along
+    their paths in `ring` (qpacked.ring): while the first row's vertex x is
+    below v0, row x + d is row x less z_l q^e(x, l) times row x + l for
     l = 1..d-1, divided by z_d q^e(x, d), and it replaces row x at the end.
     Returns the rows reached and (factor, sign) with det(rows) = sign *
     factor * det(rows reached), or None when no step was taken.
 
-    A step needs an exact division, arc exponents e(x, l) = A(l) + B(l) x
-    that are ints >= 0, and room in the key: every step raises the z and q
-    bounds of each column by at most 1 and the largest e(x, l), l < d, and
-    the column bounds must still sum (as check_capacity sums the original
-    ones, zb and qb) within the key fields, so that no sum of keys
-    carries, in the steps or in the expansion after them."""
+    A step needs an exact division and room in the key: every step raises
+    the z and q bounds of each column by at most 1 and the largest e(x, l),
+    l < d, and the column bounds must still sum (as check_capacity sums the
+    original ones, zb and qb) within the key fields, so that no sum of keys
+    carries, in the steps or in the expansion after them.  The arc
+    exponents e(x, l) = A(l) + B(l) x of a scheme's tables are ints >= 0."""
     arcs, x, stop = rule
     d = len(rows)
-    if len(arcs) != d or d > k or any(len(arc) != 2 for arc in arcs):
-        return rows, None
-    if any(type(n) is not int for n in (x, stop, *itertools.chain(*arcs))):
-        return rows, None
     mono, mul_add, divide = ring.mono, ring.mul_add, ring.divide
     unit = mono(0, 0)
     zs = [1 << (k - l) * Z_BITS for l in range(1, d + 1)]
@@ -333,7 +316,7 @@ def _slide(rows, rule, k: int, zb: int, qb: int, ring):
         exps = [a + b * x for a, b in arcs]
         zb += d
         qb += d * max(exps[:-1], default=0)
-        if min(exps) < 0 or zb > Z_MASK or qb > Q_MASK:
+        if zb > Z_MASK or qb > Q_MASK:
             break
         pairs = [(mono(z, e), row) for z, e, row in zip(zs, exps, rows[1:])]
         moved = []

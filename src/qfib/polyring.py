@@ -62,8 +62,7 @@ import operator
 import struct
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import _fastread
-from ._backend import kernels as _k
+from . import _fastread, _kernels_py
 from ._kernels_py import Q_BITS, Q_MASK, Z_BITS, Z_MASK
 from .errors import (
     CapacityError,
@@ -237,7 +236,7 @@ class Poly:
             return NotImplemented
         self._check_ring(other)
         return Poly._wrap(
-            self.k, _k.add_terms(self._terms, other._terms), _max_bounds(self, other)
+            self.k, _kernels_py.add_terms(self._terms, other._terms), _max_bounds(self, other)
         )
 
     __radd__ = __add__
@@ -249,26 +248,27 @@ class Poly:
             return NotImplemented
         self._check_ring(other)
         return Poly._wrap(
-            self.k, _k.sub_terms(self._terms, other._terms), _max_bounds(self, other)
+            self.k, _kernels_py.sub_terms(self._terms, other._terms), _max_bounds(self, other)
         )
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly._wrap(self.k, _k.scalar_mul_terms(self._terms, -1), self._bounds)
+        return Poly._wrap(self.k, _kernels_py.scalar_mul_terms(self._terms, -1), self._bounds)
 
     def __mul__(self, other):
         if isinstance(other, int):
             _check_coeff(other)  # True would pass as 1
-            return Poly._wrap(self.k, _k.scalar_mul_terms(self._terms, other), self._bounds)
+            terms = _kernels_py.scalar_mul_terms(self._terms, other)
+            return Poly._wrap(self.k, terms, self._bounds)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
         (zb, qb), (ozb, oqb) = self.degree_bounds, other.degree_bounds
         bounds = zb + ozb, qb + oqb
         check_capacity(*bounds)
-        return Poly._wrap(self.k, _k.mul_terms(self._terms, other._terms), bounds)
+        return Poly._wrap(self.k, _kernels_py.mul_terms(self._terms, other._terms), bounds)
 
     __rmul__ = __mul__
 
@@ -313,7 +313,7 @@ class Poly:
         check_capacity(zb, qb)
         offs = _zoffsets(self.k)
         shifts = tuple((offs[i], e) for i, e in enumerate(exps) if e)
-        terms = _k.shift_q_terms(self._terms, shifts)
+        terms = _kernels_py.shift_q_terms(self._terms, shifts)
         # qb above only guards the packed field.  The result's own q bound
         # is read off its keys, one pass at C speed, because it is often
         # k times smaller and the determinant picks its route by it.
@@ -327,13 +327,13 @@ class Poly:
             return self
         zb, qb = self.degree_bounds
         check_capacity(zb, qb + e)
-        return Poly._wrap(self.k, _k.times_q_terms(self._terms, e), (zb, qb + e))
+        return Poly._wrap(self.k, _kernels_py.times_q_terms(self._terms, e), (zb, qb + e))
 
     def evaluate(self, z_vals, q_val: int) -> int:
         z_vals = tuple(z_vals)
         if len(z_vals) != self.k:
             raise RingMismatchError(f"expected {self.k} z values, got {len(z_vals)}")
-        return _k.eval_terms(self._terms, _zoffsets(self.k), z_vals, q_val)
+        return _kernels_py.eval_terms(self._terms, _zoffsets(self.k), z_vals, q_val)
 
     # ------------------------------------------------------------------
     # inspection and serialization
@@ -561,6 +561,15 @@ def check_k(k):
     A bool is refused: True would pass as 1 and be written as "True"."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive int, got {k!r}")
+
+
+def check_size(**sizes):
+    """The one type rule for board, minor and append sizes, each named by its
+    keyword; their ranges are the callers'.  A bool is refused as by check_k:
+    True would pass as 1 and share 1's cached sums."""
+    for name, n in sizes.items():
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise DomainError(f"{name} must be an int, got {n!r}")
 
 
 def _check_coeff(c):

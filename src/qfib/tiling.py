@@ -30,11 +30,10 @@ import operator
 import random
 from typing import Callable, Iterator, NamedTuple
 
-from . import qpacked
-from ._backend import kernels as _k
+from . import _kernels_py, qpacked
 from ._kernels_py import Q_BITS, Q_MASK, Z_BITS
 from .errors import DomainError, InvalidShiftError
-from .polyring import Poly, check_capacity, check_k
+from .polyring import Poly, check_capacity, check_k, check_size
 
 __all__ = [
     "AppendSpec",
@@ -231,6 +230,7 @@ def enumerate_tilings(n: int, k: int) -> Iterator[Tiling]:
 
 def _normalize_append(app) -> AppendSpec:
     app = AppendSpec(*app)
+    check_size(before=app.before, after=app.after)
     if app.before < 0 or app.after < 0:
         raise DomainError(f"append lengths must be nonnegative, got {app}")
     return app
@@ -291,13 +291,14 @@ def weighted_sum_enumerative(n: int, k: int, w: WeightScheme, app=AppendSpec()) 
     its weight.  Returns 1 for n = 0 and 0 for n < 0.
     """
     _check_cap(k, w)
+    check_size(n=n)
     app = _normalize_append(app)
     if n < 0:
         return Poly.zero(w.k)
     deltas, _, qtop = _tile_deltas(n, k, w, app)
     # exact bounds, no re-scan: the all-ones tiling reaches z_1^n, and every
     # coefficient is a positive count, so the largest q exponent qtop is kept
-    return Poly._wrap(w.k, _k.sum_tilings_terms(n, k, deltas), (n, qtop))
+    return Poly._wrap(w.k, _kernels_py.sum_tilings_terms(n, k, deltas), (n, qtop))
 
 
 # The sums the verifiers use: identities checks its q-identities against
@@ -357,6 +358,7 @@ def weighted_sum_recursive(n: int, k: int, w: WeightScheme, app=AppendSpec()) ->
     recursion reaches board lengths far beyond what enumeration can.
     """
     _check_cap(k, w)
+    check_size(n=n)
     app = _normalize_append(app)
     if n < 0:
         return Poly.zero(w.k)

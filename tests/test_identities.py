@@ -104,6 +104,42 @@ def test_verifier_and_count_share_one_domain_check(verify, count, args):
     assert str(by_verify.value) == str(by_count.value)
 
 
+_W2 = builtin_scheme("maj-lp", 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lattice.MinorSpec(2.0, 2),
+        lambda: lattice.MinorSpec(True, 2),
+        lambda: lattice.MinorSpec(2, True),
+        lambda: tiling.weighted_sum_enumerative(2.0, 2, _W2),
+        lambda: tiling.weighted_sum_recursive(True, 2, _W2),
+        lambda: tiling.weighted_sum_enumerative(3, 2, _W2, (1.5, 0)),
+        lambda: tiling.weighted_sum_recursive(3, 2, _W2, tiling.AppendSpec(True, 0)),
+        lambda: tiling.tiling_weight(tiling.Tiling((1,)), _W2, (0, False)),
+        lambda: verify_recursion(True, 2, _W2),
+        lambda: verify_convolution(1, 2.0, 2, _W2),
+        lambda: verify_k_reduction(True, 2, _W2),
+        lambda: convolution_count(True, 1, 2),
+    ],
+    ids=[
+        "minor-n-float", "minor-n-bool", "minor-k-bool", "enumerative-float", "recursive-bool",
+        "append-float", "append-bool", "weight-append-bool", "recursion-bool",
+        "convolution-float", "kreduce-bool", "count-bool",
+    ],
+)
+def test_sizes_that_are_not_ints_are_domain_errors(call):
+    # one rule (polyring.check_size): a bool would pass as 0 or 1 and share
+    # its cached sums, and a float would fail somewhere deeper with a bare
+    # TypeError; negative board lengths still give empty sums
+    with pytest.raises(DomainError, match="must be an int, got"):
+        call()
+    for n in (-1, -3):
+        assert tiling.weighted_sum_enumerative(n, 2, _W2) == Poly.zero(2)
+        assert tiling.weighted_sum_recursive(n, 2, _W2) == Poly.zero(2)
+
+
 def test_identity_grid_all_schemes():
     # the exhaustive acceptance grid runs m, n <= 8; keep a denser core here
     for k in (2, 3, 4):

@@ -11,6 +11,7 @@ suite reports the criterion that assumed the identity for all schemes as
 failed.
 """
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -325,10 +326,11 @@ def test_thinned_determinant_equals_plain_expansion(monkeypatch):
     for w, k, n in _thinning_cases():
         _clear_sum_caches()
         m = build_minor(MinorSpec(n, k), w)
-        carried += m.rule is not None
+        rule = lattice._shortcuts(m)[0]
+        carried += rule is not None
         done.clear()
         assert determinant(m) == determinant(PolyMatrix(m.dim, m.entries)), (w.name, k, n)
-        if m.rule and not w.name.startswith("corrupt"):
+        if rule and not w.name.startswith("corrupt"):
             assert done == [True] * k * (n + k - 1), (w.name, k, n)
     assert carried > 150
 
@@ -365,11 +367,6 @@ def test_a_remainder_stops_the_steps(monkeypatch):
             assert determinant(m) == determinant(PolyMatrix(m.dim, m.entries)), (seed, n)
             stopped += False in done
     assert stopped > 10
-    m = _hand_built_matrix(3)
-    rule = (((1, 2), (0, 1), (3, 0)), 0, 3)
-    done.clear()
-    assert determinant(PolyMatrix(m.dim, m.entries, rule)) == _permutation_det(m)
-    assert done == [False]
 
 
 def test_arcs_near_the_key_capacity_are_left_out(monkeypatch):
@@ -388,15 +385,16 @@ def test_only_c0_minors_carry_arcs():
     # with trailing-length weights the first-arc multiplier would depend on
     # the column, so those minors keep the plain expansion; a hand-built
     # matrix has no rule
+    rule = lambda m: lattice._shortcuts(m)[0]
     for pair in SCHEMED_PAIRS:
         m = build_minor(MinorSpec(3, 4), builtin_scheme(pair, 4))
-        assert (m.rule is None) == (str(pair) in _NON_COLLAPSING), str(pair)
+        assert (rule(m) is None) == (str(pair) in _NON_COLLAPSING), str(pair)
     w = builtin_scheme("maj-rlp", 4)
     arcs = tuple((w.a(l), w.b(l)) for l in range(1, 5))
-    assert build_minor(MinorSpec(3, 4), w).rule == (arcs, 0, 6)
+    assert rule(build_minor(MinorSpec(3, 4), w)) == (arcs, 0, 6)
     generic = WeightScheme.from_tables(3, (0, 0, 0), (1, 1, 1), (0, 0, 1))
-    assert build_minor(MinorSpec(2, 3), generic).rule is None
-    assert _hand_built_matrix().rule is None
+    assert rule(build_minor(MinorSpec(2, 3), generic)) is None
+    assert rule(_hand_built_matrix()) is None
 
 
 def _paths(u, v, k):
@@ -419,7 +417,7 @@ def test_thinning_keeps_the_paths_no_other_vertex_accounts_for(pair):
     w = builtin_scheme(pair, k)
     spec = MinorSpec(n, k)
     m = build_minor(spec, w)
-    arcs = m.rule[0]
+    arcs = lattice._shortcuts(m)[0][0]
     path_sum = lambda u, v: sum(
         (PathTuple((p,), (1,)).weight(w) for p in _paths(u, v, k)), Poly.zero(k)
     )
@@ -431,30 +429,6 @@ def test_thinning_keeps_the_paths_no_other_vertex_accounts_for(pair):
                 assert Poly(k, row[j]) == path_sum(stop + i, v), (stop, i, j)
         diagonal = Poly.monomial(k, 1, (0, 0, stop), sum(w.a(k) + w.b(k) * x for x in range(stop)))
         assert (Poly(k, factor), sign) == (diagonal, 1), stop
-
-
-def test_any_arcs_give_the_same_determinant(monkeypatch):
-    # a rule whose divisions leave remainders gives the same determinant; a
-    # rule of the wrong shape, with a number that is not an int, a negative
-    # arc exponent or no vertex to move to is not used, nor one with more
-    # arcs than the ring has variables
-    done = _spy_divisions(monkeypatch)
-    m = _hand_built_matrix(3)
-    expected = _permutation_det(m)
-    for rule, used in (
-        ((((1, 2), (0, 1), (3, 0)), 0, 3), True),
-        ((((1, 2), (0, 1)), 0, 3), False),
-        ((((1, 2), (0, 1), (3, 0, 1)), 0, 3), False),
-        ((((1.5, 0), (0, 1), (3, 0)), 0, 3), False),
-        ((((-1, 0), (0, 1), (3, 0)), 0, 3), False),
-        ((((1, 2), (0, 1), (3, 0)), 3, 3), False),
-    ):
-        done.clear()
-        assert determinant(PolyMatrix(m.dim, m.entries, rule)) == expected, rule
-        assert bool(done) == used, rule
-    ones = PolyMatrix(3, ((Poly.one(2),) * 3,) * 3, (((0, 0),) * 3, 0, 3))
-    done.clear()
-    assert determinant(ones) == Poly.zero(2) and not done
 
 
 @pytest.mark.parametrize(
@@ -675,7 +649,8 @@ def test_each_ring_gives_the_same_results(monkeypatch):
     # None) and onto packed cells at the width its rule gives where it packs
     board = 24, 4, builtin_scheme("maj-rlp", 4)
     minors = [build_minor(MinorSpec(3, 4), builtin_scheme(p, 4)) for p in ("maj-lp", "inv-lp")]
-    assert minors[0].rule is not None and minors[1].rule is None
+    rules = [lattice._shortcuts(m)[0] for m in minors]
+    assert rules[0] is not None and rules[1] is None
     forced = {
         "terms": (lambda *args: None, lambda *args: None),
         "packed": (
@@ -745,28 +720,37 @@ def _family_cases():
 @pytest.mark.parametrize("as_returned", [lattice._AS_RETURNED, -1], ids=["terms", "ring"])
 def test_shared_determinants_equal_their_expansion(monkeypatch, as_returned):
     # terms and degree bounds alike, whichever member a family's kept
-    # determinant came from and in whichever form it was kept; schemes with
-    # an exponent override carry no family and are always expanded
+    # determinant came from and in whichever form it was kept, against the
+    # plain expansion of the same entries; schemes with an exponent override
+    # have no family and are always expanded
     monkeypatch.setattr(lattice, "_AS_RETURNED", as_returned)
     _clear_sum_caches()
     done = _spy_expansions(monkeypatch)
     shared = 0
     for w, k, n in _family_cases():
         m = build_minor(MinorSpec(n, k), w)
-        assert (m.family is None) == (w._exponent is not None)
+        family = lattice._shortcuts(m)[1]
+        assert (family is None) == (w._exponent is not None)
         done.clear()
         got = determinant(m)
         expanded = bool(done)
         shared += not expanded
-        want = determinant(PolyMatrix(m.dim, m.entries, m.rule))
+        want = determinant(PolyMatrix(m.dim, m.entries))
         assert got == want and got.degree_bounds == want.degree_bounds, (w.name, k, n)
-        if m.family is None:
+        if family is None:
             assert len(done) == 2
-        elif expanded and not any(m.family[1]):
-            # an A-free result is kept as it was returned, if small enough
-            kept = lattice._family_dets[m.family[0]][2]
+        elif expanded:
+            # a result is kept as it was returned, if small enough
+            kept = lattice._family_dets[family[0]][2]
             assert (kept is got._terms) == (got.n_terms <= as_returned)
     assert shared > 150
+
+
+def _as_minor_of(matrix, minor):
+    # matrix with the record of the scheme minor was built from, which no
+    # caller can give it: a stand-in for entries that break the checks
+    object.__setattr__(matrix, "_source", minor._source)
+    return matrix
 
 
 def test_errors_are_unchanged_on_the_shared_path():
@@ -776,16 +760,33 @@ def test_errors_are_unchanged_on_the_shared_path():
     determinant(m)
     one, half = Poly.one(2), Poly.monomial(2, 1, (0, 0), Q_MASK // 2 + 1)
     bad = [
-        (DomainError, PolyMatrix(2, ((one,) * 3,) * 3, m.rule, m.family)),
-        (SizeLimitError, PolyMatrix(7, ((one,) * 7,) * 7, m.rule, m.family)),
-        (RingMismatchError, PolyMatrix(2, ((one, one), (one, Poly.one(3))), m.rule, m.family)),
-        (CapacityError, PolyMatrix(2, ((half, one), (one, half)), m.rule, m.family)),
+        (DomainError, PolyMatrix(2, ((one,) * 3,) * 3)),
+        (SizeLimitError, PolyMatrix(7, ((one,) * 7,) * 7)),
+        (RingMismatchError, PolyMatrix(2, ((one, one), (one, Poly.one(3))))),
+        (CapacityError, PolyMatrix(2, ((half, one), (one, half)))),
     ]
     for error, matrix in bad:
         with pytest.raises(error):
             determinant(matrix)
         with pytest.raises(error):
-            determinant(PolyMatrix(matrix.dim, matrix.entries))
+            determinant(_as_minor_of(matrix, m))
+
+
+@pytest.mark.parametrize("pair", ["inv-lp", "maj-lp"])
+def test_other_entries_get_their_own_determinant(pair):
+    # the shortcuts come from the scheme a minor was built from, and no
+    # other matrix has one: not a copy of a minor with other entries, once
+    # the minor's own determinant is kept, nor a matrix built by hand
+    _clear_sum_caches()
+    m = build_minor(MinorSpec(2, 3), builtin_scheme(pair, 3))
+    determinant(m)
+    one, zero = Poly.one(3), Poly.zero(3)
+    identity = tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
+    for entries in (identity, _hand_built_matrix(3).entries):
+        want = _permutation_det(PolyMatrix(3, entries))
+        assert determinant(dataclasses.replace(m, entries=entries)) == want
+        assert determinant(PolyMatrix(3, entries)) == want
+    assert lattice._shortcuts(dataclasses.replace(m)) == (None, None)
 
 
 def test_cleared_sum_caches_expand_again(monkeypatch):
@@ -809,14 +810,12 @@ def test_kept_determinants_are_bounded_by_their_terms(monkeypatch):
     # a determinant that would take the terms held past the bound is not
     # kept, until clearing the sum caches leaves the kept ones stale
     monkeypatch.setattr(lattice, "_family_dets", {})
-    monkeypatch.setattr(lattice, "_family_terms", 0)
     monkeypatch.setattr(lattice, "_FAMILY_TERMS", 150)
     _clear_sum_caches()
     done = _spy_expansions(monkeypatch)
 
     def held():
-        terms = [terms for *_, terms in lattice._family_dets.values()]
-        assert sum(terms) == lattice._family_terms <= 150
+        assert sum(terms for *_, terms in lattice._family_dets.values()) <= 150
         return [key[0].n for key in lattice._family_dets]
 
     sizes = []
