@@ -150,16 +150,15 @@ def _written_q(text: str) -> int:
 
 
 def read_json(data) -> tuple | None:
-    """(k, terms, degree bounds) of data if it is exactly in to_json's form
-    read back by json.loads, else None.
+    """(k, terms) of data if it is exactly in to_json's form read back by
+    json.loads, else None.
 
     That form: "k" a positive int; "terms" a list of dicts, each with a
     decimal string "coeff", a list "z" of k ints in the z field's range and
     an int "q" in the q field's range; every monomial once.  Each check is
     one C-level pass over a column of the rows that builds no list (a
     string joined from every coefficient raised cli-session's peak RSS by
-    about 0.2 MB), each distinct z list is packed once, and the bounds
-    cover every term, as from_monomials's do.
+    about 0.2 MB) and each distinct z list is packed once.
     """
     if type(data) is not dict:
         return None
@@ -167,7 +166,7 @@ def read_json(data) -> tuple | None:
     if type(k) is not int or k < 1 or type(rows) is not list:
         return None
     if not rows:
-        return k, {}, (0, 0)
+        return k, {}
 
     def column(name):
         return map(operator.itemgetter(name), rows)
@@ -183,10 +182,8 @@ def read_json(data) -> tuple | None:
             or not set(map(type, itertools.chain.from_iterable(column("z")))) <= {int}
             or set(map(type, column("q"))) != {int}
             or min(column("q")) < 0
+            or max(column("q")) > Q_MASK
         ):
-            return None
-        qb = max(column("q"))
-        if qb > Q_MASK:
             return None
         z_keys = _Decoded(lambda z: _written_z_list(z, k))
         keys = map(operator.or_, map(z_keys.__getitem__, map(tuple, column("z"))), column("q"))
@@ -195,7 +192,7 @@ def read_json(data) -> tuple | None:
         return None
     if len(terms) != len(rows):
         return None
-    return k, polyring._drop_zeros(terms), (max(map(max, z_keys)), qb)
+    return k, polyring._drop_zeros(terms)
 
 
 def _written_z_list(z: tuple, k: int) -> int:

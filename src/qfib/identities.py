@@ -59,17 +59,16 @@ __all__ = [
 
 
 def _times(a, b: Poly, into=None):
-    """a * b as a pair (terms, bounds), for a Poly b and a such pair, checked
-    as Poly.__mul__ checks it; given a right side's pair into, added in place
-    into its terms, with the bounds of the + chain (the larger of each)."""
+    """a * b for a Poly b and a pair a = (terms, bounds), checked as
+    Poly.__mul__ checks it: a fresh pair (terms, bounds), whose bounds the
+    next product's check reads, or, given a right side's term dict into,
+    added into it in place."""
     (za, qa), (zb, qb) = a[1], b.degree_bounds
-    zb, qb = za + zb, qa + qb
-    check_capacity(zb, qb)
+    bounds = za + zb, qa + qb
+    check_capacity(*bounds)
     if into is None:
-        return _kernels_py.mul_terms(a[0], b._terms), (zb, qb)
-    terms, (zr, qr) = into
-    _kernels_py.mul_add_terms(terms, a[0], b._terms, 1)
-    return terms, (max(zr, zb), max(qr, qb))
+        return _kernels_py.mul_terms(a[0], b._terms), bounds
+    _kernels_py.mul_add_terms(into, a[0], b._terms, 1)
 
 
 def _tile(w: WeightScheme, i: int, e):
@@ -84,33 +83,34 @@ def _tile(w: WeightScheme, i: int, e):
 # ----------------------------------------------------------------------
 # right sides: tile(i, s, t) is a tile's q exponent; front(x, kcap, w, m) and
 # back(x, kcap, w, t) are w's sums over x-boards with tiles up to kcap under
-# s-_m and s+_t, called like the cached _front and _back
+# s-_m and s+_t, called like the cached _front and _back.  Each adds every
+# product into one term dict and wraps it once, with no bounds.
 
 
 def _recursion_rhs(w, n, k, tile, front) -> Poly:
-    rhs = {}, (0, 0)
+    rhs = {}
     for i in range(1, min(k, n) + 1):
-        rhs = _times(_tile(w, i, tile(i, 1, n - i)), front(n - i, k, w, i), rhs)
-    return Poly._wrap(w.k, *rhs)
+        _times(_tile(w, i, tile(i, 1, n - i)), front(n - i, k, w, i), rhs)
+    return Poly._wrap(w.k, rhs)
 
 
 def _convolution_rhs(w, m, n, k, tile, front, back) -> Poly:
     b = back(m, k, w, n)
-    rhs = _times((b._terms, b.degree_bounds), front(n, k, w, m), ({}, (0, 0)))
+    rhs = {}
+    _times((b._terms, b.degree_bounds), front(n, k, w, m), rhs)
     for i in range(2, k + 1):
         for j in range(max(1, i - n), min(i - 1, m) + 1):
             crossing = _times(_tile(w, i, tile(i, m - j + 1, n - i + j)), back(m - j, k, w, n + j))
-            rhs = _times(crossing, front(n - i + j, k, w, m + i - j), rhs)
-    return Poly._wrap(w.k, *rhs)
+            _times(crossing, front(n - i + j, k, w, m + i - j), rhs)
+    return Poly._wrap(w.k, rhs)
 
 
 def _k_reduction_rhs(w, n, k, tile, front, back) -> Poly:
-    f = back(n, k - 1, w, 0)  # F_n^(k-1): no tile of length k
-    rhs = dict(f._terms), f.degree_bounds
+    rhs = dict(back(n, k - 1, w, 0)._terms)  # F_n^(k-1): no tile of length k
     for j in range(0, n - k + 1):
         first_k_tile = _times(_tile(w, k, tile(k, j + 1, n - k - j)), back(j, k - 1, w, n - j))
-        rhs = _times(first_k_tile, front(n - k - j, k, w, k + j), rhs)
-    return Poly._wrap(w.k, *rhs)
+        _times(first_k_tile, front(n - k - j, k, w, k + j), rhs)
+    return Poly._wrap(w.k, rhs)
 
 
 def verify_recursion(n: int, k: int, w: WeightScheme) -> IdentityReport:
@@ -245,6 +245,7 @@ def verify_specializations(pair, n_max: int, k: int) -> list[IdentityReport]:
     the generic closed-form product for the determinant rows); the right side
     is the general identity with the pair's _SPECIAL row put in.
     """
+    check_size(n_max=n_max)
     pair = StatPair.parse(pair)
     w = builtin_scheme(pair, k)
     row = _SPECIAL.get(str(pair))

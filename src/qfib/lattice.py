@@ -193,12 +193,14 @@ def determinant(mat: PolyMatrix) -> Poly:
     moved along their paths in the same ring first (_slide), the width of
     the packed digits still from the original entries.
 
-    Guarded by LIMITS["det_dim"]: the expansion builds 2^dim minors.  Mixed
-    rings raise RingMismatchError and a determinant whose degree bounds
-    (the sums of the column maxima) overflow the packed key raises
-    CapacityError, both before any arithmetic.
+    Guarded by LIMITS["det_dim"]: the expansion builds 2^dim minors.  A
+    dim that is not an int or an entry that is not a Poly raises
+    DomainError, mixed rings raise RingMismatchError and a determinant
+    whose degree bounds (the sums of the column maxima) overflow the packed
+    key raises CapacityError, all before any arithmetic.
     """
     d = mat.dim
+    check_size(dim=d)
     _check_dim(d)
     if d == 0:
         raise DomainError("determinant of an empty matrix")
@@ -206,6 +208,8 @@ def determinant(mat: PolyMatrix) -> Poly:
     if len(entries) != d or any(len(row) != d for row in entries):
         raise DomainError(f"determinant needs {d} x {d} entries")
     for e in itertools.chain.from_iterable(entries):
+        if not isinstance(e, Poly):
+            raise DomainError(f"determinant entries must be Polys, got {e!r}")
         entries[0][0]._check_ring(e)
     k = entries[0][0].k
     cols = list(zip(*entries))

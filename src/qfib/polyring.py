@@ -133,10 +133,10 @@ class Poly:
 
     All operations return new instances; values can be shared freely across
     threads.  _bounds is a pair of upper bounds (see degree_bounds) that
-    keeps packed-field overflow checks O(1).  An operation sets it only
-    where it knows the bounds without looking at its terms (a product, a
-    shift, a sum of two values with bounds); otherwise it is None until
-    degree_bounds reads the exact bounds off the terms and keeps them.
+    keeps packed-field overflow checks O(1).  Only a product (Poly * Poly),
+    the shifts substitute_z_scale and times_q and the tiling sums set it;
+    every other value starts with None, and degree_bounds reads the exact
+    bounds off its terms once and keeps them.
     Poly(k, terms) takes a dict from packed key to int (not bool)
     coefficient: it drops zeros and rejects any other coefficient and a key
     outside range(1 << (Q_BITS + k * Z_BITS)).
@@ -180,7 +180,7 @@ class Poly:
     def constant(cls, k: int, c: int) -> "Poly":
         check_k(k)
         _check_coeff(c)
-        return cls._wrap(k, {0: c} if c else {}, (0, 0))
+        return cls._wrap(k, {0: c} if c else {})
 
     @classmethod
     def monomial(cls, k: int, coeff: int, z_exps, q_exp: int = 0) -> "Poly":
@@ -189,7 +189,8 @@ class Poly:
     @classmethod
     def from_monomials(cls, k: int, monomials: Iterable) -> "Poly":
         """Sum of (coeff, z_exps, q_exp) terms in one pass; every term is
-        checked before it merges, even one that later cancels."""
+        checked before it merges, even one that later cancels.  No bounds
+        are kept: degree_bounds reads them off the terms that remain."""
         check_k(k)
         # The big-endian fields of one struct record are the packed key's
         # fields, and struct range-checks them in C; its error is then
@@ -198,7 +199,6 @@ class Poly:
         from_bytes = int.from_bytes
         terms: dict[int, int] = {}
         get = terms.get
-        zb = qb = 0
         for coeff, z_exps, q_exp in monomials:
             if type(coeff) is not int:
                 _check_coeff(coeff)
@@ -212,13 +212,7 @@ class Poly:
                 _check_term(k, z_exps, q_exp)
                 raise
             terms[key] = get(key, 0) + coeff
-            e = max(z_exps)
-            if e > zb:
-                zb = e
-            if q_exp > qb:
-                qb = q_exp
-        # the bounds cover every term merged, a cancelled one too
-        return cls._wrap(k, _drop_zeros(terms), (zb, qb))
+        return cls._wrap(k, _drop_zeros(terms))
 
     # ------------------------------------------------------------------
     # ring operations
@@ -235,9 +229,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        return Poly._wrap(
-            self.k, _kernels_py.add_terms(self._terms, other._terms), _max_bounds(self, other)
-        )
+        return Poly._wrap(self.k, _kernels_py.add_terms(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -247,21 +239,18 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
-        return Poly._wrap(
-            self.k, _kernels_py.sub_terms(self._terms, other._terms), _max_bounds(self, other)
-        )
+        return Poly._wrap(self.k, _kernels_py.sub_terms(self._terms, other._terms))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly._wrap(self.k, _kernels_py.scalar_mul_terms(self._terms, -1), self._bounds)
+        return Poly._wrap(self.k, _kernels_py.scalar_mul_terms(self._terms, -1))
 
     def __mul__(self, other):
         if isinstance(other, int):
             _check_coeff(other)  # True would pass as 1
-            terms = _kernels_py.scalar_mul_terms(self._terms, other)
-            return Poly._wrap(self.k, terms, self._bounds)
+            return Poly._wrap(self.k, _kernels_py.scalar_mul_terms(self._terms, other))
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
@@ -344,10 +333,10 @@ class Poly:
 
     @property
     def degree_bounds(self) -> tuple[int, int]:
-        """Upper bounds on any single z exponent and on the q exponent,
-        exact when read off the terms: on first use, for a value given no
-        bounds (Poly(k, terms), parse and q_unpack results, sums with
-        those).  The read is kept; threads that race on it store equal pairs.
+        """Upper bounds on any single z exponent and on the q exponent.
+        A value no product, shift or tiling sum made reads its exact bounds
+        off its terms on first use and keeps them; threads that race on the
+        read store equal pairs.
         """
         if self._bounds is None:
             self._bounds = _read_bounds(self.k, self._terms)
@@ -607,12 +596,6 @@ def _check_keys(k: int, terms: dict):
     top = max(terms)
     if top >> (Q_BITS + k * Z_BITS):
         raise CapacityError(f"packed key {top} exceeds the capacity of a {k}-variable ring")
-
-
-def _max_bounds(a: Poly, b: Poly):
-    # a sum's bounds: the larger of each, when both summands carry bounds
-    a, b = a._bounds, b._bounds
-    return a and b and (max(a[0], b[0]), max(a[1], b[1]))
 
 
 def _read_bounds(k: int, terms: dict) -> tuple[int, int]:

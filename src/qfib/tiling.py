@@ -136,7 +136,7 @@ class WeightScheme:
         vals = []
         for i in range(1, self.k + 1):
             v = fn(i)
-            if not isinstance(v, int) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise DomainError(
                     f"{label}({i}) must be a nonnegative int, got {v!r}"
                 )
@@ -195,6 +195,7 @@ class WeightScheme:
 
 def fibonacci_k(n: int, k: int) -> int:
     """F_n with F_0 = 1, F_{n<0} = 0 and F_n = F_{n-1} + ... + F_{n-k}."""
+    check_size(n=n)
     check_k(k)
     if n < 0:
         return 0
@@ -213,6 +214,7 @@ def enumerate_tilings(n: int, k: int) -> Iterator[Tiling]:
     Iterative, by the successor rule: grow the last part below k that has
     parts after it, and refill what follows it with ones.
     """
+    check_size(n=n)
     check_k(k)
     if n < 0:
         return
@@ -446,6 +448,7 @@ def validate_weight_scheme(w: WeightScheme, n_max: int) -> SchemeValidation:
     Separable schemes satisfy both by construction; a scheme whose exponent
     function secretly depends on sigma and tau jointly fails with a witness.
     """
+    check_size(n_max=n_max)
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     failures = []

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qfib import identities, lattice, polyring, tiling
+from qfib import cli, identities, lattice, polyring, tiling
 from qfib.cli import _det_report
 from qfib.errors import CapacityError, DomainError, QfibError
 from qfib.identities import (
@@ -122,11 +122,21 @@ _W2 = builtin_scheme("maj-lp", 2)
         lambda: verify_convolution(1, 2.0, 2, _W2),
         lambda: verify_k_reduction(True, 2, _W2),
         lambda: convolution_count(True, 1, 2),
+        lambda: verify_specializations("maj-lp", True, 2),
+        lambda: verify_specializations("maj-lp", 2.0, 2),
+        lambda: tiling.validate_weight_scheme(_W2, True),
+        lambda: tiling.validate_weight_scheme(_W2, 2.5),
+        lambda: fibonacci_k(True, 2),
+        lambda: fibonacci_k(2.5, 2),
+        lambda: list(tiling.enumerate_tilings(True, 2)),
+        lambda: list(tiling.enumerate_tilings(2.0, 2)),
     ],
     ids=[
         "minor-n-float", "minor-n-bool", "minor-k-bool", "enumerative-float", "recursive-bool",
         "append-float", "append-bool", "weight-append-bool", "recursion-bool",
-        "convolution-float", "kreduce-bool", "count-bool",
+        "convolution-float", "kreduce-bool", "count-bool", "specializations-bool",
+        "specializations-float", "validate-bool", "validate-float", "fibonacci-bool",
+        "fibonacci-float", "tilings-bool", "tilings-float",
     ],
 )
 def test_sizes_that_are_not_ints_are_domain_errors(call):
@@ -263,10 +273,11 @@ def test_sum_caches_are_bounded(cleared_caches):
         assert info.currsize <= info.maxsize == size
 
 
-def test_hot_paths_read_no_bounds_off_terms(cleared_caches, monkeypatch):
+def test_hot_paths_read_no_bounds_off_terms(cleared_caches, monkeypatch, capsys):
     # the sums, shifts, products and determinants of the verifiers all carry
     # bounds passed on by their operations, and the Poly window's tiles
-    # are bare term dicts, so no value reads bounds off its terms
+    # are bare term dicts, so no value reads bounds off its terms; nor do
+    # the CLI's tables and determinants, their readers or a det witness
     reads = []
     read = polyring._read_bounds
     monkeypatch.setattr(
@@ -284,6 +295,19 @@ def test_hot_paths_read_no_bounds_off_terms(cleared_caches, monkeypatch):
     assert reads == []
     q_sparse = WeightScheme.from_tables(3, (0, 0, 0), (0, 500, 1000), (1000, 7, 0))
     tiling.weighted_sum_recursive(30, 3, q_sparse)
+    assert reads == []
+    readers = {"text": lambda out: Poly.parse(out.rstrip("\n"), 4),
+               "json": lambda out: Poly.from_json_dict(json.loads(out))}
+    for fmt, read_back in readers.items():
+        assert cli.main(["table", "--n", "12", "--k", "4", "--stat", "maj-rlp",
+                         "--format", fmt]) == 0
+        assert read_back(capsys.readouterr().out).n_terms > 1
+        # the closed form goes through from_monomials; C != 0 minors differ
+        for pair, code in (("maj-rlp", 0), ("inv-rlp", 0), ("inv-prlp", 1)):
+            argv = ["det", "--n", "3", "--k", "3", "--stat", pair, "--format", fmt]
+            assert (cli.main(argv), bool(capsys.readouterr().out)) == (code, True)
+    failing = _det_report(1, 2, builtin_scheme("inv-lp", 2))
+    assert failing.witness == "coefficient of z1^4*q^3: -1 != 0"
     assert reads == []
 
 
@@ -508,8 +532,9 @@ def test_reports_equal_those_of_the_poly_operator_sums(monkeypatch):
 
 
 def test_builders_equal_the_poly_operator_sums_bounds_included():
-    # a passing report keeps only its left side, so the right sides' degree
-    # bounds are compared on the builders themselves
+    # a passing report keeps only its left side, so the right sides are
+    # compared on the builders themselves; neither side keeps bounds that
+    # its terms do not give
     for w, k in _builder_schemes():
         sides = [(w.qexp, identities._front, identities._back)]
         if w.name in identities._SPECIAL:
@@ -524,7 +549,10 @@ def test_builders_equal_the_poly_operator_sums_bounds_included():
             calls += [("_k_reduction_rhs", (w, n, k, tile, front, back)) for n in range(1, 6)]
             for name, args in calls:
                 got, want = getattr(identities, name)(*args), _POLY_BUILDERS[name](*args)
-                assert (got._terms, got._bounds) == (want._terms, want._bounds), (name, args[1:3])
+                assert got._terms == want._terms, (name, args[1:3])
+                for side in (got, want):
+                    exact = polyring._read_bounds(side.k, side._terms)
+                    assert side.degree_bounds == exact, (name, args[1:3])
 
 
 def _recorded(w, tile_exp):

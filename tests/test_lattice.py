@@ -772,6 +772,24 @@ def test_errors_are_unchanged_on_the_shared_path():
             determinant(_as_minor_of(matrix, m))
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (PolyMatrix(1, ((5,),)), "determinant entries must be Polys, got 5"),
+        (PolyMatrix(2, ((Poly.one(1), 5), (Poly.one(1), Poly.one(1)))),
+         "determinant entries must be Polys, got 5"),
+        (PolyMatrix(True, ((Poly.one(1),),)), "dim must be an int, got True"),
+        (PolyMatrix(1.0, ((Poly.one(1),),)), "dim must be an int, got 1.0"),
+    ],
+    ids=["int-entry", "int-among-polys", "bool-dim", "float-dim"],
+)
+def test_malformed_matrices_are_domain_errors(matrix, message, monkeypatch):
+    # refused before any arithmetic: no entry is packed
+    monkeypatch.setattr(qpacked, "ring", lambda width: pytest.fail("packed an entry"))
+    with pytest.raises(DomainError, match=message):
+        determinant(matrix)
+
+
 @pytest.mark.parametrize("pair", ["inv-lp", "maj-lp"])
 def test_other_entries_get_their_own_determinant(pair):
     # the shortcuts come from the scheme a minor was built from, and no

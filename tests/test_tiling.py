@@ -356,6 +356,13 @@ def test_tile_cap_must_fit_scheme():
         weighted_sum_enumerative(4, 3, builtin_scheme("inv-lp", 2))
 
 
+def test_scheme_tables_refuse_bools():
+    # True would compare equal to 1 and share the (1, 0) scheme's cached sums
+    for table in ((True, 0), (0, -1)):
+        with pytest.raises(DomainError, match=r"A\(\d\) must be a nonnegative int, got"):
+            WeightScheme.from_tables(2, table, (0, 0), (0, 0))
+
+
 def test_validate_builtin_schemes_pass():
     for pair in ("inv-lp", "maj-rlp", "maj-prlp", "rb-lpi"):
         result = validate_weight_scheme(builtin_scheme(pair, 4), 10)
